@@ -17,9 +17,9 @@ from falsikit import (EnsembleSpec, FdrConfig, IsolatorParams, ModelClassSpec,
                       PriorSpec, ResidualNoiseModel, ShearBuildingModel,
                       add_measurement_noise, assemble_isolated_system,
                       band_limited_record, estimate_parameters, falsify_classes,
-                      generate_ensemble, post_falsification_weights,
+                      generate_ensemble, integrate_rk4, post_falsification_weights,
                       predict_response, relative_rms_error, residuals, simulate,
-                      simulate_batch, theta_matrix)
+                      theta_matrix)
 
 N_SAMPLES = 100   # small ensemble so the demo runs in seconds
 
@@ -71,7 +71,7 @@ def main():
     eps = {}
     for s in specs:
         system = build_system(s, thetas[s.class_id], building)
-        eps[s.class_id] = residuals(simulate_batch(system, calibration), d)
+        eps[s.class_id] = residuals(integrate_rk4(system, calibration), d)
 
     report = falsify_classes(eps, noise, FdrConfig(0.05))
     print("\nunfalsified fraction per class (alpha = 0.05):")
@@ -91,7 +91,7 @@ def main():
     spec = next(s for s in specs if s.class_id == "boucwen")
     system = build_system(spec, thetas["boucwen"][np.asarray(survivors.sample_indices)],
                           building)
-    pred = predict_response(survivors, simulate_batch(system, prediction),
+    pred = predict_response(survivors, integrate_rk4(system, prediction),
                             prediction.dt)
     truth_pred = simulate(truth_sys, prediction)
     err = relative_rms_error(truth_pred.values, pred.q_hat)

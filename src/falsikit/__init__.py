@@ -13,7 +13,7 @@ from .dynamics import (ExcitationRecord, SimulationOutput, ShearBuildingModel,
                        IsolatorParams, IsolatedSystem, SimulationDivergedError,
                        boucwen_rate, equivalent_linear_params,
                        assemble_isolated_system, integrate_rk4, simulate,
-                       simulate_batch, add_measurement_noise, band_limited_record,
+                       add_measurement_noise, band_limited_record,
                        TmdParams, TmdFrameModel, TmdFrameSystem, tmd_force,
                        BiaxialDeviceParams, biaxial_hysteresis_rates,
                        biaxial_device_force)

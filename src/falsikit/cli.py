@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    falsikit run --config <path> [--threads N] [--seed-override S]
+    falsikit run --config <path> [--seed-override S]
                  [--stage simulate|falsify|predict|all]
 """
 
@@ -10,6 +10,7 @@ import argparse
 import dataclasses
 import sys
 
+from .dynamics import SimulationDivergedError
 from .pipeline import STAGES, ConfigError, emit_report, parse_config, run_pipeline
 
 
@@ -21,8 +22,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute the simulate/falsify/predict pipeline")
     run.add_argument("--config", required=True, help="path to the run configuration file")
-    run.add_argument("--threads", type=int, default=1,
-                     help="worker threads for the simulation stage (default 1)")
     run.add_argument("--seed-override", type=int, default=None,
                      help="replace the configured master seed")
     run.add_argument("--stage", choices=STAGES, default="all",
@@ -37,8 +36,8 @@ def main(argv=None) -> int:
         if args.seed_override is not None:
             ensemble = dataclasses.replace(config.ensemble, master_seed=args.seed_override)
             config = dataclasses.replace(config, ensemble=ensemble)
-        manifest = run_pipeline(config, threads=args.threads, stage=args.stage)
-    except (ConfigError, ValueError, OSError) as err:
+        manifest = run_pipeline(config, stage=args.stage)
+    except (ConfigError, ValueError, OSError, SimulationDivergedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     report_path = emit_report(manifest, config.output_dir)

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.signal
 from scipy.constants import g as GRAVITY
 
 from .falsification import MeasurementSet
@@ -39,7 +38,6 @@ __all__ = [
     "assemble_isolated_system",
     "integrate_rk4",
     "simulate",
-    "simulate_batch",
     "add_measurement_noise",
     "band_limited_record",
 ]
@@ -55,12 +53,15 @@ _STATE_GUARD = 1.0e6  # any |state| beyond this is treated as divergence
 
 
 class SimulationDivergedError(RuntimeError):
-    def __init__(self, t, indices=None):
+    def __init__(self, t, indices=None, class_id=None):
         self.time = t
         self.indices = indices
+        self.class_id = class_id
         msg = f"simulation diverged at t = {t:.4f} s"
         if indices is not None and len(indices):
-            msg += f" (models {list(indices)})"
+            msg += f" (models {[int(i) for i in indices]})"
+        if class_id is not None:
+            msg = f"class {class_id!r}: {msg}"
         super().__init__(msg)
 
 
@@ -281,16 +282,29 @@ def boucwen_rate(z, v, a, beta, gamma, n_pow):
     v = np.asarray(v, dtype=float)
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
         raise ValueError("non-finite hysteretic state or velocity")
+    n = _checked_n_pow(n_pow)
+    return _boucwen(z, v, a, beta, gamma, n, _saturation_amplitude(a, beta, gamma, n))
+
+
+def _checked_n_pow(n_pow) -> np.ndarray:
     n = np.asarray(n_pow, dtype=float)
     if np.any(n < 1.0):
         raise ValueError("n_pow must be >= 1")
+    return n
+
+
+def _saturation_amplitude(a, beta, gamma, n):
+    """(a / (beta + gamma))**(1/n), or inf where beta + gamma <= 0."""
     denom = np.asarray(beta, dtype=float) + np.asarray(gamma, dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
-        z_max = np.where(denom > 0.0, np.power(np.where(denom > 0.0, a / np.maximum(denom, 1e-300), 1.0), 1.0 / n), np.inf)
+        ratio = np.where(denom > 0.0, a / np.maximum(denom, 1e-300), 1.0)
+        return np.where(denom > 0.0, np.power(ratio, 1.0 / n), np.inf)
+
+
+def _boucwen(z, v, a, beta, gamma, n, z_max):
+    """The Bouc-Wen rate with the saturation amplitude given; no input checks."""
     az = np.minimum(np.abs(z), z_max)
-    pow_n = np.power(az, n)
-    pow_nm1 = np.power(az, n - 1.0)
-    return a * v - beta * v * pow_n - gamma * z * np.abs(v) * pow_nm1
+    return a * v - beta * v * np.power(az, n) - gamma * z * np.abs(v) * np.power(az, n - 1.0)
 
 
 def equivalent_linear_params(variant: str, r_k: float, r_d, k_pre):
@@ -300,11 +314,12 @@ def equivalent_linear_params(variant: str, r_k: float, r_d, k_pre):
     rho = 0.7 r_d respectively; modified AASHTO applies correction factors
     r_d**0.58 / (6 - 10 r_k) to zeta_eq and [1 - 0.737 (r_d-1)/r_d**2]**(-2)
     to k_eq; Caltrans has its own closed forms.  Returns (zeta_eq, k_eq)
-    with k_eq in the units of ``k_pre``.  Broadcasts over r_d / k_pre.
+    with k_eq in the units of ``k_pre``.  Broadcasts over r_k / r_d / k_pre.
     """
     if variant not in LINEAR_VARIANTS:
         raise ValueError(f"{variant!r} is not a linear isolator variant")
-    if not (0.0 < r_k < 1.0):
+    r_k = np.asarray(r_k, dtype=float)
+    if np.any((r_k <= 0.0) | (r_k >= 1.0)):
         raise ValueError("r_k must lie in (0, 1)")
     r_d = np.asarray(r_d, dtype=float)
     k_pre = np.asarray(k_pre, dtype=float)
@@ -336,6 +351,10 @@ class IsolatedSystem:
     State layout per model: [X_s (ns), x_b, V_s (ns), v_b] plus a trailing
     z for hysteretic variants.  All isolator parameter arrays broadcast over
     the batch.  Output is the base absolute acceleration [m/s^2].
+
+    The state rate is ``A x + B a_g`` with one operator ``A`` for the whole
+    batch (superstructure on the base mass), minus each model's isolator
+    force on the base row, plus the Bouc-Wen rate of z.
     """
 
     channel_names = ("base_abs_accel",)
@@ -347,15 +366,21 @@ class IsolatedSystem:
         self.building = building
         self.variant = variant
         self.nonlinear = variant in NONLINEAR_VARIANTS
+        self.ns = building.n_stories
+        n = self.ns + 1                                  # degrees of freedom
+        self.n_states = 2 * n + (1 if self.nonlinear else 0)
+        self._vb = 2 * n - 1                             # column of v_b
 
-        self.Ms_diag = np.asarray(building.story_masses) * MG
-        self.Ks = building.stiffness_matrix()
-        self.Cs = building.damping_matrix()
-        self.mb = building.base_mass * MG
-        self.colK = self.Ks.sum(axis=0)     # K_s 1 (= 1^T K_s by symmetry)
-        self.colC = self.Cs.sum(axis=0)
-        self.oKo = float(self.colK.sum())   # 1^T K_s 1
-        self.oCo = float(self.colC.sum())
+        # M q'' + C q' + K q = -M 1 a_g - f_iso e_b for q = [X_s, x_b], with
+        # M = diag(m_s, m_b), K = T^T K_s T, C = T^T C_s T and T = [I | -1]
+        T = np.hstack([np.eye(self.ns), -np.ones((self.ns, 1))])
+        masses = MG * np.append(building.story_masses, building.base_mass)
+        self._A = np.zeros((self.n_states, self.n_states))
+        self._A[:n, n:2 * n] = np.eye(n)
+        self._A[n:2 * n, :n] = -(T.T @ building.stiffness_matrix() @ T) / masses[:, None]
+        self._A[n:2 * n, n:2 * n] = -(T.T @ building.damping_matrix() @ T) / masses[:, None]
+        self._B = np.zeros(self.n_states)
+        self._B[n:2 * n] = -1.0
 
         k_post = np.atleast_1d(np.asarray(k_post, dtype=float))
         c_b = np.atleast_1d(np.asarray(c_b, dtype=float))
@@ -363,10 +388,11 @@ class IsolatedSystem:
         if np.any((r_k <= 0.0) | (r_k >= 1.0)):
             raise ValueError("r_k must lie in (0, 1)")
         self.n_models = int(np.broadcast_shapes(k_post.shape, c_b.shape, r_k.shape)[0])
-        self.cb = c_b * KN                       # N.s/m
-        k_post_si = k_post * MN_PER_M
-        k_pre_si = k_post_si / r_k
+        k_pre_si = k_post * MN_PER_M / r_k
 
+        # isolator force on the base per unit base mass, one row per model:
+        # k_iso x_b + c_iso v_b, plus q_y z for the hysteretic variants
+        self._iso = np.zeros((self.n_models, self.n_states))
         if self.nonlinear:
             if Q_y is None:
                 raise ValueError("nonlinear variant requires Q_y [%W]")
@@ -374,86 +400,39 @@ class IsolatedSystem:
             if np.any(Q_y <= 0.0):
                 raise ValueError("Q_y must be > 0")
             Qy_si = Q_y / 100.0 * building.weight    # N
-            self.k_post_si = k_post_si
-            self.qy = Qy_si * (1.0 - r_k)            # N
+            k_iso = k_post * MN_PER_M
+            c_iso = c_b * KN
+            self._iso[:, 2 * n] = Qy_si * (1.0 - r_k) / masses[-1]
             self.bw_a = k_pre_si / Qy_si             # 1/m
             self.bw_beta = 0.5 * self.bw_a
             self.bw_gamma = 0.5 * self.bw_a
             if n_pow is None:
                 n_pow = 1.0 if variant == "boucwen" else 100.0
-            self.n_pow = np.atleast_1d(np.asarray(n_pow, dtype=float))
-            self.x_y = Qy_si / k_pre_si              # m (diagnostic)
+            self.n_pow = _checked_n_pow(np.atleast_1d(n_pow))
+            self.z_max = _saturation_amplitude(self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow)
         else:
             if r_d is None:
                 raise ValueError("linear variant requires r_d")
-            r_d = np.atleast_1d(np.asarray(r_d, dtype=float))
-            zeta_eq, k_eq_si = _equivalent_linear_batch(variant, r_k, r_d, k_pre_si)
+            zeta_eq, k_iso = equivalent_linear_params(variant, r_k, r_d, k_pre_si)
             # c_eq = 2 zeta_eq sqrt(k_eq m) with m the total isolated mass
-            self.k_eq = k_eq_si
-            self.c_eq = 2.0 * zeta_eq * np.sqrt(k_eq_si * building.total_mass)
-
-        self.ns = building.n_stories
-        self.n_states = 2 * (self.ns + 1) + (1 if self.nonlinear else 0)
+            c_iso = c_b * KN + 2.0 * zeta_eq * np.sqrt(k_iso * building.total_mass)
+        self._iso[:, n - 1] = k_iso / masses[-1]
+        self._iso[:, self._vb] = c_iso / masses[-1]
 
     def initial_state(self) -> np.ndarray:
         return np.zeros((self.n_models, self.n_states))
 
     def rhs(self, state: np.ndarray, ag: float) -> np.ndarray:
-        ns = self.ns
-        Xs = state[:, :ns]
-        xb = state[:, ns]
-        Vs = state[:, ns + 1:2 * ns + 1]
-        vb = state[:, 2 * ns + 1]
-
-        acc_s = (-Vs @ self.Cs.T - Xs @ self.Ks.T
-                 - self.Ms_diag * ag
-                 + np.outer(vb, self.colC) + np.outer(xb, self.colK)) / self.Ms_diag
-
+        deriv = state @ self._A.T + ag * self._B
+        deriv[:, self._vb] -= np.einsum("ij,ij->i", state, self._iso)
         if self.nonlinear:
-            z = state[:, -1]
-            f_b = self.cb * vb + self.k_post_si * xb + self.qy * z
-        else:
-            f_b = (self.cb + self.c_eq) * vb + self.k_eq * xb
-
-        acc_b = (-f_b - self.oCo * vb - self.oKo * xb
-                 + Vs @ self.colC + Xs @ self.colK) / self.mb - ag
-
-        deriv = np.empty_like(state)
-        deriv[:, :ns] = Vs
-        deriv[:, ns] = vb
-        deriv[:, ns + 1:2 * ns + 1] = acc_s
-        deriv[:, 2 * ns + 1] = acc_b
-        if self.nonlinear:
-            deriv[:, -1] = boucwen_rate(z, vb, self.bw_a, self.bw_beta,
-                                        self.bw_gamma, self.n_pow)
+            deriv[:, -1] = _boucwen(state[:, -1], state[:, self._vb], self.bw_a, self.bw_beta,
+                                    self.bw_gamma, self.n_pow, self.z_max)
         return deriv
 
-    def output(self, state: np.ndarray, ag: float) -> np.ndarray:
+    def output(self, state: np.ndarray, deriv: np.ndarray, ag: float) -> np.ndarray:
         """Base absolute acceleration, shape (n_models, 1)."""
-        deriv = self.rhs(state, ag)
-        return (deriv[:, 2 * self.ns + 1] + ag)[:, None]
-
-
-def _equivalent_linear_batch(variant, r_k, r_d, k_pre):
-    """Per-model equivalent-linear parameters when r_k varies over the batch."""
-    r_k = np.asarray(r_k, dtype=float)
-    r_d = np.asarray(r_d, dtype=float)
-    k_pre = np.asarray(k_pre, dtype=float)
-    if np.any(r_d <= 1.0):
-        raise ValueError(f"{variant}: shear ductility ratio r_d must be > 1")
-    if variant == "caltrans":
-        zeta = 0.0587 * np.power(r_d - 1.0, 0.371)
-        k_eq = k_pre / (1.0 + np.log(1.0 + 0.13 * np.power(r_d - 1.0, 1.137))) ** 2
-        return zeta, k_eq
-    rho = r_d if variant in ("aashto", "modified_aashto") else 0.7 * r_d
-    if np.any(rho <= 1.0):
-        raise ValueError(f"{variant}: effective ductility rho <= 1")
-    zeta = 2.0 * (1.0 - r_k) * (1.0 - 1.0 / rho) / (np.pi * (1.0 + r_k * (rho - 1.0)))
-    k_eq = k_pre / rho * (1.0 + r_k * (rho - 1.0))
-    if variant == "modified_aashto":
-        zeta = zeta * np.power(r_d, 0.58) / (6.0 - 10.0 * r_k)
-        k_eq = k_eq * (1.0 - 0.737 * (r_d - 1.0) / r_d**2) ** (-2.0)
-    return zeta, k_eq
+        return (deriv[:, self._vb] + ag)[:, None]
 
 
 def assemble_isolated_system(building: ShearBuildingModel,
@@ -476,6 +455,12 @@ def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = N
     record interval (zero-order hold).  Outputs are sampled at the record
     dt, at times 0, dt, ..., (n-1) dt.  Returns an array of shape
     (n_models, n_samples * n_channels) with channels interleaved time-major.
+
+    ``system`` provides ``initial_state()``, ``rhs(state, u)`` returning the
+    state rate, and ``output(state, deriv, u)`` returning the outputs of
+    shape (n_models, n_channels), where ``deriv`` is ``rhs(state, u)`` at the
+    same state and input; it is the first RK4 stage, so an output that needs
+    the rate costs no extra ``rhs`` call.
     """
     record = excitation if duration is None else excitation.truncated(duration)
     dt = record.dt
@@ -489,27 +474,24 @@ def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = N
     state = system.initial_state()
     n_steps = record.n_steps
     outputs = []
-    for k in range(n_steps):
-        ag = record.samples[k]
-        outputs.append(system.output(state, ag))
-        for _ in range(n_sub):
-            k1 = system.rhs(state, ag)
-            k2 = system.rhs(state + 0.5 * h * k1, ag)
-            k3 = system.rhs(state + 0.5 * h * k2, ag)
-            k4 = system.rhs(state + h * k3, ag)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bad = ~np.all(np.isfinite(state), axis=1) | (np.abs(state).max(axis=1) > _STATE_GUARD)
-        if np.any(bad):
-            raise SimulationDivergedError((k + 1) * dt, np.nonzero(bad)[0])
+    # a diverging model overflows before the guard below names it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            ag = record.samples[k]
+            for j in range(n_sub):
+                k1 = system.rhs(state, ag)
+                if j == 0:
+                    outputs.append(system.output(state, k1, ag))
+                k2 = system.rhs(state + 0.5 * h * k1, ag)
+                k3 = system.rhs(state + 0.5 * h * k2, ag)
+                k4 = system.rhs(state + h * k3, ag)
+                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            bad = ~np.all(np.isfinite(state), axis=1) | (np.abs(state).max(axis=1) > _STATE_GUARD)
+            if np.any(bad):
+                raise SimulationDivergedError((k + 1) * dt, np.nonzero(bad)[0])
     # (n_steps, n_models, n_channels) -> (n_models, n_steps * n_channels)
     stacked = np.stack(outputs, axis=1)
     return stacked.reshape(stacked.shape[0], -1)
-
-
-def simulate_batch(system, excitation: ExcitationRecord, dt_int: float | None = None,
-                   duration: float | None = None) -> np.ndarray:
-    """Stacked output vectors for every model in the batch, shape (n_models, N_o)."""
-    return integrate_rk4(system, excitation, dt_int=dt_int, duration=duration)
 
 
 def simulate(system, excitation: ExcitationRecord, dt_int: float | None = None,
@@ -517,7 +499,7 @@ def simulate(system, excitation: ExcitationRecord, dt_int: float | None = None,
     """Simulate a single-model system and return its stacked output vector."""
     h = integrate_rk4(system, excitation, dt_int=dt_int, duration=duration)
     if h.shape[0] != 1:
-        raise ValueError("simulate() expects a batch of one model; use simulate_batch")
+        raise ValueError("simulate() expects a batch of one model; use integrate_rk4")
     return SimulationOutput(excitation.dt, h[0], tuple(system.channel_names))
 
 
@@ -694,10 +676,12 @@ class TmdFrameSystem:
             Q_y = a("Q_y")  # % of TMD weight
             k_pre = a("k_pre") * KN  # kN/m -> N/m
             Qy_si = Q_y / 100.0 * m_tmd * GRAVITY
+            bw_a = k_pre / Qy_si
             return {
                 "k_post": r_k * k_pre,
                 "q_y": Qy_si * (1.0 - r_k),
-                "bw_a": k_pre / Qy_si,
+                "bw_a": bw_a,
+                "z_max": _saturation_amplitude(bw_a, 0.5 * bw_a, 0.5 * bw_a, 1.0),
             }
         raise ValueError(law)
 
@@ -721,7 +705,8 @@ class TmdFrameSystem:
             f_dev = tmd_force("boucwen", dUt, Ut, q_y=p["q_y"][..., None] if np.ndim(p["q_y"]) else p["q_y"],
                               k_post=p["k_post"][..., None] if np.ndim(p["k_post"]) else p["k_post"], z=Z)
             bw_a = p["bw_a"][..., None] if np.ndim(p["bw_a"]) else p["bw_a"]
-            z_rate = boucwen_rate(Z, dUt, bw_a, 0.5 * bw_a, 0.5 * bw_a, 1.0)
+            z_max = p["z_max"][..., None] if np.ndim(p["z_max"]) else p["z_max"]
+            z_rate = _boucwen(Z, dUt, bw_a, 0.5 * bw_a, 0.5 * bw_a, 1.0, z_max)
         else:
             kw = {k: (v[..., None] if np.ndim(v) else v) for k, v in p.items()}
             f_dev = tmd_force(c["law"], dUt, Ut, **kw)
@@ -732,9 +717,8 @@ class TmdFrameSystem:
 
         acc_s = (-Vs @ c["Cs"].T - Xs @ c["Ks"].T + load) / c["M"]
         acc_s[:, -1] += f_tmd.sum(axis=1) / c["M"][-1]
-        acc_roof = acc_s[:, -1]
         # m_tmd (u_ddot + roof_ddot) = -k u - f_dev  =>  u relative to the roof
-        acc_u = -(c["k_tmd"] * Ut + f_dev) / c["m_tmd"] - acc_roof[:, None]
+        acc_u = -(c["k_tmd"] * Ut + f_dev) / c["m_tmd"] - acc_s[:, -1:]
 
         deriv = np.zeros_like(state[:, offset:offset + 2 * n_dof + n_z])
         deriv[:, :n_dof] = V
@@ -742,22 +726,20 @@ class TmdFrameSystem:
         deriv[:, n_dof + ns:2 * n_dof] = acc_u
         if z_rate is not None:
             deriv[:, 2 * n_dof:] = z_rate
-        return deriv, acc_roof
+        return deriv
 
     def rhs(self, state: np.ndarray, wind_force: float) -> np.ndarray:
         deriv = np.empty_like(state)
         for direction in ("x", "y"):
             offset, n_dof, n_z = self.layout[direction]
-            d, _ = self._chain_rhs(direction, state, wind_force)
-            deriv[:, offset:offset + 2 * n_dof + n_z] = d
+            deriv[:, offset:offset + 2 * n_dof + n_z] = self._chain_rhs(direction, state, wind_force)
         return deriv
 
-    def output(self, state: np.ndarray, wind_force: float) -> np.ndarray:
-        out = np.empty((state.shape[0], 2))
-        for j, direction in enumerate(("x", "y")):
-            _, acc_roof = self._chain_rhs(direction, state, wind_force)
-            out[:, j] = acc_roof
-        return out
+    def output(self, state: np.ndarray, deriv: np.ndarray, wind_force: float) -> np.ndarray:
+        """Roof accelerations of the x and y chains, shape (n_models, 2)."""
+        ns = self.frame.n_stories
+        roof = [self.layout[d][0] + self.layout[d][1] + ns - 1 for d in ("x", "y")]
+        return deriv[:, roof]
 
 
 # ---------------------------------------------------------------------------
@@ -855,6 +837,8 @@ def band_limited_record(duration: float, dt: float, *, band=(0.35, 1.5), order: 
     then scaled to the requested ``peak`` or ``rms``.  Used both for synthetic
     ground motions in the test suite and for the wind process.
     """
+    import scipy.signal   # imported here: it is slow to import and only this needs it
+
     n = int(round(duration / dt))
     rng = np.random.default_rng(seed)
     white = rng.standard_normal(n)

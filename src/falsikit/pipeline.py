@@ -13,14 +13,13 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import dynamics
-from .dynamics import ExcitationRecord, IsolatedSystem, ShearBuildingModel, simulate_batch
+from .dynamics import ExcitationRecord, IsolatedSystem, ShearBuildingModel
 from .falsification import (FdrConfig, MeasurementSet, ResidualNoiseModel,
                             falsify_classes, residuals)
 from .prediction import (estimate_parameters, post_falsification_weights,
@@ -425,12 +424,15 @@ def _build_system(class_spec: ModelClassSpec, theta: np.ndarray,
     return factory(theta, class_spec.parameter_names, building, class_spec.fixed_constants)
 
 
-def _simulate_class(class_spec, theta, building, excitation, dt_int):
-    system = _build_system(class_spec, theta, building)
-    return simulate_batch(system, excitation, dt_int=dt_int)
+def _simulate(class_id: str, system, record: ExcitationRecord, dt_int: float) -> np.ndarray:
+    """Outputs of one class's batch on ``record``; a divergence names the class."""
+    try:
+        return dynamics.integrate_rk4(system, record, dt_int=dt_int)
+    except dynamics.SimulationDivergedError as err:
+        raise dynamics.SimulationDivergedError(err.time, err.indices, class_id) from None
 
 
-def run_pipeline(config: RunConfig, threads: int = 1, stage: str = "all") -> RunManifest:
+def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     """Execute simulate -> falsify -> predict and persist all artifacts.
 
     ``stage`` runs the pipeline up to the named stage, reusing any artifacts
@@ -463,16 +465,9 @@ def run_pipeline(config: RunConfig, threads: int = 1, stage: str = "all") -> Run
     if reuse:
         h_by_class = {cid: np.load(p) for cid, p in sim_paths.items()}
     else:
-        def job(cid):
-            return cid, _simulate_class(class_specs[cid], thetas[cid],
-                                        config.building, calibration, dt_int)
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                results = dict(pool.map(job, class_order))
-        else:
-            results = dict(job(cid) for cid in class_order)
-        h_by_class = {cid: results[cid] for cid in class_order}
         for cid in class_order:
+            system = _build_system(class_specs[cid], thetas[cid], config.building)
+            h_by_class[cid] = _simulate(cid, system, calibration, dt_int)
             tmp = sim_paths[cid].with_name(sim_paths[cid].name + ".tmp")
             with open(tmp, "wb") as fh:   # file handle: np.save must not append .npy
                 np.save(fh, h_by_class[cid])
@@ -493,13 +488,18 @@ def run_pipeline(config: RunConfig, threads: int = 1, stage: str = "all") -> Run
                                channel_names=channel_names)
     else:
         raise ConfigError("no [measurement] file configured")
+    if abs(d.dt - calibration.dt) > 1e-6 * calibration.dt:
+        raise ConfigError(f"[measurement] {config.measurement_path}: sampled at dt = {d.dt:g} s, "
+                          f"the calibration record at dt = {calibration.dt:g} s")
+    n_sim = next(iter(h_by_class.values())).shape[1]
+    if d.n_obs != n_sim:
+        raise ConfigError(f"[measurement] {config.measurement_path}: {d.n_obs} samples, "
+                          f"but the calibration record simulates {n_sim}")
     noise = config.noise_model(d)
-    n_obs = min(d.n_obs, next(iter(h_by_class.values())).shape[1])
-    d = MeasurementSet(d=d.d[:n_obs], dt=d.dt, channel_names=d.channel_names)
 
     # --- falsify stage ------------------------------------------------------
     t0 = time.perf_counter()
-    eps_by_class = {cid: residuals(h_by_class[cid][:, :n_obs], d) for cid in class_order}
+    eps_by_class = {cid: residuals(h_by_class[cid], d) for cid in class_order}
     report = falsify_classes(eps_by_class, noise, config.fdr)
     ledger_lines = ["class_id\tsample_index\ttheta...\tlog_likelihood\tlog_bound\tunfalsified"]
     for cid in class_order:
@@ -568,7 +568,7 @@ def run_pipeline(config: RunConfig, threads: int = 1, stage: str = "all") -> Run
         for cid, we in ensembles.items():
             theta_sub = thetas[cid][np.asarray(we.sample_indices)]
             system = _build_system(class_specs[cid], theta_sub, config.building)
-            member_outputs = simulate_batch(system, record, dt_int=dt_int)
+            member_outputs = _simulate(cid, system, record, dt_int)
             prediction_sims += we.n_models
             pred = predict_response(we, member_outputs, record.dt,
                                     channel_names=channel_names, input_label=label)

@@ -15,7 +15,7 @@ import pytest
 from falsikit.dynamics import (IsolatedSystem, IsolatorParams, add_measurement_noise,
                                assemble_isolated_system, band_limited_record,
                                boucwen_rate, equivalent_linear_params,
-                               integrate_rk4, simulate, simulate_batch)
+                               integrate_rk4, simulate)
 from falsikit.falsification import (FdrConfig, ResidualNoiseModel, falsify,
                                     falsify_classes, likelihood_bound,
                                     log_likelihood, p_values, residuals)
@@ -89,8 +89,8 @@ def replica(scenario):
     t0 = time.perf_counter()
     ensemble = generate_ensemble(EnsembleSpec(tuple(specs), N_S, MASTER_SEED))
     thetas = {s.class_id: theta_matrix(ensemble[s.class_id]) for s in specs}
-    h_by_class = {s.class_id: simulate_batch(_system(s, thetas[s.class_id], building),
-                                             scenario["calibration"])
+    h_by_class = {s.class_id: integrate_rk4(_system(s, thetas[s.class_id], building),
+                                            scenario["calibration"])
                   for s in specs}
     d = add_measurement_noise(scenario["truth_cal"], NOISE_FRACTION,
                               np.random.default_rng(NOISE_SEEDS[0]))
@@ -109,7 +109,7 @@ def prediction_members(scenario, replica):
     """All candidate-family member responses under the prediction record."""
     spec = replica["specs"]["boucwen"]
     system = _system(spec, replica["thetas"]["boucwen"], scenario["building"])
-    return simulate_batch(system, scenario["prediction"])
+    return integrate_rk4(system, scenario["prediction"])
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +246,7 @@ def test_criterion_07_integrator_order():
         def rhs(self, state, u):
             return np.column_stack([state[:, 1], -omega**2 * state[:, 0]])
 
-        def output(self, state, u):
+        def output(self, state, deriv, u):
             return state[:, :1]
 
     from falsikit.dynamics import ExcitationRecord

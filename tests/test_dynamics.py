@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from falsikit.dynamics import (BiaxialDeviceParams, ExcitationRecord, IsolatorParams,
-                               SimulationDivergedError, SimulationOutput,
+from falsikit.dynamics import (LINEAR_VARIANTS, BiaxialDeviceParams, ExcitationRecord,
+                               IsolatedSystem, IsolatorParams, SimulationDivergedError, SimulationOutput,
                                TmdFrameModel, TmdFrameSystem,
                                add_measurement_noise, assemble_isolated_system,
                                band_limited_record, biaxial_device_force,
                                biaxial_hysteresis_rates, boucwen_rate,
                                equivalent_linear_params, integrate_rk4, simulate,
-                               simulate_batch, tmd_force)
+                               tmd_force)
 
 
 # ---------------------------------------------------------------------------
@@ -36,7 +36,7 @@ class _Sdof:
             - self.omega**2 * state[:, 0]
         return d
 
-    def output(self, state, u):
+    def output(self, state, deriv, u):
         return state[:, :1]
 
 
@@ -77,6 +77,11 @@ class TestBoucwen:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             boucwen_rate(np.nan, 1.0, 2.0, 1.0, 1.0, 1.0)
+
+    def test_isolated_system_rejects_n_pow_below_one(self, building):
+        with pytest.raises(ValueError, match="n_pow"):
+            IsolatedSystem(building, "boucwen", k_post=4.0, c_b=20.0, r_k=0.1667, Q_y=5.0,
+                           n_pow=0.5)
 
     @pytest.mark.parametrize("n_pow", [1.0, 100.0])
     def test_z_saturation_bound(self, n_pow):
@@ -167,6 +172,17 @@ class TestEquivalentLinear:
     def test_nonlinear_variant_rejected(self):
         with pytest.raises(ValueError):
             equivalent_linear_params("boucwen", r_k=0.2, r_d=2.0, k_pre=1.0)
+
+    @pytest.mark.parametrize("variant", LINEAR_VARIANTS)
+    def test_broadcasts_over_r_k(self, variant):
+        r_k, r_d, k_pre = np.array([0.12, 0.16, 0.2]), np.array([2.0, 2.5, 3.0]), np.arange(1.0, 4.0)
+        zeta, k_eq = equivalent_linear_params(variant, r_k=r_k, r_d=r_d, k_pre=k_pre)
+        for i in range(3):
+            z_i, k_i = equivalent_linear_params(variant, r_k=float(r_k[i]), r_d=r_d[i],
+                                                k_pre=k_pre[i])
+            np.testing.assert_allclose([zeta[i], k_eq[i]], [z_i, k_i], rtol=1e-15, atol=0.0)
+        with pytest.raises(ValueError, match="r_k"):
+            equivalent_linear_params(variant, r_k=np.array([0.2, 1.2]), r_d=2.5, k_pre=1.0)
 
     def test_aashto_energy_matches_bilinear_loop(self):
         # per-cycle dissipation of the equivalent model vs the bilinear loop area
@@ -268,21 +284,34 @@ class TestIntegrator:
             def rhs(self, state, u):
                 return 5.0 * state
 
-            def output(self, state, u):
+            def output(self, state, deriv, u):
                 return state
 
         rec = ExcitationRecord(0.5, np.zeros(100))
         with pytest.raises(SimulationDivergedError, match="diverged at t ="):
             integrate_rk4(_Unstable(), rec)
 
+    def test_rhs_calls_per_record_step(self):
+        # each sample is read from the first RK4 stage, not from an extra rhs call
+        class _Counting(_Sdof):
+            calls = 0
+
+            def rhs(self, state, u):
+                self.calls += 1
+                return super().rhs(state, u)
+
+        sys_ = _Counting(2.0, x0=1.0)
+        n_steps, n_sub = 30, 4
+        integrate_rk4(sys_, ExcitationRecord(0.1, np.zeros(n_steps)), dt_int=0.1 / n_sub)
+        assert sys_.calls == n_steps * 4 * n_sub
+
     def test_batch_matches_singles(self, building):
         rec = band_limited_record(5.0, 0.05, seed=3, peak=2.0)
         k_posts = np.array([3.5, 4.0, 4.5])
-        from falsikit.dynamics import IsolatedSystem
         batch = IsolatedSystem(building, "boucwen", k_post=k_posts,
                                c_b=np.full(3, 20.0), r_k=np.full(3, 0.1667),
                                Q_y=np.full(3, 5.0))
-        hb = simulate_batch(batch, rec, dt_int=0.005)
+        hb = integrate_rk4(batch, rec, dt_int=0.005)
         for i, kp in enumerate(k_posts):
             iso = IsolatorParams(variant="boucwen", k_post=kp, c_b=20.0,
                                  r_k=0.1667, Q_y=5.0)
@@ -376,7 +405,7 @@ class TestTmd:
         sys_ = TmdFrameSystem(frame, "power_law_truth", "power_law_truth",
                               params_x=dict(power_coef=200.0, power_lin=30.0),
                               params_y=dict(power_coef=100.0, power_lin=15.0))
-        h = simulate_batch(sys_, wind, dt_int=0.01)
+        h = integrate_rk4(sys_, wind, dt_int=0.01)
         assert h.shape == (1, 2 * wind.n_steps)
         assert np.all(np.isfinite(h)) and np.any(h != 0.0)
 
@@ -384,11 +413,11 @@ class TestTmd:
         frame = TmdFrameModel(n_stories=20)
         wind = band_limited_record(10.0, 0.05, band=(0.1, 1.0), seed=6, rms=100.0e3)
         base = dict(params_y=dict(c1=15.0))
-        a = simulate_batch(TmdFrameSystem(frame, "linear", "linear",
-                                          params_x=dict(c1=30.0), **base), wind, dt_int=0.01)
-        b = simulate_batch(TmdFrameSystem(frame, "cubic", "linear",
-                                          params_x=dict(c1=30.0, c3=50.0), **base),
-                           wind, dt_int=0.01)
+        a = integrate_rk4(TmdFrameSystem(frame, "linear", "linear",
+                                         params_x=dict(c1=30.0), **base), wind, dt_int=0.01)
+        b = integrate_rk4(TmdFrameSystem(frame, "cubic", "linear",
+                                         params_x=dict(c1=30.0, c3=50.0), **base),
+                          wind, dt_int=0.01)
         assert not np.array_equal(a, b)
 
     def test_frame_hysteretic_law_runs(self):
@@ -397,7 +426,7 @@ class TestTmd:
         sys_ = TmdFrameSystem(frame, "boucwen", "linear",
                               params_x=dict(r_k=0.2, Q_y=5.0, k_pre=500.0),
                               params_y=dict(c1=15.0))
-        h = simulate_batch(sys_, wind, dt_int=0.01)
+        h = integrate_rk4(sys_, wind, dt_int=0.01)
         assert np.all(np.isfinite(h))
 
 
