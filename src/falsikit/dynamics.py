@@ -11,6 +11,7 @@ over a batch of candidate models: the state array has shape
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,6 +51,7 @@ NONLINEAR_VARIANTS = ("boucwen", "bilinear")
 LINEAR_VARIANTS = ("aashto", "jpwri", "modified_aashto", "caltrans")
 
 _STATE_GUARD = 1.0e6  # any |state| beyond this is treated as divergence
+_SHOWN_INDICES = 5    # diverging model indices named in the error message
 
 
 class SimulationDivergedError(RuntimeError):
@@ -59,7 +61,9 @@ class SimulationDivergedError(RuntimeError):
         self.class_id = class_id
         msg = f"simulation diverged at t = {t:.4f} s"
         if indices is not None and len(indices):
-            msg += f" (models {[int(i) for i in indices]})"
+            shown = [int(i) for i in indices[:_SHOWN_INDICES]]
+            more = len(indices) - len(shown)
+            msg += f" (models {shown}{f' and {more} more' if more else ''})"
         if class_id is not None:
             msg = f"class {class_id!r}: {msg}"
         super().__init__(msg)
@@ -358,6 +362,8 @@ class IsolatedSystem:
     """
 
     channel_names = ("base_abs_accel",)
+    # the per-model rows of a hysteretic batch, concatenated by ``stacked``
+    _PER_MODEL = ("_iso", "bw_a", "bw_beta", "bw_gamma", "n_pow", "z_max")
 
     def __init__(self, building: ShearBuildingModel, variant: str, *,
                  k_post, c_b, r_k, Q_y=None, r_d=None, n_pow=None):
@@ -382,42 +388,75 @@ class IsolatedSystem:
         self._B = np.zeros(self.n_states)
         self._B[n:2 * n] = -1.0
 
-        k_post = np.atleast_1d(np.asarray(k_post, dtype=float))
-        c_b = np.atleast_1d(np.asarray(c_b, dtype=float))
-        r_k = np.atleast_1d(np.asarray(r_k, dtype=float))
-        if np.any((r_k <= 0.0) | (r_k >= 1.0)):
+        if self.nonlinear:
+            if Q_y is None:
+                raise ValueError("nonlinear variant requires Q_y [%W]")
+            if n_pow is None:
+                n_pow = 1.0 if variant == "boucwen" else 100.0
+            per_model = dict(k_post=k_post, c_b=c_b, r_k=r_k, Q_y=Q_y, n_pow=n_pow)
+        else:
+            if r_d is None:
+                raise ValueError("linear variant requires r_d")
+            per_model = dict(k_post=k_post, c_b=c_b, r_k=r_k, r_d=r_d)
+        per_model = {key: np.atleast_1d(np.asarray(value, dtype=float))
+                     for key, value in per_model.items()}
+        try:
+            shape = np.broadcast_shapes(*(value.shape for value in per_model.values()))
+        except ValueError:
+            shapes = ", ".join(f"{key} {value.shape}" for key, value in per_model.items())
+            raise ValueError(f"isolator parameters do not broadcast to one batch: {shapes}") from None
+        p = {key: np.broadcast_to(value, shape) for key, value in per_model.items()}
+        if np.any((p["r_k"] <= 0.0) | (p["r_k"] >= 1.0)):
             raise ValueError("r_k must lie in (0, 1)")
-        self.n_models = int(np.broadcast_shapes(k_post.shape, c_b.shape, r_k.shape)[0])
-        k_pre_si = k_post * MN_PER_M / r_k
+        self.n_models = int(shape[0])
+        k_pre_si = p["k_post"] * MN_PER_M / p["r_k"]
 
         # isolator force on the base per unit base mass, one row per model:
         # k_iso x_b + c_iso v_b, plus q_y z for the hysteretic variants
         self._iso = np.zeros((self.n_models, self.n_states))
         if self.nonlinear:
-            if Q_y is None:
-                raise ValueError("nonlinear variant requires Q_y [%W]")
-            Q_y = np.atleast_1d(np.asarray(Q_y, dtype=float))
-            if np.any(Q_y <= 0.0):
+            if np.any(p["Q_y"] <= 0.0):
                 raise ValueError("Q_y must be > 0")
-            Qy_si = Q_y / 100.0 * building.weight    # N
-            k_iso = k_post * MN_PER_M
-            c_iso = c_b * KN
-            self._iso[:, 2 * n] = Qy_si * (1.0 - r_k) / masses[-1]
+            Qy_si = p["Q_y"] / 100.0 * building.weight    # N
+            k_iso = p["k_post"] * MN_PER_M
+            c_iso = p["c_b"] * KN
+            self._iso[:, 2 * n] = Qy_si * (1.0 - p["r_k"]) / masses[-1]
             self.bw_a = k_pre_si / Qy_si             # 1/m
             self.bw_beta = 0.5 * self.bw_a
             self.bw_gamma = 0.5 * self.bw_a
-            if n_pow is None:
-                n_pow = 1.0 if variant == "boucwen" else 100.0
-            self.n_pow = _checked_n_pow(np.atleast_1d(n_pow))
+            self.n_pow = _checked_n_pow(p["n_pow"])
             self.z_max = _saturation_amplitude(self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow)
         else:
-            if r_d is None:
-                raise ValueError("linear variant requires r_d")
-            zeta_eq, k_iso = equivalent_linear_params(variant, r_k, r_d, k_pre_si)
+            zeta_eq, k_iso = equivalent_linear_params(variant, p["r_k"], p["r_d"], k_pre_si)
             # c_eq = 2 zeta_eq sqrt(k_eq m) with m the total isolated mass
-            c_iso = c_b * KN + 2.0 * zeta_eq * np.sqrt(k_iso * building.total_mass)
+            c_iso = p["c_b"] * KN + 2.0 * zeta_eq * np.sqrt(k_iso * building.total_mass)
         self._iso[:, n - 1] = k_iso / masses[-1]
         self._iso[:, self._vb] = c_iso / masses[-1]
+
+    @classmethod
+    def stacked(cls, systems) -> "IsolatedSystem":
+        """One batch of hysteretic ``systems`` on one building, their rows in order.
+
+        Such systems share the operator and the state layout and differ only
+        in the per-model rows, so the batch integrates each model exactly as
+        its own system does, with one ``rhs`` call per stage for all of them.
+        """
+        systems = list(systems)
+        if not systems:
+            raise ValueError("stacked() needs at least one system")
+        first = systems[0]
+        for system in systems:
+            if not system.nonlinear:
+                raise ValueError(f"cannot stack the linear variant {system.variant!r}; "
+                                 "only hysteretic systems share a batch")
+            if system.building != first.building:
+                raise ValueError("cannot stack systems on different buildings")
+        batch = copy.copy(first)
+        batch.variant = "+".join(dict.fromkeys(system.variant for system in systems))
+        for name in cls._PER_MODEL:
+            setattr(batch, name, np.concatenate([getattr(system, name) for system in systems]))
+        batch.n_models = batch._iso.shape[0]
+        return batch
 
     def initial_state(self) -> np.ndarray:
         return np.zeros((self.n_models, self.n_states))

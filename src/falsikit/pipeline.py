@@ -424,12 +424,47 @@ def _build_system(class_spec: ModelClassSpec, theta: np.ndarray,
     return factory(theta, class_spec.parameter_names, building, class_spec.fixed_constants)
 
 
-def _simulate(class_id: str, system, record: ExcitationRecord, dt_int: float) -> np.ndarray:
-    """Outputs of one class's batch on ``record``; a divergence names the class."""
-    try:
-        return dynamics.integrate_rk4(system, record, dt_int=dt_int)
-    except dynamics.SimulationDivergedError as err:
-        raise dynamics.SimulationDivergedError(err.time, err.indices, class_id) from None
+def _simulate_classes(systems: dict, record: ExcitationRecord, dt_int: float) -> dict:
+    """Outputs of each class's batch on ``record``, keyed like ``systems``.
+
+    The hysteretic classes run as one stacked batch, so each ``rhs`` call
+    covers all of their models; each class gets its rows back.  Linear
+    classes run one batch each.  A divergence names the class of the first
+    diverging model and that class's own model indices.
+    """
+    hysteretic = [cid for cid, system in systems.items()
+                  if isinstance(system, IsolatedSystem) and system.nonlinear]
+    outputs = {}
+    for cid, system in systems.items():
+        if cid in outputs:
+            continue
+        group = hysteretic if cid in hysteretic else [cid]
+        batch = IsolatedSystem.stacked(systems[c] for c in group) if len(group) > 1 else system
+        bounds = np.cumsum([0] + [systems[c].n_models for c in group])
+        try:
+            h = dynamics.integrate_rk4(batch, record, dt_int=dt_int)
+        except dynamics.SimulationDivergedError as err:
+            at = int(np.searchsorted(bounds, err.indices[0], side="right")) - 1
+            local = [i - bounds[at] for i in err.indices if bounds[at] <= i < bounds[at + 1]]
+            raise dynamics.SimulationDivergedError(err.time, local, group[at]) from None
+        for c, lo, hi in zip(group, bounds[:-1], bounds[1:]):
+            outputs[c] = h[lo:hi]
+    return outputs
+
+
+def _simulation_key(config: RunConfig, calibration: ExcitationRecord, dt_int: float) -> str:
+    """sha256 of everything the calibration simulations depend on."""
+    inputs = {
+        "master_seed": config.ensemble.master_seed,
+        "samples_per_class": config.ensemble.samples_per_class,
+        "classes": [repr(spec) for spec in config.ensemble.class_specs],
+        "building": repr(config.building),
+        "dt_int": repr(dt_int),
+        "dt": repr(calibration.dt),
+    }
+    digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode())
+    digest.update(np.ascontiguousarray(calibration.samples, dtype=float).tobytes())
+    return digest.hexdigest()
 
 
 def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
@@ -459,19 +494,25 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
 
     # --- simulate stage -----------------------------------------------------
     t0 = time.perf_counter()
-    h_by_class = {}
     sim_paths = {cid: out / f"sim_{cid}.npy" for cid in class_order}
-    reuse = stage in ("falsify", "predict") and all(p.is_file() for p in sim_paths.values())
+    key_path = out / "sim_key.txt"
+    sim_key = _simulation_key(config, calibration, dt_int)
+    reuse = (stage in ("falsify", "predict") and key_path.is_file()
+             and key_path.read_text().strip() == sim_key
+             and all(p.is_file() for p in sim_paths.values()))
     if reuse:
         h_by_class = {cid: np.load(p) for cid, p in sim_paths.items()}
     else:
+        key_path.unlink(missing_ok=True)   # no key while the cache is being rewritten
+        systems = {cid: _build_system(class_specs[cid], thetas[cid], config.building)
+                   for cid in class_order}
+        h_by_class = _simulate_classes(systems, calibration, dt_int)
         for cid in class_order:
-            system = _build_system(class_specs[cid], thetas[cid], config.building)
-            h_by_class[cid] = _simulate(cid, system, calibration, dt_int)
             tmp = sim_paths[cid].with_name(sim_paths[cid].name + ".tmp")
             with open(tmp, "wb") as fh:   # file handle: np.save must not append .npy
                 np.save(fh, h_by_class[cid])
             os.replace(tmp, sim_paths[cid])
+        _atomic_write_text(key_path, sim_key + "\n")
     artifacts["simulations"] = {cid: str(p) for cid, p in sim_paths.items()}
     timings["simulate"] = time.perf_counter() - t0
     if stage == "simulate":
@@ -558,19 +599,28 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
 
     prediction_sims = 0
     prediction_errors = {}
+    records = {p_path: ingest_timeseries(p_path) for p_path in config.prediction_paths}
     truth_series = {}
     for p_path, t_path in zip(config.prediction_paths, config.prediction_truth_paths):
-        truth_series[p_path] = ingest_measurement(t_path, config.measurement_channels,
-                                                  channel_names=channel_names)
-    for p_path in config.prediction_paths:
-        record = ingest_timeseries(p_path)
+        truth = ingest_measurement(t_path, config.measurement_channels,
+                                   channel_names=channel_names)
+        record = records[p_path]
+        if abs(truth.dt - record.dt) > 1e-6 * record.dt:
+            raise ConfigError(f"[excitation] prediction_truth {t_path}: sampled at "
+                              f"dt = {truth.dt:g} s, its input {p_path} at dt = {record.dt:g} s")
+        if truth.n_obs != record.n_steps * len(channel_names):
+            raise ConfigError(f"[excitation] prediction_truth {t_path}: {truth.n_obs} samples, "
+                              f"but its input {p_path} predicts {record.n_steps}")
+        truth_series[p_path] = truth
+    survivors = {cid: _build_system(class_specs[cid], thetas[cid][np.asarray(we.sample_indices)],
+                                    config.building)
+                 for cid, we in ensembles.items()}
+    for p_path, record in records.items():
         label = Path(p_path).stem
+        outputs = _simulate_classes(survivors, record, dt_int)
         for cid, we in ensembles.items():
-            theta_sub = thetas[cid][np.asarray(we.sample_indices)]
-            system = _build_system(class_specs[cid], theta_sub, config.building)
-            member_outputs = _simulate(cid, system, record, dt_int)
             prediction_sims += we.n_models
-            pred = predict_response(we, member_outputs, record.dt,
+            pred = predict_response(we, outputs[cid], record.dt,
                                     channel_names=channel_names, input_label=label)
             nch = len(channel_names)
             cols = np.column_stack([pred.q_hat.reshape(-1, nch),
@@ -581,10 +631,8 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
                                     + "\t" + "\t".join(f"spread_{c}" for c in channel_names))
             artifacts.setdefault("predictions", {})[f"{label}/{cid}"] = str(out_path)
             if p_path in truth_series:
-                truth = truth_series[p_path].d
-                n = min(truth.size, pred.q_hat.size)
                 prediction_errors[f"{label}/{cid}"] = relative_rms_error(
-                    truth[:n], pred.q_hat[:n])
+                    truth_series[p_path].d, pred.q_hat)
     timings["predict"] = time.perf_counter() - t0
 
     manifest = RunManifest(

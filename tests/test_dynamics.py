@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from falsikit.dynamics import (LINEAR_VARIANTS, BiaxialDeviceParams, ExcitationRecord,
-                               IsolatedSystem, IsolatorParams, SimulationDivergedError, SimulationOutput,
+                               IsolatedSystem, IsolatorParams, ShearBuildingModel,
+                               SimulationDivergedError, SimulationOutput,
                                TmdFrameModel, TmdFrameSystem,
                                add_measurement_noise, assemble_isolated_system,
                                band_limited_record, biaxial_device_force,
@@ -319,6 +320,12 @@ class TestIntegrator:
             # batch and single runs may differ in the last ulp (BLAS kernels)
             np.testing.assert_allclose(hb[i], single.values, rtol=1e-9, atol=1e-12)
 
+    def test_divergence_message_names_first_indices(self):
+        err = SimulationDivergedError(1.5, np.arange(500), "boucwen")
+        assert len(str(err)) < 200
+        assert "(models [0, 1, 2, 3, 4] and 495 more)" in str(err)
+        assert "(models [7])" in str(SimulationDivergedError(1.5, [7]))
+
     def test_linear_variant_runs(self, building):
         rec = band_limited_record(5.0, 0.05, seed=3, peak=2.0)
         iso = IsolatorParams(variant="aashto", k_post=4.0, c_b=20.0,
@@ -326,6 +333,50 @@ class TestIntegrator:
         out = simulate(assemble_isolated_system(building, iso), rec, dt_int=0.005)
         assert out.n_samples == rec.n_steps
         assert np.all(np.isfinite(out.values))
+
+
+class TestIsolatedBatch:
+    @staticmethod
+    def _hysteretic(building, variant, n, seed, **kw):
+        rng = np.random.default_rng(seed)
+        return IsolatedSystem(building, variant, k_post=rng.uniform(3.5, 5.0, n),
+                              c_b=rng.uniform(15.0, 25.0, n), r_k=rng.uniform(0.155, 0.165, n),
+                              Q_y=rng.uniform(4.3, 5.2, n), **kw)
+
+    def test_stacked_matches_class_batches(self, building):
+        rec = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
+        systems = [self._hysteretic(building, "boucwen", 3, 1),
+                   self._hysteretic(building, "bilinear", 4, 2),
+                   self._hysteretic(building, "boucwen", 2, 3, n_pow=2.0)]
+        batch = IsolatedSystem.stacked(systems)
+        assert batch.n_models == 9
+        stacked = integrate_rk4(batch, rec, dt_int=0.005)
+        separate = np.vstack([integrate_rk4(s, rec, dt_int=0.005) for s in systems])
+        rel_rms = np.linalg.norm(stacked - separate, axis=1) / np.linalg.norm(separate, axis=1)
+        assert rel_rms.max() <= 1e-12
+
+    def test_stacked_refuses_linear_and_other_building(self, building):
+        boucwen = self._hysteretic(building, "boucwen", 2, 1)
+        aashto = IsolatedSystem(building, "aashto", k_post=4.0, c_b=20.0, r_k=0.16, r_d=2.5)
+        with pytest.raises(ValueError, match="linear variant 'aashto'"):
+            IsolatedSystem.stacked([boucwen, aashto])
+        taller = ShearBuildingModel(story_masses=(300.0,) * 4, story_stiffnesses=(40.0,) * 4,
+                                    base_mass=500.0)
+        with pytest.raises(ValueError, match="different buildings"):
+            IsolatedSystem.stacked([boucwen, self._hysteretic(taller, "bilinear", 2, 2)])
+
+    def test_batch_size_from_every_parameter(self, building):
+        sys_q = IsolatedSystem(building, "boucwen", k_post=4.0, c_b=20.0, r_k=0.1667,
+                               Q_y=np.array([4.5, 5.0, 5.5]))
+        sys_n = IsolatedSystem(building, "boucwen", k_post=4.0, c_b=20.0, r_k=0.1667, Q_y=5.0,
+                               n_pow=np.array([1.0, 2.0]))
+        sys_d = IsolatedSystem(building, "aashto", k_post=4.0, c_b=20.0, r_k=0.1667,
+                               r_d=np.array([2.0, 2.5, 3.0, 3.5]))
+        assert (sys_q.n_models, sys_n.n_models, sys_d.n_models) == (3, 2, 4)
+        assert sys_q.bw_a.shape == sys_q.n_pow.shape == sys_q.z_max.shape == (3,)
+        with pytest.raises(ValueError, match=r"k_post \(3,\).*Q_y \(4,\)"):
+            IsolatedSystem(building, "bilinear", k_post=np.full(3, 4.0), c_b=20.0, r_k=0.16,
+                           Q_y=np.full(4, 5.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,12 +9,13 @@ import numpy as np
 import pytest
 
 import falsikit
+from falsikit import dynamics
 from falsikit.cli import main as cli_main
-from falsikit.dynamics import (IsolatorParams, add_measurement_noise,
-                               assemble_isolated_system, band_limited_record,
-                               simulate)
-from falsikit.pipeline import (BINDINGS, ConfigError, RunManifest, emit_report,
-                               ingest_measurement, ingest_timeseries,
+from falsikit.dynamics import (IsolatedSystem, IsolatorParams, SimulationDivergedError,
+                               add_measurement_noise, assemble_isolated_system,
+                               band_limited_record, simulate)
+from falsikit.pipeline import (BINDINGS, ConfigError, RunManifest, _simulate_classes,
+                               emit_report, ingest_measurement, ingest_timeseries,
                                parse_config, resolve_binding, run_pipeline,
                                write_timeseries)
 
@@ -52,6 +54,15 @@ k_post = lognormal 4.5 0.25
 c_b = lognormal 20 4
 r_k = uniform 0.16 0.0058
 r_d = uniform 2.5 0.2887
+"""
+
+BILINEAR_CLASS = """
+[class:bilinear]
+binding = bilinear
+k_post = lognormal 4.5 0.25
+c_b = lognormal 20 4
+r_k = uniform 0.16 0.0058
+Q_y = uniform 4.75 0.2887
 """
 
 
@@ -209,6 +220,39 @@ class TestRunPipeline:
         manifest = run_pipeline(config, stage="predict")
         assert manifest.prediction_inputs == 1
 
+    def test_one_batch_for_hysteretic_classes(self, workspace, monkeypatch):
+        workspace.write_text(workspace.read_text() + BILINEAR_CLASS)
+        calls = []
+        integrate = dynamics.integrate_rk4
+
+        def counting(system, record, **kwargs):
+            calls.append((system.variant, system.n_models))
+            return integrate(system, record, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_rk4", counting)
+        manifest = run_pipeline(parse_config(workspace), stage="all")
+        n_u = {cid: c["n_u"] for cid, c in manifest.counts.items()}
+        expected = [("boucwen+bilinear", 16), ("aashto", 8)]
+        hysteretic = [cid for cid in ("boucwen", "bilinear") if n_u[cid]]
+        if hysteretic:
+            expected.append(("+".join(hysteretic), sum(n_u[cid] for cid in hysteretic)))
+        if n_u["aashto"]:
+            expected.append(("aashto", n_u["aashto"]))
+        assert sorted(calls) == sorted(expected)
+
+    def test_stacked_divergence_names_class_and_local_index(self, building):
+        rec = band_limited_record(5.0, 0.05, seed=3, peak=2.0)
+        common = dict(c_b=20.0, r_k=0.1667, Q_y=5.0)
+        systems = {
+            "boucwen": IsolatedSystem(building, "boucwen", k_post=[4.0, 4.5], **common),
+            "aashto": IsolatedSystem(building, "aashto", k_post=4.0, c_b=20.0, r_k=0.1667,
+                                     r_d=2.5),
+            "bilinear": IsolatedSystem(building, "bilinear", k_post=[4.0, 5.0e4, 4.0], **common),
+        }
+        with pytest.raises(SimulationDivergedError,
+                           match=r"^class 'bilinear': simulation diverged .*\(models \[1\]\)$"):
+            _simulate_classes(systems, rec, 0.005)
+
     def test_bad_stage_rejected(self, workspace):
         with pytest.raises(ValueError, match="stage"):
             run_pipeline(parse_config(workspace), stage="guess")
@@ -249,6 +293,30 @@ class TestCli:
         cli_main(["run", "--config", str(workspace), "--seed-override", "99"])
         assert (workspace.parent / "out" / "verdicts.tsv").read_text() != base
 
+    def test_falsify_after_seed_override_resimulates(self, workspace):
+        out = workspace.parent / "out"
+        assert cli_main(["run", "--config", str(workspace), "--seed-override", "7"]) == 0
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify",
+                         "--seed-override", "8"]) == 0
+        reused = (out / "verdicts.tsv").read_text()
+        shutil.rmtree(out)
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify",
+                         "--seed-override", "8"]) == 0
+        assert (out / "verdicts.tsv").read_text() == reused
+
+    @pytest.mark.parametrize("cid", ["boucwen", "aashto"])   # a Q_y or an r_d prior alone
+    def test_single_free_parameter(self, workspace, cid):
+        priors = ("k_post = lognormal 4.5 0.25\nc_b = lognormal 20 4\n"
+                  "r_k = uniform 0.16 0.0058\n")
+        header = f"[class:{cid}]\nbinding = {cid}\n"
+        text = workspace.read_text()
+        assert header + priors in text
+        workspace.write_text(text.replace(
+            header + priors, header + "fixed_k_post = 4.5\nfixed_c_b = 20\nfixed_r_k = 0.16\n"))
+        assert cli_main(["run", "--config", str(workspace)]) == 0
+        ledger = (workspace.parent / "out" / "verdicts.tsv").read_text().splitlines()
+        assert len(ledger) == 1 + 16
+
     def test_threads_and_stage_flags(self, workspace):
         rc = cli_main(["run", "--config", str(workspace), "--stage", "falsify"])
         assert rc == 0
@@ -273,6 +341,16 @@ class TestCli:
         rc = cli_main(["run", "--config", str(workspace), "--stage", "falsify"])
         assert rc == 2
         assert "error: [measurement]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows,dt", [(40, 0.05), (100, 0.02)])
+    def test_prediction_truth_grid_mismatch_exit_code(self, workspace, capsys, rows, dt):
+        # the prediction input has 100 samples at 0.05 s
+        truth = workspace.parent / "pred_truth.tsv"
+        write_timeseries(truth, dt, np.resize(ingest_timeseries(truth).samples, rows))
+        rc = cli_main(["run", "--config", str(workspace)])
+        assert rc == 2
+        assert "error: [excitation] prediction_truth" in capsys.readouterr().err
+        assert not list((workspace.parent / "out").glob("prediction_*"))
 
     def test_import_leaves_out_scipy_signal(self):
         code = "import sys, falsikit.cli; sys.exit(int('scipy.signal' in sys.modules))"
