@@ -73,13 +73,14 @@ def main():
         system = build_system(s, thetas[s.class_id], building)
         eps[s.class_id] = residuals(integrate_rk4(system, calibration), d)
 
-    report = falsify_classes(eps, noise, FdrConfig(0.05))
+    verdicts = falsify_classes(eps, noise, FdrConfig(0.05))
     print("\nunfalsified fraction per class (alpha = 0.05):")
     for s in specs:
-        n_s, n_u, n_f = report.counts(s.class_id)
+        kept = verdicts[s.class_id].unfalsified
+        n_s, n_u = kept.size, kept.sum()
         print(f"  {s.class_id:16s} {100 * n_u / n_s:5.1f}%   ({n_u}/{n_s})")
 
-    survivors = post_falsification_weights(report.verdicts["boucwen"])
+    survivors = post_falsification_weights(verdicts["boucwen"])
     estimate = estimate_parameters(survivors, thetas["boucwen"])
     true_theta = np.array([truth.k_post, truth.c_b, truth.r_k, truth.Q_y])
     print("\nweighted parameter estimate over the surviving boucwen models:")

@@ -46,12 +46,12 @@ def main():
         eps_rows.append(np.column_stack([freq_err, res[3:]]).reshape(-1))
 
     verdicts = falsify("chain", np.asarray(eps_rows), noise, FdrConfig(0.05))
-    n_u = sum(v.unfalsified for v in verdicts)
-    print(f"\n{n_u}/{len(verdicts)} stiffness models survive "
+    kept = verdicts.unfalsified
+    print(f"\n{kept.sum()}/{kept.size} stiffness models survive "
           f"(sigma_freq = {sigma_freq:.4f} Hz, sigma_mac = {sigma_mac})")
-    print("true model retained:", verdicts[-1].unfalsified)
+    print("true model retained:", kept[-1])
 
-    surviving_ks = ks[[v.unfalsified for v in verdicts]]
+    surviving_ks = ks[kept]
     spread = surviving_ks.std(axis=0) / surviving_ks.mean(axis=0)
     print("surviving-model stiffness scatter (cv per story):", np.round(spread, 3))
     print("\nMAC of the first mode against a 20% stiffer first story:",

@@ -18,15 +18,15 @@ from .dynamics import (ExcitationRecord, SimulationOutput, ShearBuildingModel,
                        BiaxialDeviceParams, biaxial_hysteresis_rates,
                        biaxial_device_force)
 from .falsification import (MeasurementSet, ResidualNoiseModel, FdrConfig,
-                            FalsificationVerdict, FalsificationReport,
-                            residuals, log_likelihood, p_values, bh_levels,
-                            bh_quantiles, bh_error_bounds, likelihood_bound,
-                            measurement_rejections, falsify, falsify_classes)
+                            ClassVerdicts, residuals, log_likelihood, p_values,
+                            bh_levels, bh_quantiles, bh_error_bounds,
+                            likelihood_bound, measurement_rejections, falsify,
+                            falsify_classes)
 from .modal import ModalResult, solve_modes, mac, modal_residual
 from .prediction import (WeightedEnsemble, PredictionResult,
                          AllModelsFalsifiedError, post_falsification_weights,
-                         estimate_parameters, max_likelihood_model,
-                         predict_response, relative_rms_error)
+                         estimate_parameters, predict_response,
+                         relative_rms_error)
 from .pipeline import (ConfigError, RunConfig, RunManifest, parse_config,
                        ingest_timeseries, ingest_measurement, run_pipeline,
                        emit_report, register_binding, resolve_binding)

@@ -12,6 +12,7 @@ import sys
 
 from .dynamics import SimulationDivergedError
 from .pipeline import STAGES, ConfigError, emit_report, parse_config, run_pipeline
+from .priors import SamplingError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,7 +38,7 @@ def main(argv=None) -> int:
             ensemble = dataclasses.replace(config.ensemble, master_seed=args.seed_override)
             config = dataclasses.replace(config, ensemble=ensemble)
         manifest = run_pipeline(config, stage=args.stage)
-    except (ConfigError, ValueError, OSError, SimulationDivergedError) as err:
+    except (ConfigError, ValueError, OSError, SamplingError, SimulationDivergedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     report_path = emit_report(manifest, config.output_dir)

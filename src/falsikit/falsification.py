@@ -24,8 +24,7 @@ __all__ = [
     "MeasurementSet",
     "ResidualNoiseModel",
     "FdrConfig",
-    "FalsificationVerdict",
-    "FalsificationReport",
+    "ClassVerdicts",
     "residuals",
     "log_likelihood",
     "p_values",
@@ -130,43 +129,23 @@ class FdrConfig:
 
 
 @dataclass(frozen=True)
-class FalsificationVerdict:
+class ClassVerdicts:
+    """One class's log-likelihoods against the log bound the whole ensemble shares.
+
+    Entry i of ``log_likelihood`` is the model with sample index i.
+    """
+
     class_id: str
-    sample_index: int
-    log_likelihood: float
+    log_likelihood: np.ndarray
     log_bound: float
-    rejected_count: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "log_likelihood", np.asarray(self.log_likelihood, dtype=float))
 
     @property
-    def unfalsified(self) -> bool:
+    def unfalsified(self) -> np.ndarray:
         # strict inequality: a tie with the bound falsifies
         return self.log_likelihood > self.log_bound
-
-
-@dataclass
-class FalsificationReport:
-    """Per-class verdicts and unfalsified fractions."""
-
-    verdicts: dict[str, list[FalsificationVerdict]]
-    noise: ResidualNoiseModel
-    config: FdrConfig
-
-    def unfalsified_fraction(self, class_id: str) -> float:
-        v = self.verdicts[class_id]
-        return sum(x.unfalsified for x in v) / len(v)
-
-    def unfalsified(self, class_id: str) -> list[FalsificationVerdict]:
-        return [x for x in self.verdicts[class_id] if x.unfalsified]
-
-    def counts(self, class_id: str) -> tuple[int, int, int]:
-        """(N_s, N_u, N_f) for one class."""
-        v = self.verdicts[class_id]
-        n_u = sum(x.unfalsified for x in v)
-        return len(v), n_u, len(v) - n_u
-
-    @property
-    def class_ids(self) -> list[str]:
-        return list(self.verdicts)
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +167,11 @@ def residuals(h, d) -> np.ndarray:
     return h_arr - d_arr
 
 
+def _log_normaliser(sigma: np.ndarray) -> float:
+    """-(N_o/2) ln(2 pi) - sum ln sigma_j, the Gaussian's log normalising constant."""
+    return -0.5 * sigma.size * _LOG_2PI - np.sum(np.log(sigma))
+
+
 def log_likelihood(eps, noise: ResidualNoiseModel):
     """Diagonal-Gaussian log-likelihood, computed entirely in log space.
 
@@ -199,10 +183,9 @@ def log_likelihood(eps, noise: ResidualNoiseModel):
     eps = np.asarray(eps, dtype=float)
     if not np.all(np.isfinite(eps)):
         raise ValueError("residuals contain non-finite entries")
-    n_obs = eps.shape[-1]
-    sigma = noise.sigma_vector(n_obs)
+    sigma = noise.sigma_vector(eps.shape[-1])
     quad = np.sum((eps / sigma) ** 2, axis=-1)
-    out = -0.5 * n_obs * _LOG_2PI - np.sum(np.log(sigma)) - 0.5 * quad
+    out = _log_normaliser(sigma) - 0.5 * quad
     return float(out) if eps.ndim == 1 else out
 
 
@@ -247,29 +230,23 @@ def bh_error_bounds(noise: ResidualNoiseModel, config: FdrConfig,
 
 @lru_cache(maxsize=256)
 def _cached_log_bound(std_devs: tuple, alpha: float, n_obs: int) -> float:
-    noise = ResidualNoiseModel(std_devs)
     q = bh_quantiles(FdrConfig(alpha), n_obs)
-    sigma = noise.sigma_vector(n_obs)
+    sigma = ResidualNoiseModel(std_devs).sigma_vector(n_obs)
     # min density over [-upper_i, upper_i] is attained at the endpoints:
     # sigma_j^{-1} phi(q_i).  The 1/sigma_j factors run over all entries and
     # the phi(q_i) factors over all ranks, so the product is independent of
     # which entry receives which rank.
-    return float(-0.5 * n_obs * _LOG_2PI - np.sum(np.log(sigma)) - 0.5 * np.sum(q**2))
+    return float(_log_normaliser(sigma) - 0.5 * np.sum(q**2))
 
 
-def likelihood_bound(noise: ResidualNoiseModel, config: FdrConfig, n_obs: int,
-                     eps=None) -> float:
+def likelihood_bound(noise: ResidualNoiseModel, config: FdrConfig, n_obs: int) -> float:
     """Log of the likelihood lower bound for ensembles of ``n_obs`` residuals.
 
     Sorting residuals by ascending p-value assigns rank-i bounds from the BH
     levels; each factor is the minimum Gaussian density over its interval,
-    attained at the endpoint.  The result does not depend on the particular
-    residual vector (``eps`` is accepted for signature symmetry but only its
-    length is used), so the value is cached per (noise, alpha, N_o).
+    attained at the endpoint.  The result does not depend on any particular
+    residual vector, so the value is cached per (noise, alpha, N_o).
     """
-    if eps is not None:
-        eps = np.asarray(eps, dtype=float)
-        n_obs = eps.shape[-1]
     return _cached_log_bound(noise.std_devs, config.alpha, int(n_obs))
 
 
@@ -285,26 +262,16 @@ def measurement_rejections(eps, noise: ResidualNoiseModel, config: FdrConfig) ->
 
 
 def falsify(class_id: str, eps_matrix, noise: ResidualNoiseModel,
-            config: FdrConfig, count_rejections: bool = False) -> list[FalsificationVerdict]:
-    """Score one class's residual matrix (n_models, N_o) into verdicts."""
+            config: FdrConfig) -> ClassVerdicts:
+    """Score one class's residual matrix (n_models, N_o) against the shared bound."""
     eps_matrix = np.asarray(eps_matrix, dtype=float)
     if eps_matrix.ndim != 2:
         raise ValueError("expected a residual matrix of shape (n_models, N_o)")
-    n_obs = eps_matrix.shape[1]
-    log_l = log_likelihood(eps_matrix, noise)
-    log_b = likelihood_bound(noise, config, n_obs)
-    verdicts = []
-    for i in range(eps_matrix.shape[0]):
-        n_r = measurement_rejections(eps_matrix[i], noise, config) if count_rejections else 0
-        verdicts.append(FalsificationVerdict(
-            class_id=class_id, sample_index=i,
-            log_likelihood=float(log_l[i]), log_bound=log_b, rejected_count=n_r))
-    return verdicts
+    return ClassVerdicts(class_id, log_likelihood(eps_matrix, noise),
+                         likelihood_bound(noise, config, eps_matrix.shape[1]))
 
 
 def falsify_classes(eps_by_class: dict[str, np.ndarray], noise: ResidualNoiseModel,
-                    config: FdrConfig, count_rejections: bool = False) -> FalsificationReport:
+                    config: FdrConfig) -> dict[str, ClassVerdicts]:
     """Falsify every class against one measurement set."""
-    verdicts = {cid: falsify(cid, eps, noise, config, count_rejections)
-                for cid, eps in eps_by_class.items()}
-    return FalsificationReport(verdicts=verdicts, noise=noise, config=config)
+    return {cid: falsify(cid, eps, noise, config) for cid, eps in eps_by_class.items()}

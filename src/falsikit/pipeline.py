@@ -114,7 +114,6 @@ class RunConfig:
     prediction_paths: tuple[Path, ...]
     prediction_truth_paths: tuple[Path, ...]
     measurement_path: Path | None
-    measurement_channels: int
     sigma_fraction: float | None
     sigma_absolute: tuple[float, ...] | None
     fdr: FdrConfig
@@ -170,9 +169,12 @@ def _parse_prior(class_name: str, key: str, text: str) -> PriorSpec:
         mean, std = float(parts[1]), float(parts[2])
     except ValueError:
         raise ConfigError(f"[class:{class_name}] {key}: non-numeric prior moments in {text!r}")
-    positive = len(parts) == 4 and parts[3].lower() in ("positive", "positive_only")
+    flag = parts[3].lower() if len(parts) == 4 else None
+    if flag not in (None, "positive", "positive_only"):
+        raise ConfigError(f"[class:{class_name}] {key}: unknown prior flag {parts[3]!r}; "
+                          "expected 'positive' or 'positive_only'")
     try:
-        return PriorSpec(kind=kind, mean=mean, std_dev=std, positive_only=positive)
+        return PriorSpec(kind=kind, mean=mean, std_dev=std, positive_only=flag is not None)
     except ValueError as err:
         raise ConfigError(f"[class:{class_name}] {key}: {err}")
 
@@ -229,7 +231,10 @@ def parse_config(path) -> RunConfig:
                      get("building", "story_stiffnesses", required=True))
     base_mass = float(get("building", "base_mass", required=True))
     damping_ratio = float(get("building", "damping_ratio", "0.03"))
-    modes = _floats("building", "damping_modes", get("building", "damping_modes", "1 2"))
+    modes_text = get("building", "damping_modes", "1 2")
+    modes = _floats("building", "damping_modes", modes_text)
+    if len(modes) != 2 or not all(m.is_integer() for m in modes):
+        raise ConfigError(f"[building] damping_modes: expected two integers, got {modes_text!r}")
     try:
         building = ShearBuildingModel(
             story_masses=masses, story_stiffnesses=stiffs, base_mass=base_mass,
@@ -246,16 +251,18 @@ def parse_config(path) -> RunConfig:
             raise ConfigError("[noise] sigma_fraction must be > 0")
     if cp.has_option("noise", "sigma"):
         sigma_absolute = _floats("noise", "sigma", get("noise", "sigma"))
+        n_channels = len(IsolatedSystem.channel_names)
+        if len(sigma_absolute) not in (1, n_channels):
+            raise ConfigError(f"[noise] sigma: expected one value or one per measured channel "
+                              f"({n_channels}), got {len(sigma_absolute)}")
     if sigma_fraction is None and sigma_absolute is None:
         raise ConfigError("missing [noise] sigma_fraction or sigma")
 
     # [measurement]
     measurement_path = None
-    measurement_channels = 1
     if cp.has_section("measurement"):
         file_text = get("measurement", "file")
         measurement_path = Path(file_text) if file_text else None
-        measurement_channels = int(get("measurement", "channels", "1"))
 
     # [excitation]
     calibration = get("excitation", "calibration", required=True)
@@ -313,7 +320,6 @@ def parse_config(path) -> RunConfig:
         prediction_paths=tuple(resolved(p) for p in prediction_paths),
         prediction_truth_paths=tuple(resolved(p) for p in truth_paths),
         measurement_path=resolved(measurement_path) if measurement_path else None,
-        measurement_channels=measurement_channels,
         sigma_fraction=sigma_fraction, sigma_absolute=sigma_absolute,
         fdr=fdr, dt_int=dt_int, weight_prior=weight_prior,
         output_dir=output_dir if output_dir.is_absolute() else base / output_dir,
@@ -525,7 +531,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     # --- measurement and noise model ---------------------------------------
     channel_names = tuple(IsolatedSystem.channel_names)
     if config.measurement_path is not None:
-        d = ingest_measurement(config.measurement_path, config.measurement_channels,
+        d = ingest_measurement(config.measurement_path, len(channel_names),
                                channel_names=channel_names)
     else:
         raise ConfigError("no [measurement] file configured")
@@ -541,21 +547,21 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     # --- falsify stage ------------------------------------------------------
     t0 = time.perf_counter()
     eps_by_class = {cid: residuals(h_by_class[cid], d) for cid in class_order}
-    report = falsify_classes(eps_by_class, noise, config.fdr)
+    verdicts = falsify_classes(eps_by_class, noise, config.fdr)
     ledger_lines = ["class_id\tsample_index\ttheta...\tlog_likelihood\tlog_bound\tunfalsified"]
-    for cid in class_order:
-        for v in report.verdicts[cid]:
-            theta_txt = "\t".join(_FLOAT_FMT % x for x in thetas[cid][v.sample_index])
-            ledger_lines.append(
-                f"{cid}\t{v.sample_index}\t{theta_txt}\t"
-                f"{_FLOAT_FMT % v.log_likelihood}\t{_FLOAT_FMT % v.log_bound}\t"
-                f"{int(v.unfalsified)}")
-    _atomic_write_text(out / "verdicts.tsv", "\n".join(ledger_lines) + "\n")
-    artifacts["verdict_ledger"] = str(out / "verdicts.tsv")
     counts = {}
     for cid in class_order:
-        n_s, n_u, n_f = report.counts(cid)
-        counts[cid] = {"n_s": n_s, "n_u": n_u, "n_f": n_f}
+        v = verdicts[cid]
+        bound_txt = _FLOAT_FMT % v.log_bound
+        unfalsified = v.unfalsified
+        for i, (theta, log_l, keep) in enumerate(zip(thetas[cid], v.log_likelihood, unfalsified)):
+            theta_txt = "\t".join(_FLOAT_FMT % x for x in theta)
+            ledger_lines.append(
+                f"{cid}\t{i}\t{theta_txt}\t{_FLOAT_FMT % log_l}\t{bound_txt}\t{int(keep)}")
+        n_s, n_u = unfalsified.size, int(unfalsified.sum())
+        counts[cid] = {"n_s": n_s, "n_u": n_u, "n_f": n_s - n_u}
+    _atomic_write_text(out / "verdicts.tsv", "\n".join(ledger_lines) + "\n")
+    artifacts["verdict_ledger"] = str(out / "verdicts.tsv")
     timings["falsify"] = time.perf_counter() - t0
 
     total_s = sum(c["n_s"] for c in counts.values())
@@ -574,14 +580,13 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     ensembles = {}
     estimates = {}
     for cid in class_order:
-        kept = [v for v in report.verdicts[cid] if v.unfalsified]
-        if not kept:
+        if not verdicts[cid].unfalsified.any():
             continue
         log_priors = None
         if config.weight_prior == "include":
             spec = class_specs[cid]
             log_priors = [spec.log_prior(t) for t in thetas[cid]]
-        we = post_falsification_weights(report.verdicts[cid], log_priors=log_priors,
+        we = post_falsification_weights(verdicts[cid], log_priors=log_priors,
                                         weight_prior=config.weight_prior)
         ensembles[cid] = we
         estimates[cid] = estimate_parameters(we, thetas[cid])
@@ -602,8 +607,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     records = {p_path: ingest_timeseries(p_path) for p_path in config.prediction_paths}
     truth_series = {}
     for p_path, t_path in zip(config.prediction_paths, config.prediction_truth_paths):
-        truth = ingest_measurement(t_path, config.measurement_channels,
-                                   channel_names=channel_names)
+        truth = ingest_measurement(t_path, len(channel_names), channel_names=channel_names)
         record = records[p_path]
         if abs(truth.dt - record.dt) > 1e-6 * record.dt:
             raise ConfigError(f"[excitation] prediction_truth {t_path}: sampled at "

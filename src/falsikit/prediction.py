@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import logsumexp
 
-from .falsification import FalsificationVerdict
+from .falsification import ClassVerdicts
 
 __all__ = [
     "WeightedEnsemble",
@@ -27,7 +27,6 @@ __all__ = [
     "AllModelsFalsifiedError",
     "post_falsification_weights",
     "estimate_parameters",
-    "max_likelihood_model",
     "predict_response",
     "relative_rms_error",
 ]
@@ -90,35 +89,27 @@ class PredictionResult:
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
 
 
-def post_falsification_weights(verdicts: list[FalsificationVerdict],
-                               log_priors=None,
+def post_falsification_weights(verdicts: ClassVerdicts, log_priors=None,
                                weight_prior: str = "cancel") -> WeightedEnsemble:
     """Normalized weights over the unfalsified subset of one class.
 
-    ``log_priors`` gives the log prior density per sample (aligned with the
-    verdict list) and is only used with ``weight_prior="include"``.
+    ``log_priors`` gives the log prior density per sample index and is only
+    used with ``weight_prior="include"``.
     """
     if weight_prior not in ("cancel", "include"):
         raise ValueError("weight_prior must be 'cancel' or 'include'")
-    if not verdicts:
-        raise ValueError("empty verdict list")
-    class_id = verdicts[0].class_id
-    ordered = sorted(verdicts, key=lambda v: v.sample_index)
-    kept = [v for v in ordered if v.unfalsified]
-    if not kept:
-        raise AllModelsFalsifiedError(class_id)
-    log_w = np.array([v.log_likelihood for v in kept])
+    kept = np.flatnonzero(verdicts.unfalsified)
+    if kept.size == 0:
+        raise AllModelsFalsifiedError(verdicts.class_id)
+    log_w = verdicts.log_likelihood[kept]
     if weight_prior == "include":
         if log_priors is None:
             raise ValueError("weight_prior='include' requires log prior densities")
-        lp = {v.sample_index: log_priors[i] for i, v in enumerate(ordered)}
-        log_w = log_w + np.array([lp[v.sample_index] for v in kept])
+        log_w = log_w + np.asarray(log_priors, dtype=float)[kept]
     weights = np.exp(log_w - logsumexp(log_w))
     weights = weights / weights.sum()   # remove residual rounding so the sum is exact
-    return WeightedEnsemble(
-        class_id=class_id,
-        sample_indices=tuple(v.sample_index for v in kept),
-        weights=weights)
+    return WeightedEnsemble(class_id=verdicts.class_id, sample_indices=tuple(kept),
+                            weights=weights)
 
 
 def estimate_parameters(ensemble: WeightedEnsemble, theta_matrix) -> np.ndarray:
@@ -132,31 +123,18 @@ def estimate_parameters(ensemble: WeightedEnsemble, theta_matrix) -> np.ndarray:
     return ensemble.weights @ theta_matrix[idx]
 
 
-def max_likelihood_model(verdicts: list[FalsificationVerdict]) -> FalsificationVerdict:
-    """The verdict with the largest log-likelihood; ties break to the lowest
-    (class_id, sample_index)."""
-    if not verdicts:
-        raise ValueError("empty verdict list")
-    return min(verdicts, key=lambda v: (-v.log_likelihood, v.class_id, v.sample_index))
-
-
 def predict_response(ensemble: WeightedEnsemble, member_outputs, dt: float,
                      channel_names=("output",), input_label: str = "") -> PredictionResult:
     """Weighted prediction over the unfalsified members.
 
-    ``member_outputs`` is either a matrix whose rows align with
-    ``ensemble.sample_indices`` (only unfalsified members simulated), or a
-    callable mapping sample_index -> stacked output vector.  The weighted
-    sums run in ascending sample-index order so results are bit-reproducible.
+    ``member_outputs`` is a matrix whose rows align with
+    ``ensemble.sample_indices`` (only unfalsified members simulated).  The
+    weighted sums run in ascending sample-index order so results are
+    bit-reproducible.
     """
-    if callable(member_outputs):
-        rows = [np.asarray(member_outputs(i), dtype=float) for i in ensemble.sample_indices]
-        q = np.stack(rows, axis=0)
-    else:
-        q = np.asarray(member_outputs, dtype=float)
-        if q.shape[0] != ensemble.n_models:
-            raise ValueError(
-                f"expected {ensemble.n_models} member outputs, got {q.shape[0]}")
+    q = np.asarray(member_outputs, dtype=float)
+    if q.shape[0] != ensemble.n_models:
+        raise ValueError(f"expected {ensemble.n_models} member outputs, got {q.shape[0]}")
     if not np.all(np.isfinite(q)):
         bad = np.nonzero(~np.all(np.isfinite(q), axis=1))[0]
         offenders = [ensemble.sample_indices[i] for i in bad]

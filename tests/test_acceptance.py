@@ -96,11 +96,11 @@ def replica(scenario):
                               np.random.default_rng(NOISE_SEEDS[0]))
     noise = ResidualNoiseModel.per_channel(
         tuple(SIGMA_FRACTION * d.by_channel().std(axis=0)))
-    report = falsify_classes({cid: residuals(h, d) for cid, h in h_by_class.items()},
-                             noise, FdrConfig(ALPHA))
+    verdicts = falsify_classes({cid: residuals(h, d) for cid, h in h_by_class.items()},
+                               noise, FdrConfig(ALPHA))
     elapsed = time.perf_counter() - t0
     return dict(specs={s.class_id: s for s in specs}, thetas=thetas,
-                h_by_class=h_by_class, d=d, noise=noise, report=report,
+                h_by_class=h_by_class, d=d, noise=noise, verdicts=verdicts,
                 elapsed=elapsed)
 
 
@@ -116,8 +116,8 @@ def prediction_members(scenario, replica):
 # criteria
 
 def test_criterion_01_replica_falsification(replica):
-    report = replica["report"]
-    fractions = {cid: report.unfalsified_fraction(cid) for cid in CLASS_IDS}
+    verdicts = replica["verdicts"]
+    fractions = {cid: float(verdicts[cid].unfalsified.mean()) for cid in CLASS_IDS}
     for cid in ("aashto", "jpwri", "modified_aashto", "caltrans"):
         assert fractions[cid] == 0.0, f"{cid} should be fully falsified"
     assert fractions["boucwen"] >= 0.50
@@ -154,7 +154,7 @@ def test_criterion_02_prediction_accuracy(scenario, replica, prediction_members)
 
 
 def test_criterion_03_parameter_recovery(replica):
-    ensemble = post_falsification_weights(replica["report"].verdicts["boucwen"])
+    ensemble = post_falsification_weights(replica["verdicts"]["boucwen"])
     estimate = estimate_parameters(ensemble, replica["thetas"]["boucwen"])
     rel = np.abs(estimate - TRUE_THETA) / TRUE_THETA
     assert np.all(rel <= 0.10), f"estimate {estimate} vs true {TRUE_THETA}"
@@ -213,7 +213,7 @@ def test_criterion_06_degenerate_equivalence():
     outputs = rng.standard_normal((n_models, 50))
 
     verdicts = falsify("c", eps, noise, FdrConfig(1e-300))
-    assert all(v.unfalsified for v in verdicts)
+    assert verdicts.unfalsified.all()
     ensemble = post_falsification_weights(verdicts)
     pred = predict_response(ensemble, outputs, DT)
     # oracle: plain Bayesian average over every model, no falsification step
@@ -225,7 +225,7 @@ def test_criterion_06_degenerate_equivalence():
     # a single survivor must reproduce its own simulation exactly
     eps_single = np.vstack([np.zeros(n_obs), np.full((2, n_obs), 60.0)])
     verdicts = falsify("c", eps_single, noise, FdrConfig(ALPHA))
-    assert [v.unfalsified for v in verdicts] == [True, False, False]
+    assert verdicts.unfalsified.tolist() == [True, False, False]
     ensemble = post_falsification_weights(verdicts)
     pred = predict_response(ensemble, outputs[:1], DT)
     assert np.array_equal(pred.q_hat, outputs[0])
@@ -373,11 +373,11 @@ def test_criterion_10_modal_path():
     eps = np.asarray(eps_rows)
     verdicts = falsify("chain", eps, noise, FdrConfig(ALPHA))
 
-    assert verdicts[-1].unfalsified, "the true model must survive"
+    assert verdicts.unfalsified[-1], "the true model must survive"
     first_freqs = np.asarray(first_freqs)
     outliers = np.abs(first_freqs - ref.frequencies[0]) > 3.0 * sigma_freq
     assert outliers.sum() > 10
-    falsified = np.array([not v.unfalsified for v in verdicts])
+    falsified = ~verdicts.unfalsified
     rate = falsified[outliers].mean()
     assert rate >= 0.90
     print(f"criterion 10: PASS - frequencies match the polynomial oracle, MAC "
@@ -430,7 +430,7 @@ def test_criterion_11_savings_accounting(scenario, replica, tmp_path_factory):
     assert manifest.savings_ratio > 0.7
     # pipeline-run verdicts agree with the library-level replica
     for cid in CLASS_IDS:
-        n_s, lib_n_u, _ = replica["report"].counts(cid)
+        lib_n_u = replica["verdicts"][cid].unfalsified.sum()
         assert manifest.counts[cid]["n_u"] == lib_n_u
     print(f"criterion 11: PASS - {manifest.prediction_simulations} prediction "
           f"simulations for {n_u} survivors, savings ratio "

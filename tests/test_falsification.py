@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from falsikit.falsification import (FalsificationVerdict, FdrConfig, MeasurementSet,
+from falsikit.falsification import (ClassVerdicts, FdrConfig, MeasurementSet,
                                     ResidualNoiseModel, _cached_log_bound,
                                     bh_error_bounds, bh_levels, bh_quantiles,
                                     falsify, falsify_classes, likelihood_bound,
@@ -202,25 +202,17 @@ class TestLikelihoodBound:
         fresh = likelihood_bound(noise, config, 123)
         assert first == cached == fresh
 
-    def test_eps_only_sets_length(self, rng):
-        noise = ResidualNoiseModel.iid(1.0)
-        config = FdrConfig(0.05)
-        eps = rng.standard_normal(17)
-        assert likelihood_bound(noise, config, 0, eps=eps) \
-            == likelihood_bound(noise, config, 17)
-
 
 class TestFalsify:
     def test_zero_residual_truth_unfalsified(self):
         noise = ResidualNoiseModel.iid(0.2)
         for alpha in (0.001, 0.05, 0.5, 0.999):
             v = falsify("truth", np.zeros((1, 50)), noise, FdrConfig(alpha))
-            assert v[0].unfalsified
+            assert v.unfalsified[0]
 
     def test_tie_falsifies(self):
-        v = FalsificationVerdict("c", 0, log_likelihood=-5.0, log_bound=-5.0)
-        assert not v.unfalsified
-        assert FalsificationVerdict("c", 0, -4.999, -5.0).unfalsified
+        v = ClassVerdicts("c", log_likelihood=[-5.0, -4.999, -5.001], log_bound=-5.0)
+        assert v.unfalsified.tolist() == [False, True, False]
 
     def test_alpha_monotone_falsified_sets(self, rng):
         # falsified set at alpha1 < alpha2 is a subset of the set at alpha2
@@ -229,28 +221,28 @@ class TestFalsify:
         sets = []
         for alpha in (0.01, 0.05, 0.25, 0.8):
             v = falsify("c", eps, noise, FdrConfig(alpha))
-            sets.append({x.sample_index for x in v if not x.unfalsified})
+            sets.append(set(np.flatnonzero(~v.unfalsified)))
         for small, large in zip(sets, sets[1:]):
             assert small <= large
 
     def test_report_counts_consistent(self, rng):
         eps = {"a": rng.standard_normal((10, 20)), "b": rng.standard_normal((7, 20)) * 3}
-        report = falsify_classes(eps, ResidualNoiseModel.iid(1.0), FdrConfig(0.05))
+        noise = ResidualNoiseModel.iid(1.0)
+        verdicts = falsify_classes(eps, noise, FdrConfig(0.05))
+        assert list(verdicts) == ["a", "b"]
         for cid, n in (("a", 10), ("b", 7)):
-            n_s, n_u, n_f = report.counts(cid)
-            assert n_s == n and n_u + n_f == n_s
-            assert 0.0 <= report.unfalsified_fraction(cid) <= 1.0
-            assert len(report.unfalsified(cid)) == n_u
+            v = verdicts[cid]
+            assert v.class_id == cid
+            assert v.log_likelihood.shape == v.unfalsified.shape == (n,)
+            np.testing.assert_array_equal(v.log_likelihood, log_likelihood(eps[cid], noise))
+            assert v.log_bound == likelihood_bound(noise, FdrConfig(0.05), 20)
 
     def test_rank_bound_consistency(self, rng):
         eps = rng.standard_normal((30, 25)) * 0.3
         noise = ResidualNoiseModel.iid(0.25)
-        verdicts = falsify("c", eps, noise, FdrConfig(0.05))
-        for v in verdicts:
-            if v.unfalsified:
-                assert v.log_likelihood > v.log_bound
-            else:
-                assert v.log_likelihood <= v.log_bound
+        v = falsify("c", eps, noise, FdrConfig(0.05))
+        assert np.all(v.log_likelihood[v.unfalsified] > v.log_bound)
+        assert np.all(v.log_likelihood[~v.unfalsified] <= v.log_bound)
 
     def test_rejection_count(self):
         noise = ResidualNoiseModel.iid(1.0)

@@ -159,6 +159,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="Q_y"):
             parse_config(workspace)
 
+    def test_unknown_prior_flag_names_class_and_key(self, workspace):
+        text = workspace.read_text().replace("Q_y = uniform 4.75 0.2887",
+                                             "Q_y = normal 4.75 0.2887 postive")
+        workspace.write_text(text)
+        with pytest.raises(ConfigError, match=r"\[class:boucwen\] Q_y: .*'postive'"):
+            parse_config(workspace)
+
+    @pytest.mark.parametrize("flag", ["positive", "positive_only"])
+    def test_positive_prior_flag(self, workspace, flag):
+        text = workspace.read_text().replace("Q_y = uniform 4.75 0.2887",
+                                             f"Q_y = normal 4.75 0.2887 {flag}")
+        workspace.write_text(text)
+        assert parse_config(workspace).ensemble.class_specs[0].priors[3].positive_only
+
+    @pytest.mark.parametrize("modes", ["1", "1.5 2", "1 2 3"])
+    def test_damping_modes_two_integers(self, workspace, modes):
+        text = workspace.read_text().replace("base_mass = 500",
+                                             f"base_mass = 500\ndamping_modes = {modes}")
+        workspace.write_text(text)
+        with pytest.raises(ConfigError, match=r"\[building\] damping_modes"):
+            parse_config(workspace)
+
     def test_missing_referenced_file(self, workspace):
         text = workspace.read_text().replace("calibration = cal.tsv",
                                              "calibration = missing.tsv")
@@ -351,6 +373,27 @@ class TestCli:
         assert rc == 2
         assert "error: [excitation] prediction_truth" in capsys.readouterr().err
         assert not list((workspace.parent / "out").glob("prediction_*"))
+
+    def test_unsatisfiable_prior_exit_code(self, workspace, capsys):
+        text = workspace.read_text()
+        assert "Q_y = uniform 4.75 0.2887" in text
+        workspace.write_text(text.replace("Q_y = uniform 4.75 0.2887",
+                                          "Q_y = normal -100 1 positive"))
+        rc = cli_main(["run", "--config", str(workspace), "--stage", "falsify"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "class 'boucwen'" in err and "'Q_y'" in err
+        assert "Traceback" not in err
+
+    def test_sigma_count_exit_code(self, workspace, capsys):
+        # the isolator measurement has one channel: one sigma, not two
+        workspace.write_text(workspace.read_text().replace("sigma_fraction = 0.15",
+                                                           "sigma = 0.5 5.0"))
+        rc = cli_main(["run", "--config", str(workspace), "--stage", "falsify"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: [noise] sigma" in err
+        assert not (workspace.parent / "out").exists()
 
     def test_import_leaves_out_scipy_signal(self):
         code = "import sys, falsikit.cli; sys.exit(int('scipy.signal' in sys.modules))"

@@ -2,15 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from falsikit.falsification import FalsificationVerdict
+from falsikit.falsification import ClassVerdicts
 from falsikit.prediction import (AllModelsFalsifiedError, WeightedEnsemble,
-                                 estimate_parameters, max_likelihood_model,
-                                 post_falsification_weights, predict_response,
-                                 relative_rms_error)
+                                 estimate_parameters, post_falsification_weights,
+                                 predict_response, relative_rms_error)
 
 
 def _verdicts(log_ls, bound=-10.0, class_id="c"):
-    return [FalsificationVerdict(class_id, i, ll, bound) for i, ll in enumerate(log_ls)]
+    return ClassVerdicts(class_id, log_ls, bound)
 
 
 class TestWeights:
@@ -38,6 +37,14 @@ class TestWeights:
         verdicts = _verdicts([-5.0, -5.0])
         we = post_falsification_weights(verdicts, log_priors=[0.0, np.log(3.0)],
                                         weight_prior="include")
+        assert we.weights[1] / we.weights[0] == pytest.approx(3.0, rel=1e-12)
+
+    def test_include_prior_by_sample_index(self):
+        # the falsified sample's prior is skipped, not shifted onto its neighbour
+        we = post_falsification_weights(_verdicts([-5.0, -20.0, -5.0]),
+                                        log_priors=[0.0, 50.0, np.log(3.0)],
+                                        weight_prior="include")
+        assert we.sample_indices == (0, 2)
         assert we.weights[1] / we.weights[0] == pytest.approx(3.0, rel=1e-12)
 
     def test_include_prior_requires_densities(self):
@@ -69,17 +76,6 @@ class TestEstimates:
         theta = np.array([[1.0, 10.0], [99.0, 99.0], [3.0, 30.0]])
         np.testing.assert_allclose(estimate_parameters(we, theta), [2.5, 25.0])
 
-    def test_max_likelihood_tie_break(self):
-        verdicts = [FalsificationVerdict("b", 3, -5.0, -10.0),
-                    FalsificationVerdict("a", 7, -5.0, -10.0),
-                    FalsificationVerdict("a", 2, -5.0, -10.0)]
-        best = max_likelihood_model(verdicts)
-        assert (best.class_id, best.sample_index) == ("a", 2)
-
-    def test_empty_verdicts(self):
-        with pytest.raises(ValueError):
-            max_likelihood_model([])
-
 
 class TestPredict:
     def test_single_model_exact(self):
@@ -89,12 +85,10 @@ class TestPredict:
         assert np.array_equal(pred.q_hat, q[0])
         assert np.array_equal(pred.spread, np.zeros(50))
 
-    def test_matrix_and_callable_agree(self):
+    def test_matrix_rows_weighted(self):
         we = WeightedEnsemble("c", (0, 1), np.array([0.3, 0.7]))
         q = np.vstack([np.ones(10), 3.0 * np.ones(10)])
         a = predict_response(we, q, 0.05)
-        b = predict_response(we, lambda i: q[i], 0.05)
-        assert np.array_equal(a.q_hat, b.q_hat)
         assert a.q_hat[0] == pytest.approx(0.3 + 2.1)
 
     def test_spread_diagnostic(self):
