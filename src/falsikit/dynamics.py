@@ -5,14 +5,17 @@ objects accept the conventional engineering units noted on their fields
 (Mg, MN/m, kN.s/m, yield force as a percentage of structure weight).
 
 Simulation is fixed-step explicit RK4 for bit-reproducibility, vectorized
-over a batch of candidate models: the state array has shape
-(n_models, n_states) and all parameter arrays broadcast over the batch.
+over a batch of candidate models, and all parameter arrays broadcast over the
+batch.  A system's ``model_axis`` names the axis of its state array that runs
+over the models: 0 (models first, shape (n_models, n_states)) by default, 1
+(models last, shape (n_states, n_models)) for hysteretic isolated systems,
+whose state rows are then contiguous.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -55,17 +58,20 @@ _SHOWN_INDICES = 5    # diverging model indices named in the error message
 
 
 class SimulationDivergedError(RuntimeError):
-    def __init__(self, t, indices=None, class_id=None):
+    def __init__(self, t, indices=None, class_id=None, input_label=None):
         self.time = t
         self.indices = indices
         self.class_id = class_id
+        self.input_label = input_label
         msg = f"simulation diverged at t = {t:.4f} s"
         if indices is not None and len(indices):
             shown = [int(i) for i in indices[:_SHOWN_INDICES]]
             more = len(indices) - len(shown)
             msg += f" (models {shown}{f' and {more} more' if more else ''})"
-        if class_id is not None:
-            msg = f"class {class_id!r}: {msg}"
+        where = [f"{name} {value!r}" for name, value in
+                 (("class", class_id), ("input", input_label)) if value is not None]
+        if where:
+            msg = f"{', '.join(where)}: {msg}"
         super().__init__(msg)
 
 
@@ -77,12 +83,15 @@ class ExcitationRecord:
     """Sampled excitation: ground acceleration [m/s^2] or force [N].
 
     ``samples`` has shape (n,) for one channel or (n, 2) for biaxial records.
+    With ``per_model`` it has shape (n, n_models): one single-channel input
+    column per model of a batch (see ``integrate_rk4``).
     """
 
     dt: float
     samples: np.ndarray
     label: str = ""
     channel_count: int = 1
+    per_model: bool = False
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -92,10 +101,15 @@ class ExcitationRecord:
             raise ValueError(f"excitation {self.label!r} contains non-finite samples")
         if self.channel_count not in (1, 2):
             raise ValueError("channel_count must be 1 or 2")
-        if self.channel_count == 1 and samples.ndim != 1:
+        if self.per_model:
+            if self.channel_count != 1 or samples.ndim != 2:
+                raise ValueError("per-model excitation must have shape (n, n_models)")
+        elif self.channel_count == 1 and samples.ndim != 1:
             raise ValueError("single-channel excitation must be a 1-d sample array")
         if self.channel_count == 2 and (samples.ndim != 2 or samples.shape[1] != 2):
             raise ValueError("biaxial excitation must have shape (n, 2)")
+        if samples.shape[0] == 0:
+            raise ValueError(f"excitation {self.label!r} has no samples")
         object.__setattr__(self, "samples", samples)
 
     @property
@@ -110,7 +124,7 @@ class ExcitationRecord:
         n = int(round(duration / self.dt))
         if n > self.n_steps:
             raise ValueError("requested duration exceeds record length")
-        return ExcitationRecord(self.dt, self.samples[:n], self.label, self.channel_count)
+        return replace(self, samples=self.samples[:n])
 
 
 @dataclass(frozen=True)
@@ -358,12 +372,16 @@ class IsolatedSystem:
 
     The state rate is ``A x + B a_g`` with one operator ``A`` for the whole
     batch (superstructure on the base mass), minus each model's isolator
-    force on the base row, plus the Bouc-Wen rate of z.
+    force on the base row, plus the Bouc-Wen rate of z.  Hysteretic batches
+    keep their models last (state shape (n_states, n_models)), so the isolator
+    force and the Bouc-Wen rate read contiguous state rows, and they accept
+    one input per model (a per-model excitation); linear batches keep their
+    models first.
     """
 
     channel_names = ("base_abs_accel",)
     # the per-model rows of a hysteretic batch, concatenated by ``stacked``
-    _PER_MODEL = ("_iso", "bw_a", "bw_beta", "bw_gamma", "n_pow", "z_max")
+    _PER_MODEL = ("k_iso", "c_iso", "q_iso", "bw_a", "bw_beta", "bw_gamma", "n_pow", "z_max")
 
     def __init__(self, building: ShearBuildingModel, variant: str, *,
                  k_post, c_b, r_k, Q_y=None, r_d=None, n_pow=None):
@@ -372,10 +390,12 @@ class IsolatedSystem:
         self.building = building
         self.variant = variant
         self.nonlinear = variant in NONLINEAR_VARIANTS
+        self.model_axis = 1 if self.nonlinear else 0
         self.ns = building.n_stories
         n = self.ns + 1                                  # degrees of freedom
         self.n_states = 2 * n + (1 if self.nonlinear else 0)
-        self._vb = 2 * n - 1                             # column of v_b
+        self._xb = n - 1                                 # state index of x_b
+        self._vb = 2 * n - 1                             # state index of v_b
 
         # M q'' + C q' + K q = -M 1 a_g - f_iso e_b for q = [X_s, x_b], with
         # M = diag(m_s, m_b), K = T^T K_s T, C = T^T C_s T and T = [I | -1]
@@ -411,27 +431,28 @@ class IsolatedSystem:
         self.n_models = int(shape[0])
         k_pre_si = p["k_post"] * MN_PER_M / p["r_k"]
 
-        # isolator force on the base per unit base mass, one row per model:
-        # k_iso x_b + c_iso v_b, plus q_y z for the hysteretic variants
-        self._iso = np.zeros((self.n_models, self.n_states))
+        # isolator force on the base per unit base mass, per model:
+        # k_iso x_b + c_iso v_b, plus q_iso z for the hysteretic variants
         if self.nonlinear:
             if np.any(p["Q_y"] <= 0.0):
                 raise ValueError("Q_y must be > 0")
             Qy_si = p["Q_y"] / 100.0 * building.weight    # N
-            k_iso = p["k_post"] * MN_PER_M
-            c_iso = p["c_b"] * KN
-            self._iso[:, 2 * n] = Qy_si * (1.0 - p["r_k"]) / masses[-1]
+            self.k_iso = p["k_post"] * MN_PER_M / masses[-1]
+            self.c_iso = p["c_b"] * KN / masses[-1]
+            self.q_iso = Qy_si * (1.0 - p["r_k"]) / masses[-1]
             self.bw_a = k_pre_si / Qy_si             # 1/m
             self.bw_beta = 0.5 * self.bw_a
             self.bw_gamma = 0.5 * self.bw_a
             self.n_pow = _checked_n_pow(p["n_pow"])
             self.z_max = _saturation_amplitude(self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow)
         else:
-            zeta_eq, k_iso = equivalent_linear_params(variant, p["r_k"], p["r_d"], k_pre_si)
+            zeta_eq, k_eq = equivalent_linear_params(variant, p["r_k"], p["r_d"], k_pre_si)
             # c_eq = 2 zeta_eq sqrt(k_eq m) with m the total isolated mass
-            c_iso = p["c_b"] * KN + 2.0 * zeta_eq * np.sqrt(k_iso * building.total_mass)
-        self._iso[:, n - 1] = k_iso / masses[-1]
-        self._iso[:, self._vb] = c_iso / masses[-1]
+            c_eq = p["c_b"] * KN + 2.0 * zeta_eq * np.sqrt(k_eq * building.total_mass)
+            # one row per model, dotted with the models-first state
+            self._iso = np.zeros((self.n_models, self.n_states))
+            self._iso[:, self._xb] = k_eq / masses[-1]
+            self._iso[:, self._vb] = c_eq / masses[-1]
 
     @classmethod
     def stacked(cls, systems) -> "IsolatedSystem":
@@ -455,22 +476,32 @@ class IsolatedSystem:
         batch.variant = "+".join(dict.fromkeys(system.variant for system in systems))
         for name in cls._PER_MODEL:
             setattr(batch, name, np.concatenate([getattr(system, name) for system in systems]))
-        batch.n_models = batch._iso.shape[0]
+        batch.n_models = batch.k_iso.size
         return batch
 
     def initial_state(self) -> np.ndarray:
-        return np.zeros((self.n_models, self.n_states))
+        shape = (self.n_models, self.n_states)
+        return np.zeros(shape[::-1] if self.model_axis else shape)
 
-    def rhs(self, state: np.ndarray, ag: float) -> np.ndarray:
-        deriv = state @ self._A.T + ag * self._B
-        deriv[:, self._vb] -= np.einsum("ij,ij->i", state, self._iso)
-        if self.nonlinear:
-            deriv[:, -1] = _boucwen(state[:, -1], state[:, self._vb], self.bw_a, self.bw_beta,
-                                    self.bw_gamma, self.n_pow, self.z_max)
+    def rhs(self, state: np.ndarray, ag) -> np.ndarray:
+        if not self.nonlinear:
+            deriv = state @ self._A.T + ag * self._B
+            deriv[:, self._vb] -= np.einsum("ij,ij->i", state, self._iso)
+            return deriv
+        # models last; ``ag`` is a scalar or one value per model
+        n = self.ns + 1
+        x_b, v_b, z = state[self._xb], state[self._vb], state[-1]
+        deriv = self._A @ state
+        deriv[n:2 * n] -= ag
+        deriv[self._vb] -= self.k_iso * x_b + self.c_iso * v_b + self.q_iso * z
+        deriv[-1] = _boucwen(z, v_b, self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow,
+                             self.z_max)
         return deriv
 
-    def output(self, state: np.ndarray, deriv: np.ndarray, ag: float) -> np.ndarray:
-        """Base absolute acceleration, shape (n_models, 1)."""
+    def output(self, state: np.ndarray, deriv: np.ndarray, ag) -> np.ndarray:
+        """Base absolute acceleration, shape (1, n_models) if models last, else (n_models, 1)."""
+        if self.model_axis:
+            return (deriv[self._vb] + ag)[None, :]
         return (deriv[:, self._vb] + ag)[:, None]
 
 
@@ -496,10 +527,15 @@ def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = N
     (n_models, n_samples * n_channels) with channels interleaved time-major.
 
     ``system`` provides ``initial_state()``, ``rhs(state, u)`` returning the
-    state rate, and ``output(state, deriv, u)`` returning the outputs of
-    shape (n_models, n_channels), where ``deriv`` is ``rhs(state, u)`` at the
-    same state and input; it is the first RK4 stage, so an output that needs
-    the rate costs no extra ``rhs`` call.
+    state rate, and ``output(state, deriv, u)`` returning the outputs, where
+    ``deriv`` is ``rhs(state, u)`` at the same state and input; it is the
+    first RK4 stage, so an output that needs the rate costs no extra ``rhs``
+    call.  The system's ``model_axis`` (0 if it has none) is the axis of the
+    state and of the outputs that runs over its models: with 0 they have
+    shapes (n_models, n_states) and (n_models, n_channels), with 1 the
+    transposes.  ``u`` is one excitation sample, or with a ``per_model``
+    excitation a row of one sample per model, which only a models-last
+    system takes (a hysteretic ``IsolatedSystem``).
     """
     record = excitation if duration is None else excitation.truncated(duration)
     dt = record.dt
@@ -510,9 +546,14 @@ def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = N
     n_sub = max(1, int(round(dt / dt_int)))
     h = dt / n_sub
 
+    axis = getattr(system, "model_axis", 0)
     state = system.initial_state()
+    if record.per_model and (axis == 0 or record.samples.shape[1] != state.shape[axis]):
+        raise ValueError(f"a per-model excitation of {record.samples.shape[1]} columns needs "
+                         f"a models-last system of as many models, not {state.shape[axis]} "
+                         f"with model axis {axis}")
     n_steps = record.n_steps
-    outputs = []
+    outputs = None   # (n_models, n_steps, n_channels)
     # a diverging model overflows before the guard below names it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
@@ -520,17 +561,19 @@ def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = N
             for j in range(n_sub):
                 k1 = system.rhs(state, ag)
                 if j == 0:
-                    outputs.append(system.output(state, k1, ag))
+                    y = np.moveaxis(system.output(state, k1, ag), axis, 0)
+                    if outputs is None:
+                        outputs = np.empty((y.shape[0], n_steps, y.shape[1]))
+                    outputs[:, k] = y
                 k2 = system.rhs(state + 0.5 * h * k1, ag)
                 k3 = system.rhs(state + 0.5 * h * k2, ag)
                 k4 = system.rhs(state + h * k3, ag)
                 state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            bad = ~np.all(np.isfinite(state), axis=1) | (np.abs(state).max(axis=1) > _STATE_GUARD)
+            bad = (~np.all(np.isfinite(state), axis=1 - axis)
+                   | (np.abs(state).max(axis=1 - axis) > _STATE_GUARD))
             if np.any(bad):
                 raise SimulationDivergedError((k + 1) * dt, np.nonzero(bad)[0])
-    # (n_steps, n_models, n_channels) -> (n_models, n_steps * n_channels)
-    stacked = np.stack(outputs, axis=1)
-    return stacked.reshape(stacked.shape[0], -1)
+    return outputs.reshape(outputs.shape[0], -1)
 
 
 def simulate(system, excitation: ExcitationRecord, dt_int: float | None = None,

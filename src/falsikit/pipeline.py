@@ -48,6 +48,18 @@ class ConfigError(ValueError):
     """Configuration problem, with the offending key path in the message."""
 
 
+# every key a section other than [class:<id>] may hold
+_SECTION_KEYS = {
+    "run": ("master_seed", "samples_per_class", "output_dir", "weight_prior", "phi", "alpha",
+            "dt_int"),
+    "building": ("story_masses", "story_stiffnesses", "base_mass", "damping_ratio",
+                 "damping_modes"),
+    "noise": ("sigma_fraction", "sigma"),
+    "measurement": ("file",),
+    "excitation": ("calibration", "prediction", "prediction_truth"),
+}
+
+
 # ---------------------------------------------------------------------------
 # physics bindings
 
@@ -179,6 +191,14 @@ def _parse_prior(class_name: str, key: str, text: str) -> PriorSpec:
         raise ConfigError(f"[class:{class_name}] {key}: {err}")
 
 
+def _number(section: str, key: str, text: str, kind=float):
+    try:
+        return kind(text)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"[{section}] {key}: expected {what}, got {text!r}") from None
+
+
 def _floats(section: str, key: str, text: str) -> tuple[float, ...]:
     try:
         return tuple(float(x) for x in text.replace(",", " ").split())
@@ -194,6 +214,16 @@ def parse_config(path) -> RunConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
     cp.optionxform = str  # keep parameter-name case (Q_y)
     cp.read(path)
+    for section in cp.sections():
+        if section.startswith("class:"):
+            continue
+        if section not in _SECTION_KEYS:
+            raise ConfigError(f"unknown section [{section}]; expected "
+                              f"{', '.join(f'[{s}]' for s in _SECTION_KEYS)} or [class:<id>]")
+        for key in cp.options(section):
+            if key not in _SECTION_KEYS[section]:
+                raise ConfigError(f"[{section}] {key}: unknown key; expected one of "
+                                  f"{', '.join(_SECTION_KEYS[section])}")
 
     def get(section, key, default=None, required=False):
         if cp.has_option(section, key):
@@ -202,24 +232,25 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"missing required key [{section}] {key}")
         return default
 
+    def number(section, key, default=None, required=False, kind=float):
+        text = get(section, key, default, required)
+        return None if text is None else _number(section, key, text, kind)
+
     # [run]
-    try:
-        master_seed = int(get("run", "master_seed", required=True))
-        samples_per_class = int(get("run", "samples_per_class", required=True))
-    except ValueError as err:
-        raise ConfigError(f"[run]: {err}")
+    master_seed = number("run", "master_seed", required=True, kind=int)
+    samples_per_class = number("run", "samples_per_class", required=True, kind=int)
     output_dir = Path(get("run", "output_dir", required=True))
     weight_prior = get("run", "weight_prior", "cancel")
     if weight_prior not in ("cancel", "include"):
         raise ConfigError(f"[run] weight_prior must be 'cancel' or 'include', got {weight_prior!r}")
-    phi = float(get("run", "phi", "0.95"))
-    alpha_text = get("run", "alpha")
-    alpha = float(alpha_text) if alpha_text is not None else 1.0 - phi
+    phi = number("run", "phi", "0.95")
+    alpha = number("run", "alpha")
+    if alpha is None:
+        alpha = 1.0 - phi
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"[run] alpha must lie in (0, 1), got {alpha}")
     fdr = FdrConfig(alpha=alpha)
-    dt_int_text = get("run", "dt_int")
-    dt_int = float(dt_int_text) if dt_int_text is not None else None
+    dt_int = number("run", "dt_int")
     if dt_int is not None and dt_int <= 0.0:
         raise ConfigError(f"[run] dt_int must be > 0, got {dt_int}")
 
@@ -229,8 +260,8 @@ def parse_config(path) -> RunConfig:
     masses = _floats("building", "story_masses", get("building", "story_masses", required=True))
     stiffs = _floats("building", "story_stiffnesses",
                      get("building", "story_stiffnesses", required=True))
-    base_mass = float(get("building", "base_mass", required=True))
-    damping_ratio = float(get("building", "damping_ratio", "0.03"))
+    base_mass = number("building", "base_mass", required=True)
+    damping_ratio = number("building", "damping_ratio", "0.03")
     modes_text = get("building", "damping_modes", "1 2")
     modes = _floats("building", "damping_modes", modes_text)
     if len(modes) != 2 or not all(m.is_integer() for m in modes):
@@ -243,12 +274,10 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"[building]: {err}")
 
     # [noise]
-    sigma_fraction = None
     sigma_absolute = None
-    if cp.has_option("noise", "sigma_fraction"):
-        sigma_fraction = float(get("noise", "sigma_fraction"))
-        if sigma_fraction <= 0.0:
-            raise ConfigError("[noise] sigma_fraction must be > 0")
+    sigma_fraction = number("noise", "sigma_fraction")
+    if sigma_fraction is not None and sigma_fraction <= 0.0:
+        raise ConfigError("[noise] sigma_fraction must be > 0")
     if cp.has_option("noise", "sigma"):
         sigma_absolute = _floats("noise", "sigma", get("noise", "sigma"))
         n_channels = len(IsolatedSystem.channel_names)
@@ -269,6 +298,10 @@ def parse_config(path) -> RunConfig:
     calibration_path = Path(calibration)
     pred_text = get("excitation", "prediction", "")
     prediction_paths = tuple(Path(p) for p in pred_text.split())
+    stems = [p.stem for p in prediction_paths]
+    if len(set(stems)) != len(stems):
+        raise ConfigError(f"[excitation] prediction: inputs {pred_text!r} share a file name "
+                          "stem, which names their prediction files")
     truth_text = get("excitation", "prediction_truth", "")
     truth_paths = tuple(Path(p) for p in truth_text.split())
     if truth_paths and len(truth_paths) != len(prediction_paths):
@@ -288,7 +321,7 @@ def parse_config(path) -> RunConfig:
             if key == "binding":
                 continue
             if key.startswith("fixed_"):
-                fixed[key[len("fixed_"):]] = float(value)
+                fixed[key[len("fixed_"):]] = _number(section, key, value)
                 continue
             names.append(key)
             priors.append(_parse_prior(class_id, key, value))
@@ -430,32 +463,55 @@ def _build_system(class_spec: ModelClassSpec, theta: np.ndarray,
     return factory(theta, class_spec.parameter_names, building, class_spec.fixed_constants)
 
 
-def _simulate_classes(systems: dict, record: ExcitationRecord, dt_int: float) -> dict:
-    """Outputs of each class's batch on ``record``, keyed like ``systems``.
+def _simulate_classes(systems: dict, records: dict, dt_int: float) -> dict:
+    """Outputs of each class's batch on each record: ``{label: {class_id: h}}``.
 
-    The hysteretic classes run as one stacked batch, so each ``rhs`` call
-    covers all of their models; each class gets its rows back.  Linear
-    classes run one batch each.  A divergence names the class of the first
-    diverging model and that class's own model indices.
+    ``records`` maps an input label to its record.  The hysteretic classes
+    run as one stacked batch for all records of equal dt and length, with one
+    input column per model, so each ``rhs`` call covers every model on every
+    such record; each class and record gets its rows back.  Linear classes
+    run one batch per record.  A divergence names the class of the first
+    diverging model, that class's own model indices and, unless its label
+    is None, the record.
     """
     hysteretic = [cid for cid, system in systems.items()
                   if isinstance(system, IsolatedSystem) and system.nonlinear]
-    outputs = {}
-    for cid, system in systems.items():
-        if cid in outputs:
-            continue
-        group = hysteretic if cid in hysteretic else [cid]
-        batch = IsolatedSystem.stacked(systems[c] for c in group) if len(group) > 1 else system
-        bounds = np.cumsum([0] + [systems[c].n_models for c in group])
-        try:
-            h = dynamics.integrate_rk4(batch, record, dt_int=dt_int)
-        except dynamics.SimulationDivergedError as err:
-            at = int(np.searchsorted(bounds, err.indices[0], side="right")) - 1
-            local = [i - bounds[at] for i in err.indices if bounds[at] <= i < bounds[at + 1]]
-            raise dynamics.SimulationDivergedError(err.time, local, group[at]) from None
-        for c, lo, hi in zip(group, bounds[:-1], bounds[1:]):
-            outputs[c] = h[lo:hi]
+    linear = [cid for cid in systems if cid not in hysteretic]
+    outputs = {label: {} for label in records}
+    groups = {}
+    for label, record in records.items():
+        if hysteretic:
+            groups.setdefault((record.dt, record.n_steps), []).append(label)
+        for cid in linear:
+            outputs[label][cid] = _integrate(systems[cid], record, dt_int,
+                                             [(label, cid, systems[cid])])
+    for labels in groups.values():
+        blocks = [(label, cid, systems[cid]) for label in labels for cid in hysteretic]
+        record = records[labels[0]]
+        if len(labels) > 1:   # a lone record drives every model as it is, with no columns
+            per_input = sum(systems[cid].n_models for cid in hysteretic)
+            columns = np.column_stack([records[label].samples for label in labels])
+            record = ExcitationRecord(record.dt, np.repeat(columns, per_input, axis=1),
+                                      per_model=True)
+        batch = IsolatedSystem.stacked(system for _, _, system in blocks)
+        h = _integrate(batch, record, dt_int, blocks)
+        lo = 0
+        for label, cid, system in blocks:
+            outputs[label][cid] = h[lo:lo + system.n_models]
+            lo += system.n_models
     return outputs
+
+
+def _integrate(batch, record: ExcitationRecord, dt_int: float, blocks) -> np.ndarray:
+    """``integrate_rk4`` on a batch whose rows are the (label, class_id, system) ``blocks``."""
+    try:
+        return dynamics.integrate_rk4(batch, record, dt_int=dt_int)
+    except dynamics.SimulationDivergedError as err:
+        bounds = np.cumsum([0] + [system.n_models for _, _, system in blocks])
+        at = int(np.searchsorted(bounds, err.indices[0], side="right")) - 1
+        local = [i - bounds[at] for i in err.indices if bounds[at] <= i < bounds[at + 1]]
+        label, cid, _ = blocks[at]
+        raise dynamics.SimulationDivergedError(err.time, local, cid, label) from None
 
 
 def _simulation_key(config: RunConfig, calibration: ExcitationRecord, dt_int: float) -> str:
@@ -512,7 +568,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         key_path.unlink(missing_ok=True)   # no key while the cache is being rewritten
         systems = {cid: _build_system(class_specs[cid], thetas[cid], config.building)
                    for cid in class_order}
-        h_by_class = _simulate_classes(systems, calibration, dt_int)
+        h_by_class = _simulate_classes(systems, {None: calibration}, dt_int)[None]
         for cid in class_order:
             tmp = sim_paths[cid].with_name(sim_paths[cid].name + ".tmp")
             with open(tmp, "wb") as fh:   # file handle: np.save must not append .npy
@@ -548,6 +604,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     t0 = time.perf_counter()
     eps_by_class = {cid: residuals(h_by_class[cid], d) for cid in class_order}
     verdicts = falsify_classes(eps_by_class, noise, config.fdr)
+    del h_by_class, eps_by_class   # the verdicts hold all the later stages need
     ledger_lines = ["class_id\tsample_index\ttheta...\tlog_likelihood\tlog_bound\tunfalsified"]
     counts = {}
     for cid in class_order:
@@ -604,27 +661,26 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
 
     prediction_sims = 0
     prediction_errors = {}
-    records = {p_path: ingest_timeseries(p_path) for p_path in config.prediction_paths}
+    records = {p_path.stem: ingest_timeseries(p_path) for p_path in config.prediction_paths}
     truth_series = {}
     for p_path, t_path in zip(config.prediction_paths, config.prediction_truth_paths):
         truth = ingest_measurement(t_path, len(channel_names), channel_names=channel_names)
-        record = records[p_path]
+        record = records[p_path.stem]
         if abs(truth.dt - record.dt) > 1e-6 * record.dt:
             raise ConfigError(f"[excitation] prediction_truth {t_path}: sampled at "
                               f"dt = {truth.dt:g} s, its input {p_path} at dt = {record.dt:g} s")
         if truth.n_obs != record.n_steps * len(channel_names):
             raise ConfigError(f"[excitation] prediction_truth {t_path}: {truth.n_obs} samples, "
                               f"but its input {p_path} predicts {record.n_steps}")
-        truth_series[p_path] = truth
+        truth_series[p_path.stem] = truth
     survivors = {cid: _build_system(class_specs[cid], thetas[cid][np.asarray(we.sample_indices)],
                                     config.building)
                  for cid, we in ensembles.items()}
-    for p_path, record in records.items():
-        label = Path(p_path).stem
-        outputs = _simulate_classes(survivors, record, dt_int)
+    outputs = _simulate_classes(survivors, records, dt_int)
+    for label, record in records.items():
         for cid, we in ensembles.items():
             prediction_sims += we.n_models
-            pred = predict_response(we, outputs[cid], record.dt,
+            pred = predict_response(we, outputs[label][cid], record.dt,
                                     channel_names=channel_names, input_label=label)
             nch = len(channel_names)
             cols = np.column_stack([pred.q_hat.reshape(-1, nch),
@@ -634,9 +690,9 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
                              header="time\t" + "\t".join(channel_names)
                                     + "\t" + "\t".join(f"spread_{c}" for c in channel_names))
             artifacts.setdefault("predictions", {})[f"{label}/{cid}"] = str(out_path)
-            if p_path in truth_series:
+            if label in truth_series:
                 prediction_errors[f"{label}/{cid}"] = relative_rms_error(
-                    truth_series[p_path].d, pred.q_hat)
+                    truth_series[label].d, pred.q_hat)
     timings["predict"] = time.perf_counter() - t0
 
     manifest = RunManifest(

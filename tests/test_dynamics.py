@@ -355,6 +355,48 @@ class TestIsolatedBatch:
         rel_rms = np.linalg.norm(stacked - separate, axis=1) / np.linalg.norm(separate, axis=1)
         assert rel_rms.max() <= 1e-12
 
+    def test_models_last_rhs_matches_models_first_kernel(self, building):
+        batch = IsolatedSystem.stacked([self._hysteretic(building, "boucwen", 4, 1),
+                                        self._hysteretic(building, "bilinear", 3, 2)])
+        assert batch.model_axis == 1
+        rng = np.random.default_rng(7)
+        state = 0.05 * rng.standard_normal((batch.n_states, batch.n_models))
+        state[-1] = rng.uniform(-1.0, 1.0, batch.n_models)
+        first = state.T
+        vb = batch.n_states - 2
+        # the models-first kernel: one isolator row per model, dotted with the state
+        iso = np.zeros((batch.n_models, batch.n_states))
+        iso[:, vb // 2], iso[:, vb], iso[:, -1] = batch.k_iso, batch.c_iso, batch.q_iso
+        for ag in (0.7, rng.standard_normal(batch.n_models)):
+            expected = first @ batch._A.T + np.multiply.outer(ag, batch._B)
+            expected[:, vb] -= np.einsum("ij,ij->i", first, iso)
+            expected[:, -1] = boucwen_rate(first[:, -1], first[:, vb], batch.bw_a, batch.bw_beta,
+                                           batch.bw_gamma, batch.n_pow)
+            got = batch.rhs(state, ag)
+            assert got.shape == state.shape
+            scale = np.abs(expected).max(axis=0)
+            assert np.all(np.abs(got.T - expected).max(axis=0) <= 1e-12 * scale)
+
+    def test_per_model_inputs_match_single_input_runs(self, building):
+        pair = [self._hysteretic(building, "boucwen", 3, 1),
+                self._hysteretic(building, "bilinear", 2, 2)]
+        records = [band_limited_record(5.0, 0.05, seed=s, peak=p)
+                   for s, p in ((3, 2.0), (4, 3.0), (5, 4.0))]
+        batch = IsolatedSystem.stacked(pair * len(records))
+        columns = np.repeat(np.column_stack([r.samples for r in records]), 5, axis=1)
+        stacked = integrate_rk4(batch, ExcitationRecord(0.05, columns, per_model=True),
+                                dt_int=0.005)
+        single = np.vstack([integrate_rk4(IsolatedSystem.stacked(pair), r, dt_int=0.005)
+                            for r in records])
+        rel_rms = np.linalg.norm(stacked - single, axis=1) / np.linalg.norm(single, axis=1)
+        assert rel_rms.max() <= 1e-12
+        with pytest.raises(ValueError, match="14 columns needs .* not 15 with model axis 1"):
+            integrate_rk4(batch, ExcitationRecord(0.05, columns[:, 1:], per_model=True))
+        linear = IsolatedSystem(building, "aashto", k_post=np.full(15, 4.0), c_b=20.0,
+                                r_k=0.16, r_d=2.5)
+        with pytest.raises(ValueError, match="models-last system"):
+            integrate_rk4(linear, ExcitationRecord(0.05, columns, per_model=True))
+
     def test_stacked_refuses_linear_and_other_building(self, building):
         boucwen = self._hysteretic(building, "boucwen", 2, 1)
         aashto = IsolatedSystem(building, "aashto", k_post=4.0, c_b=20.0, r_k=0.16, r_d=2.5)
@@ -390,6 +432,11 @@ class TestContainers:
             ExcitationRecord(0.1, np.array([1.0, np.nan]))
         with pytest.raises(ValueError):
             ExcitationRecord(0.1, np.zeros((5, 2)), channel_count=1)
+        with pytest.raises(ValueError, match="per-model"):
+            ExcitationRecord(0.1, np.zeros(5), per_model=True)
+        assert ExcitationRecord(0.1, np.zeros((5, 3)), per_model=True).n_steps == 5
+        with pytest.raises(ValueError, match="no samples"):
+            ExcitationRecord(0.1, np.arange(10.0)).truncated(0.01)
 
     def test_truncation(self):
         rec = ExcitationRecord(0.1, np.arange(100.0))

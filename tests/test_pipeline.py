@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -181,6 +182,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"\[building\] damping_modes"):
             parse_config(workspace)
 
+    def test_prediction_inputs_with_one_stem(self, workspace):
+        (workspace.parent / "other").mkdir()
+        shutil.copy(workspace.parent / "pred.tsv", workspace.parent / "other" / "pred.tsv")
+        workspace.write_text(workspace.read_text().replace(
+            "prediction = pred.tsv", "prediction = pred.tsv other/pred.tsv").replace(
+            "prediction_truth = pred_truth.tsv", ""))
+        with pytest.raises(ConfigError, match=r"\[excitation\] prediction: .*stem"):
+            parse_config(workspace)
+
     def test_missing_referenced_file(self, workspace):
         text = workspace.read_text().replace("calibration = cal.tsv",
                                              "calibration = missing.tsv")
@@ -243,7 +253,11 @@ class TestRunPipeline:
         assert manifest.prediction_inputs == 1
 
     def test_one_batch_for_hysteretic_classes(self, workspace, monkeypatch):
-        workspace.write_text(workspace.read_text() + BILINEAR_CLASS)
+        # two prediction inputs: one hysteretic batch covers both
+        shutil.copy(workspace.parent / "pred.tsv", workspace.parent / "pred2.tsv")
+        workspace.write_text(workspace.read_text().replace(
+            "prediction = pred.tsv", "prediction = pred.tsv pred2.tsv").replace(
+            "prediction_truth = pred_truth.tsv", "") + BILINEAR_CLASS)
         calls = []
         integrate = dynamics.integrate_rk4
 
@@ -257,10 +271,15 @@ class TestRunPipeline:
         expected = [("boucwen+bilinear", 16), ("aashto", 8)]
         hysteretic = [cid for cid in ("boucwen", "bilinear") if n_u[cid]]
         if hysteretic:
-            expected.append(("+".join(hysteretic), sum(n_u[cid] for cid in hysteretic)))
+            expected.append(("+".join(hysteretic), 2 * sum(n_u[cid] for cid in hysteretic)))
         if n_u["aashto"]:
-            expected.append(("aashto", n_u["aashto"]))
+            expected += [("aashto", n_u["aashto"])] * 2
         assert sorted(calls) == sorted(expected)
+        out = workspace.parent / "out"
+        for label in ("pred", "pred2"):   # the same input twice predicts the same
+            for cid in hysteretic:
+                assert ((out / f"prediction_{label}_{cid}.tsv").read_bytes()
+                        == (out / f"prediction_pred_{cid}.tsv").read_bytes())
 
     def test_stacked_divergence_names_class_and_local_index(self, building):
         rec = band_limited_record(5.0, 0.05, seed=3, peak=2.0)
@@ -273,7 +292,39 @@ class TestRunPipeline:
         }
         with pytest.raises(SimulationDivergedError,
                            match=r"^class 'bilinear': simulation diverged .*\(models \[1\]\)$"):
-            _simulate_classes(systems, rec, 0.005)
+            _simulate_classes(systems, {None: rec}, 0.005)
+
+    def test_stacked_inputs_match_single_record_runs(self, building):
+        rng = np.random.default_rng(3)
+        common = dict(c_b=20.0, r_k=0.16, k_post=rng.uniform(3.5, 5.0, 3))
+        systems = {
+            "boucwen": IsolatedSystem(building, "boucwen", Q_y=[4.5, 5.0, 5.5], **common),
+            "aashto": IsolatedSystem(building, "aashto", r_d=2.5, **common),
+            "bilinear": IsolatedSystem(building, "bilinear", Q_y=5.0, **common),
+        }
+        records = {"a": band_limited_record(5.0, 0.05, seed=3, peak=2.0),
+                   "b": band_limited_record(5.0, 0.05, seed=4, peak=3.0),
+                   "short": band_limited_record(4.0, 0.05, seed=5, peak=4.0)}
+        together = _simulate_classes(systems, records, 0.005)
+        for label, record in records.items():
+            alone = _simulate_classes(systems, {None: record}, 0.005)[None]
+            for cid, h in alone.items():
+                got = together[label][cid]
+                assert got.shape == h.shape
+                rel_rms = np.linalg.norm(got - h, axis=1) / np.linalg.norm(h, axis=1)
+                assert rel_rms.max() <= 1e-12
+
+    def test_stacked_inputs_divergence_names_input(self, building):
+        rec = band_limited_record(5.0, 0.05, seed=3, peak=2.0)
+        quiet = dynamics.ExcitationRecord(0.05, np.zeros(rec.n_steps))
+        common = dict(c_b=20.0, r_k=0.1667, Q_y=5.0)
+        systems = {
+            "boucwen": IsolatedSystem(building, "boucwen", k_post=[4.0, 4.5], **common),
+            "bilinear": IsolatedSystem(building, "bilinear", k_post=[4.0, 5.0e4, 4.0], **common),
+        }
+        expected = r"^class 'bilinear', input 'strong': simulation diverged .*\(models \[1\]\)$"
+        with pytest.raises(SimulationDivergedError, match=expected):
+            _simulate_classes(systems, {"quiet": quiet, "strong": rec}, 0.005)
 
     def test_bad_stage_rejected(self, workspace):
         with pytest.raises(ValueError, match="stage"):
@@ -394,6 +445,59 @@ class TestCli:
         assert rc == 2
         assert "error: [noise] sigma" in err
         assert not (workspace.parent / "out").exists()
+
+    def test_stacked_prediction_divergence_exit_code(self, workspace, capsys):
+        # a survivor that diverges on the second input only names that input
+        pred = ingest_timeseries(workspace.parent / "pred.tsv")
+        write_timeseries(workspace.parent / "pred2.tsv", pred.dt, 1.0e7 * pred.samples)
+        text = workspace.read_text()
+        aashto = text[text.index("[class:aashto]"):]
+        workspace.write_text(text.replace(aashto, BILINEAR_CLASS).replace(
+            "prediction = pred.tsv", "prediction = pred.tsv pred2.tsv").replace(
+            "prediction_truth = pred_truth.tsv", ""))
+        rc = cli_main(["run", "--config", str(workspace)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.match(r"error: class '(boucwen|bilinear)', input 'pred2': simulation diverged "
+                        r"at t = [0-9.]+ s \(models \[", err)
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("[building]", "alpah = 0.01\n\n[building]", r"\[run\] alpah: unknown key"),
+        ("base_mass = 500", "base_mass = 500\nmass = 5", r"\[building\] mass: unknown key"),
+        ("file = measured.tsv", "file = measured.tsv\nchannels = 1",
+         r"\[measurement\] channels: unknown key"),
+        ("[noise]", "[nosie]", r"unknown section \[nosie\]"),
+    ])
+    def test_unknown_key_or_section_exit_code(self, workspace, capsys, old, new, message):
+        text = workspace.read_text()
+        assert old in text
+        workspace.write_text(text.replace(old, new))
+        rc = cli_main(["run", "--config", str(workspace), "--stage", "falsify"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.search(r"^error: " + message, err)
+        assert not (workspace.parent / "out").exists()
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("base_mass = 500", "base_mass = 5OO",
+         r"\[building\] base_mass: expected a number, got '5OO'"),
+        ("[building]", "phi = high\n\n[building]", r"\[run\] phi: expected a number, got 'high'"),
+        ("master_seed = 11", "master_seed = 1.5",
+         r"\[run\] master_seed: expected an integer, got '1.5'"),
+        ("sigma_fraction = 0.15", "sigma_fraction = 0,15",
+         r"\[noise\] sigma_fraction: expected a number"),
+        ("binding = aashto\n", "binding = aashto\nfixed_n_pow = one\n",
+         r"\[class:aashto\] fixed_n_pow: expected a number, got 'one'"),
+    ])
+    def test_bad_number_exit_code(self, workspace, capsys, old, new, message):
+        text = workspace.read_text()
+        assert old in text
+        workspace.write_text(text.replace(old, new))
+        rc = cli_main(["run", "--config", str(workspace), "--stage", "falsify"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.search(r"^error: " + message, err)
 
     def test_import_leaves_out_scipy_signal(self):
         code = "import sys, falsikit.cli; sys.exit(int('scipy.signal' in sys.modules))"
