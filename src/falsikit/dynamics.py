@@ -6,10 +6,12 @@ objects accept the conventional engineering units noted on their fields
 
 Simulation is fixed-step explicit RK4 for bit-reproducibility, vectorized
 over a batch of candidate models, and all parameter arrays broadcast over the
-batch.  A system's ``model_axis`` names the axis of its state array that runs
-over the models: 0 (models first, shape (n_models, n_states)) by default, 1
-(models last, shape (n_states, n_models)) for hysteretic isolated systems,
-whose state rows are then contiguous.
+batch.  Systems keep their models first (state shape (n_models, n_states))
+and take four ``rhs`` calls per substep, except hysteretic isolated systems:
+their state is models last (shape (n_states, n_models)), and ``integrate_rk4``
+advances them with the linear part of all four RK4 stages precomputed, so a
+substep evaluates only the per-model isolator force and Bouc-Wen rate of
+each stage and applies one matrix product.
 """
 
 from __future__ import annotations
@@ -301,7 +303,7 @@ def boucwen_rate(z, v, a, beta, gamma, n_pow):
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
         raise ValueError("non-finite hysteretic state or velocity")
     n = _checked_n_pow(n_pow)
-    return _boucwen(z, v, a, beta, gamma, n, _saturation_amplitude(a, beta, gamma, n))
+    return _boucwen(z, v, a, beta, gamma, n, n - 1.0, _saturation_amplitude(a, beta, gamma, n))
 
 
 def _checked_n_pow(n_pow) -> np.ndarray:
@@ -319,10 +321,10 @@ def _saturation_amplitude(a, beta, gamma, n):
         return np.where(denom > 0.0, np.power(ratio, 1.0 / n), np.inf)
 
 
-def _boucwen(z, v, a, beta, gamma, n, z_max):
-    """The Bouc-Wen rate with the saturation amplitude given; no input checks."""
+def _boucwen(z, v, a, beta, gamma, n, n_less_one, z_max):
+    """The Bouc-Wen rate with n - 1 and the saturation amplitude given; no input checks."""
     az = np.minimum(np.abs(z), z_max)
-    return a * v - beta * v * np.power(az, n) - gamma * z * np.abs(v) * np.power(az, n - 1.0)
+    return a * v - beta * v * np.power(az, n) - gamma * z * np.abs(v) * np.power(az, n_less_one)
 
 
 def equivalent_linear_params(variant: str, r_k: float, r_d, k_pre):
@@ -375,13 +377,15 @@ class IsolatedSystem:
     force on the base row, plus the Bouc-Wen rate of z.  Hysteretic batches
     keep their models last (state shape (n_states, n_models)), so the isolator
     force and the Bouc-Wen rate read contiguous state rows, and they accept
-    one input per model (a per-model excitation); linear batches keep their
-    models first.
+    one input per model (a per-model excitation); ``rhs`` defines them, and
+    ``integrate_rk4`` advances them with ``_hysteretic_step``, which evaluates
+    the same two rates.  Linear batches keep their models first.
     """
 
     channel_names = ("base_abs_accel",)
     # the per-model rows of a hysteretic batch, concatenated by ``stacked``
-    _PER_MODEL = ("k_iso", "c_iso", "q_iso", "bw_a", "bw_beta", "bw_gamma", "n_pow", "z_max")
+    _PER_MODEL = ("k_iso", "c_iso", "q_iso", "bw_a", "bw_beta", "bw_gamma", "n_pow",
+                  "n_pow_less_one", "z_max")
 
     def __init__(self, building: ShearBuildingModel, variant: str, *,
                  k_post, c_b, r_k, Q_y=None, r_d=None, n_pow=None):
@@ -444,6 +448,7 @@ class IsolatedSystem:
             self.bw_beta = 0.5 * self.bw_a
             self.bw_gamma = 0.5 * self.bw_a
             self.n_pow = _checked_n_pow(p["n_pow"])
+            self.n_pow_less_one = self.n_pow - 1.0
             self.z_max = _saturation_amplitude(self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow)
         else:
             zeta_eq, k_eq = equivalent_linear_params(variant, p["r_k"], p["r_d"], k_pre_si)
@@ -460,7 +465,8 @@ class IsolatedSystem:
 
         Such systems share the operator and the state layout and differ only
         in the per-model rows, so the batch integrates each model exactly as
-        its own system does, with one ``rhs`` call per stage for all of them.
+        its own system does, with one evaluation of each rate per stage for
+        all of them.
         """
         systems = list(systems)
         if not systems:
@@ -493,15 +499,21 @@ class IsolatedSystem:
         x_b, v_b, z = state[self._xb], state[self._vb], state[-1]
         deriv = self._A @ state
         deriv[n:2 * n] -= ag
-        deriv[self._vb] -= self.k_iso * x_b + self.c_iso * v_b + self.q_iso * z
-        deriv[-1] = _boucwen(z, v_b, self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow,
-                             self.z_max)
+        deriv[self._vb] -= self._isolator_force(x_b, v_b, z)
+        deriv[-1] = self._z_rate(z, v_b)
         return deriv
 
+    def _isolator_force(self, x_b, v_b, z):
+        """Hysteretic isolator force on the base per unit base mass, one value per model."""
+        return self.k_iso * x_b + self.c_iso * v_b + self.q_iso * z
+
+    def _z_rate(self, z, v_b):
+        """Bouc-Wen rate dz/dt of each model."""
+        return _boucwen(z, v_b, self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow,
+                        self.n_pow_less_one, self.z_max)
+
     def output(self, state: np.ndarray, deriv: np.ndarray, ag) -> np.ndarray:
-        """Base absolute acceleration, shape (1, n_models) if models last, else (n_models, 1)."""
-        if self.model_axis:
-            return (deriv[self._vb] + ag)[None, :]
+        """Base absolute acceleration of a models-first batch, shape (n_models, 1)."""
         return (deriv[:, self._vb] + ag)[:, None]
 
 
@@ -530,12 +542,16 @@ def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = N
     state rate, and ``output(state, deriv, u)`` returning the outputs, where
     ``deriv`` is ``rhs(state, u)`` at the same state and input; it is the
     first RK4 stage, so an output that needs the rate costs no extra ``rhs``
-    call.  The system's ``model_axis`` (0 if it has none) is the axis of the
-    state and of the outputs that runs over its models: with 0 they have
-    shapes (n_models, n_states) and (n_models, n_channels), with 1 the
-    transposes.  ``u`` is one excitation sample, or with a ``per_model``
-    excitation a row of one sample per model, which only a models-last
-    system takes (a hysteretic ``IsolatedSystem``).
+    call.  The state has shape (n_models, n_states) and the outputs
+    (n_models, n_channels); each substep takes four ``rhs`` calls.
+
+    A hysteretic ``IsolatedSystem`` batch instead takes the same RK4
+    substeps through ``_hysteretic_step``, with the linear part of the four
+    stages precomputed; it never calls ``rhs`` or ``output``, and it alone
+    takes a ``per_model`` excitation, whose ``u`` is a row of one sample per
+    model.  Both paths stop with ``SimulationDivergedError`` naming the
+    models whose state is non-finite or beyond ``_STATE_GUARD`` after a
+    record step.
     """
     record = excitation if duration is None else excitation.truncated(duration)
     dt = record.dt
@@ -546,34 +562,111 @@ def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = N
     n_sub = max(1, int(round(dt / dt_int)))
     h = dt / n_sub
 
-    axis = getattr(system, "model_axis", 0)
-    state = system.initial_state()
-    if record.per_model and (axis == 0 or record.samples.shape[1] != state.shape[axis]):
+    hysteretic = isinstance(system, IsolatedSystem) and system.nonlinear
+    if record.per_model and not (hysteretic and record.samples.shape[1] == system.n_models):
         raise ValueError(f"a per-model excitation of {record.samples.shape[1]} columns needs "
-                         f"a models-last system of as many models, not {state.shape[axis]} "
-                         f"with model axis {axis}")
+                         f"a models-last system of as many models, not {system.n_models} "
+                         f"with model axis {getattr(system, 'model_axis', 0)}")
+    step = (_hysteretic_step if hysteretic else _rhs_step)(system, h, n_sub)
     n_steps = record.n_steps
     outputs = None   # (n_models, n_steps, n_channels)
     # a diverging model overflows before the guard below names it
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_steps):
-            ag = record.samples[k]
-            for j in range(n_sub):
-                k1 = system.rhs(state, ag)
-                if j == 0:
-                    y = np.moveaxis(system.output(state, k1, ag), axis, 0)
-                    if outputs is None:
-                        outputs = np.empty((y.shape[0], n_steps, y.shape[1]))
-                    outputs[:, k] = y
-                k2 = system.rhs(state + 0.5 * h * k1, ag)
-                k3 = system.rhs(state + 0.5 * h * k2, ag)
-                k4 = system.rhs(state + h * k3, ag)
-                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            bad = (~np.all(np.isfinite(state), axis=1 - axis)
-                   | (np.abs(state).max(axis=1 - axis) > _STATE_GUARD))
+            y, state = step(record.samples[k])
+            if outputs is None:
+                outputs = np.empty((y.shape[0], n_steps, y.shape[1]))
+            outputs[:, k] = y
+            bad = ~np.all(np.isfinite(state), axis=1) | (np.abs(state).max(axis=1) > _STATE_GUARD)
             if np.any(bad):
                 raise SimulationDivergedError((k + 1) * dt, np.nonzero(bad)[0])
     return outputs.reshape(outputs.shape[0], -1)
+
+
+def _rhs_step(system, h: float, n_sub: int):
+    """The generic record step: ``n_sub`` RK4 substeps of four ``rhs`` calls each.
+
+    Returns ``step(u)``, which advances the models-first state by one record
+    interval under the held input ``u`` and returns the outputs at its start
+    and the new state.
+    """
+    state = system.initial_state()
+
+    def step(u):
+        nonlocal state
+        for j in range(n_sub):
+            k1 = system.rhs(state, u)
+            if j == 0:
+                y = system.output(state, k1, u)
+            k2 = system.rhs(state + 0.5 * h * k1, u)
+            k3 = system.rhs(state + 0.5 * h * k2, u)
+            k4 = system.rhs(state + h * k3, u)
+            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        return y, state
+
+    return step
+
+
+def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
+    """The record step of a hysteretic batch: RK4 with its linear part precomputed.
+
+    Stage i of an RK4 substep has the rate k_i = A Y_i + B u - e_vb f_i + e_z g_i,
+    where f_i = ``_isolator_force`` and g_i = ``_z_rate`` at the stage state
+    Y_i, the only terms that differ per model.  Each Y_i, the new state and
+    the output k_1[v_b] + u are therefore fixed linear maps of the extended
+    state W = [x; u; f_1; g_1; ...; f_4; g_4], built here once from A, B and
+    h (Butcher; Hairer & Wanner).  A substep projects the x_b, v_b and z rows
+    of each stage out of W, evaluates f_i and g_i on them, and applies one
+    (n_states x n_W) product to advance x; the arithmetic is that of
+    ``rhs``-based RK4, regrouped, so the two agree to round-off.  Returns
+    ``step(u)`` as ``_rhs_step`` does, with outputs of shape (n_models, 1) and
+    the state as a models-first view.
+    """
+    n = system.n_states
+    width = n + 1 + 8                          # W = [x; u; f_1; g_1; ...; f_4; g_4]
+    identity = np.eye(n, width)                # x as a map of W
+
+    def rate(stage_map, i):
+        """k_i as a map of W, given the map of the stage state Y_i."""
+        k = system._A @ stage_map
+        k[:, n] += system._B
+        k[system._vb, n + 1 + 2 * i] -= 1.0
+        k[-1, n + 2 + 2 * i] += 1.0
+        return k
+
+    stage_maps = [identity]
+    rates = [rate(identity, 0)]
+    for i, fraction in ((1, 0.5), (2, 0.5), (3, 1.0)):
+        stage_maps.append(identity + fraction * h * rates[-1])
+        rates.append(rate(stage_maps[-1], i))
+    k1, k2, k3, k4 = rates
+    advance = identity + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # stage i depends on f_j, g_j for j < i only: its x_b, v_b and z rows over
+    # the first n + 1 + 2 i columns of W, and where its f_i and g_i go in W
+    stages = [(stage_map[[system._xb, system._vb, n - 1], :n + 1 + 2 * i], n + 1 + 2 * i)
+              for i, stage_map in enumerate(stage_maps)]
+    output_row = k1[system._vb, :n + 3].copy()
+    output_row[n] += 1.0                       # base absolute acceleration = k_1[v_b] + u
+
+    W = np.zeros((width, system.n_models))
+    W[:n] = system.initial_state()
+    spare = np.zeros_like(W)                   # the next substep's W, swapped in
+
+    def step(u):
+        nonlocal W, spare
+        W[n] = spare[n] = u
+        for j in range(n_sub):
+            for projection, f in stages:
+                x_b, v_b, z = projection @ W[:f]
+                W[f] = system._isolator_force(x_b, v_b, z)
+                W[f + 1] = system._z_rate(z, v_b)
+            if j == 0:
+                y = output_row @ W[:n + 3]
+            np.matmul(advance, W, out=spare[:n])
+            W, spare = spare, W
+        return y[:, None], W[:n].T
+
+    return step
 
 
 def simulate(system, excitation: ExcitationRecord, dt_int: float | None = None,
@@ -788,7 +881,7 @@ class TmdFrameSystem:
                               k_post=p["k_post"][..., None] if np.ndim(p["k_post"]) else p["k_post"], z=Z)
             bw_a = p["bw_a"][..., None] if np.ndim(p["bw_a"]) else p["bw_a"]
             z_max = p["z_max"][..., None] if np.ndim(p["z_max"]) else p["z_max"]
-            z_rate = _boucwen(Z, dUt, bw_a, 0.5 * bw_a, 0.5 * bw_a, 1.0, z_max)
+            z_rate = _boucwen(Z, dUt, bw_a, 0.5 * bw_a, 0.5 * bw_a, 1.0, 0.0, z_max)
         else:
             kw = {k: (v[..., None] if np.ndim(v) else v) for k, v in p.items()}
             f_dev = tmd_force(c["law"], dUt, Ut, **kw)

@@ -151,6 +151,10 @@ class RunManifest:
     stage_seconds: dict
     artifacts: dict
     prediction_errors: dict = field(default_factory=dict)
+    noise_sigma: list = field(default_factory=list)   # residual sigma of each channel
+    # class_id -> {"log_bound", "margin_min", "margin_median", "margin_max"} of
+    # log L - log B, plus "effective_sample_size" 1 / sum w^2 once weighted
+    class_stats: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -162,6 +166,8 @@ class RunManifest:
             "stage_seconds": self.stage_seconds,
             "artifacts": self.artifacts,
             "prediction_errors": self.prediction_errors,
+            "noise_sigma": self.noise_sigma,
+            "class_stats": self.class_stats,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -211,9 +217,21 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
     cp.optionxform = str  # keep parameter-name case (Q_y)
-    cp.read(path)
+    try:
+        cp.read(path)
+    except configparser.DuplicateOptionError as err:
+        raise ConfigError(f"{path}, line {err.lineno}: [{err.section}] {err.option}: "
+                          "key given twice") from None
+    except configparser.DuplicateSectionError as err:
+        raise ConfigError(f"{path}, line {err.lineno}: section [{err.section}] given twice") from None
+    except configparser.MissingSectionHeaderError as err:
+        raise ConfigError(f"{path}, line {err.lineno}: {err.line.strip()!r} comes before "
+                          "the first [section] header") from None
+    except configparser.ParsingError as err:
+        raise ConfigError(f"{path}, line {err.errors[0][0]}: expected a [section] header "
+                          "or a 'key = value' line") from None
     for section in cp.sections():
         if section.startswith("class:"):
             continue
@@ -599,6 +617,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         raise ConfigError(f"[measurement] {config.measurement_path}: {d.n_obs} samples, "
                           f"but the calibration record simulates {n_sim}")
     noise = config.noise_model(d)
+    noise_sigma = list(noise.std_devs)
 
     # --- falsify stage ------------------------------------------------------
     t0 = time.perf_counter()
@@ -607,8 +626,13 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     del h_by_class, eps_by_class   # the verdicts hold all the later stages need
     ledger_lines = ["class_id\tsample_index\ttheta...\tlog_likelihood\tlog_bound\tunfalsified"]
     counts = {}
+    class_stats = {}
     for cid in class_order:
         v = verdicts[cid]
+        margin = v.log_likelihood - v.log_bound
+        class_stats[cid] = {"log_bound": float(v.log_bound), "margin_min": float(margin.min()),
+                            "margin_median": float(np.median(margin)),
+                            "margin_max": float(margin.max())}
         bound_txt = _FLOAT_FMT % v.log_bound
         unfalsified = v.unfalsified
         for i, (theta, log_l, keep) in enumerate(zip(thetas[cid], v.log_likelihood, unfalsified)):
@@ -628,7 +652,8 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     if stage == "falsify":
         manifest = RunManifest(config_hash=config_hash, counts=counts, savings_ratio=savings,
                                prediction_simulations=0, prediction_inputs=0,
-                               stage_seconds=timings, artifacts=artifacts)
+                               stage_seconds=timings, artifacts=artifacts,
+                               noise_sigma=noise_sigma, class_stats=class_stats)
         _atomic_write_text(out / "manifest.json", manifest.to_json())
         return manifest
 
@@ -646,6 +671,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         we = post_falsification_weights(verdicts[cid], log_priors=log_priors,
                                         weight_prior=config.weight_prior)
         ensembles[cid] = we
+        class_stats[cid]["effective_sample_size"] = we.effective_sample_size
         estimates[cid] = estimate_parameters(we, thetas[cid])
         lines = ["sample_index\tweight"]
         lines += [f"{i}\t{_FLOAT_FMT % w}" for i, w in zip(we.sample_indices, we.weights)]
@@ -700,7 +726,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         prediction_simulations=prediction_sims,
         prediction_inputs=len(config.prediction_paths),
         stage_seconds=timings, artifacts=artifacts,
-        prediction_errors=prediction_errors)
+        prediction_errors=prediction_errors, noise_sigma=noise_sigma, class_stats=class_stats)
     _atomic_write_text(out / "manifest.json", manifest.to_json())
     return manifest
 
@@ -721,6 +747,17 @@ def emit_report(manifest: RunManifest, output_dir) -> Path:
                  f"(falsified / total candidates)")
     lines.append(f"Prediction-stage simulations: {manifest.prediction_simulations} "
                  f"over {manifest.prediction_inputs} input(s)")
+
+    if manifest.class_stats:
+        sigmas = ", ".join(f"{sigma:.6g}" for sigma in manifest.noise_sigma)
+        lines += ["", f"Log-likelihood margins log L - log B (noise sigma {sigmas})", "-" * 60]
+        lines.append(f"{'Model class':<24}{'log B':>12}{'min':>12}{'median':>12}{'max':>12}"
+                     f"{'ESS':>10}")
+        for cid, c in manifest.class_stats.items():
+            ess = c.get("effective_sample_size")
+            lines.append(f"{cid:<24}{c['log_bound']:>12.6g}{c['margin_min']:>12.6g}"
+                         f"{c['margin_median']:>12.6g}{c['margin_max']:>12.6g}"
+                         + (f"{ess:>10.2f}" if ess is not None else f"{'-':>10}"))
 
     est_path = out / "estimates.tsv"
     if est_path.is_file():

@@ -68,6 +68,11 @@ class WeightedEnsemble:
     def n_models(self) -> int:
         return len(self.sample_indices)
 
+    @property
+    def effective_sample_size(self) -> float:
+        """Kish's effective sample size 1 / sum w^2: n_models for equal weights, 1 for one."""
+        return float(1.0 / np.sum(self.weights**2))
+
 
 @dataclass(frozen=True)
 class PredictionResult:

@@ -41,6 +41,33 @@ class _Sdof:
         return state[:, :1]
 
 
+def _rhs_rk4(system, record, dt_int):
+    """The generic four-``rhs`` RK4 loop on a models-last hysteretic batch.
+
+    The reference for the precomputed stepper of ``integrate_rk4``: the same
+    zero-order hold, output k_1[v_b] + u and divergence guard, evaluated
+    stage by stage through ``IsolatedSystem.rhs``.
+    """
+    n_sub = max(1, int(round(record.dt / dt_int)))
+    h = record.dt / n_sub
+    state = system.initial_state()
+    outputs = np.empty((system.n_models, record.n_steps))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, u in enumerate(record.samples):
+            for j in range(n_sub):
+                k1 = system.rhs(state, u)
+                if j == 0:
+                    outputs[:, k] = k1[system.n_states - 2] + u
+                k2 = system.rhs(state + 0.5 * h * k1, u)
+                k3 = system.rhs(state + 0.5 * h * k2, u)
+                k4 = system.rhs(state + h * k3, u)
+                state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            bad = ~np.all(np.isfinite(state), axis=0) | (np.abs(state).max(axis=0) > 1.0e6)
+            if np.any(bad):
+                raise SimulationDivergedError((k + 1) * record.dt, np.nonzero(bad)[0])
+    return outputs
+
+
 def _integrate_z(x_fn, v_fn, t_end, dt, a, beta, gamma, n_pow):
     """RK4 on the scalar hysteretic ODE under a prescribed displacement history."""
     n = int(round(t_end / dt))
@@ -396,6 +423,41 @@ class TestIsolatedBatch:
                                 r_k=0.16, r_d=2.5)
         with pytest.raises(ValueError, match="models-last system"):
             integrate_rk4(linear, ExcitationRecord(0.05, columns, per_model=True))
+
+    @pytest.mark.parametrize("n_sub", [1, 10])
+    @pytest.mark.parametrize("per_model", [False, True])
+    @pytest.mark.parametrize("variants", [("boucwen",), ("bilinear",), ("boucwen", "bilinear")])
+    def test_stepper_matches_rhs_loop(self, building, variants, per_model, n_sub):
+        blocks = [self._hysteretic(building, variant, 3, seed)
+                  for seed, variant in enumerate(variants)]
+        record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
+        if per_model:   # three inputs, each driving a copy of every block
+            peaks = (1.0, 3.0, 4.0)
+            blocks = blocks * len(peaks)
+            columns = np.column_stack([band_limited_record(5.0, 0.05, seed=s, peak=p).samples
+                                       for s, p in zip((3, 4, 5), peaks)])
+            record = ExcitationRecord(0.05, np.repeat(columns, 3 * len(variants), axis=1),
+                                      per_model=True)
+        batch = IsolatedSystem.stacked(blocks)
+        got = integrate_rk4(batch, record, dt_int=0.05 / n_sub)
+        expected = _rhs_rk4(batch, record, 0.05 / n_sub)
+        rel_rms = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
+        assert got.shape == expected.shape
+        assert rel_rms.max() <= 1e-12
+
+    def test_stepper_diverges_where_rhs_loop_does(self, building):
+        boucwen = self._hysteretic(building, "boucwen", 3, 1)
+        bilinear = self._hysteretic(building, "bilinear", 3, 2)
+        unstable = IsolatedSystem(building, "bilinear", k_post=np.array([4.0, 5.0e4]), c_b=20.0,
+                                  r_k=0.16, Q_y=5.0)
+        batch = IsolatedSystem.stacked([boucwen, unstable, bilinear, unstable])
+        record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
+        with pytest.raises(SimulationDivergedError) as expected:
+            _rhs_rk4(batch, record, 0.005)
+        with pytest.raises(SimulationDivergedError) as got:
+            integrate_rk4(batch, record, dt_int=0.005)
+        assert got.value.time == expected.value.time < record.duration
+        assert list(got.value.indices) == list(expected.value.indices) == [4, 9]
 
     def test_stacked_refuses_linear_and_other_building(self, building):
         boucwen = self._hysteretic(building, "boucwen", 2, 1)

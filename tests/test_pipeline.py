@@ -234,10 +234,16 @@ class TestRunPipeline:
 
     def test_reruns_are_byte_identical(self, workspace, tmp_path):
         config = parse_config(workspace)
-        run_pipeline(config)
-        first = (config.output_dir / "verdicts.tsv").read_bytes()
-        run_pipeline(config)
-        assert (config.output_dir / "verdicts.tsv").read_bytes() == first
+        first = {}
+        for _ in range(2):
+            manifest = run_pipeline(config)
+            emit_report(manifest, config.output_dir)
+            payload = json.loads(manifest.to_json())
+            del payload["stage_seconds"]
+            files = {name: (config.output_dir / name).read_bytes()
+                     for name in ("verdicts.tsv", "report.txt")}
+            assert files == first.setdefault("files", files)
+            assert payload == first.setdefault("manifest", payload)
 
     def test_stage_resume(self, workspace):
         config = parse_config(workspace)
@@ -338,6 +344,45 @@ class TestRunPipeline:
         assert "boucwen" in report and "aashto" in report
         assert "savings" in report.lower()
         assert "Parameter estimates" in report
+        assert "Log-likelihood margins log L - log B (noise sigma " in report
+        for cid, stats in manifest.class_stats.items():
+            row = next(line for line in report.splitlines()
+                       if line.startswith(cid) and f"{stats['log_bound']:.6g}" in line)
+            ess = stats.get("effective_sample_size")
+            assert row.endswith(f"{ess:.2f}" if ess is not None else "-")
+
+    def test_manifest_explains_verdicts(self, workspace):
+        config = parse_config(workspace)
+        falsified = run_pipeline(config, stage="falsify")
+        manifest = run_pipeline(config)
+        ledger = np.genfromtxt(config.output_dir / "verdicts.tsv", skip_header=1,
+                               usecols=(-3, -2), dtype=float)
+        measured = ingest_measurement(config.measurement_path)
+        assert manifest.noise_sigma == [0.15 * measured.d.std()]
+        lo = 0
+        for cid, c in manifest.counts.items():
+            log_l, log_b = ledger[lo:lo + c["n_s"]].T
+            lo += c["n_s"]
+            stats = manifest.class_stats[cid]
+            assert stats["log_bound"] == log_b[0]
+            margin = log_l - log_b
+            assert [stats["margin_min"], stats["margin_median"], stats["margin_max"]] \
+                == pytest.approx([margin.min(), np.median(margin), margin.max()], rel=1e-12)
+            assert "effective_sample_size" not in falsified.class_stats[cid]
+            if c["n_u"]:
+                weights = np.loadtxt(config.output_dir / f"weights_{cid}.tsv", skiprows=1)[:, 1]
+                ess = stats["effective_sample_size"]
+                assert ess == pytest.approx(1.0 / np.sum(weights**2), rel=1e-12)
+                assert 1.0 <= ess <= c["n_u"]
+            else:
+                assert "effective_sample_size" not in stats
+        round_trip = RunManifest.from_json((config.output_dir / "manifest.json").read_text())
+        assert round_trip.class_stats == manifest.class_stats
+        assert round_trip.noise_sigma == manifest.noise_sigma
+        # a manifest written before these fields existed still reads
+        old = json.loads(manifest.to_json())
+        del old["class_stats"], old["noise_sigma"]
+        assert RunManifest.from_json(json.dumps(old)).class_stats == {}
 
     def test_prediction_error_recorded(self, workspace):
         config = parse_config(workspace)
@@ -498,6 +543,32 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert re.search(r"^error: " + message, err)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("master_seed = 11\n", "master_seed = 11\nmaster_seed = 12\n",
+         r"run\.ini, line 3: \[run\] master_seed: key given twice"),
+        ("[run]\n", "master_seed = 11\n[run]\n",
+         r"run\.ini, line 1: 'master_seed = 11' comes before the first \[section\] header"),
+        ("[noise]\n", "[run]\n[noise]\n", r"run\.ini, line 11: section \[run\] given twice"),
+        ("[noise]\n", "output_dir\n[noise]\n",
+         r"run\.ini, line 11: expected a \[section\] header or a 'key = value' line"),
+    ])
+    def test_unreadable_config_exit_code(self, workspace, capsys, old, new, message):
+        text = workspace.read_text()
+        assert old in text
+        workspace.write_text(text.replace(old, new, 1))
+        rc = cli_main(["run", "--config", str(workspace), "--stage", "falsify"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.search(r"^error: .*" + message, err)
+        assert "Traceback" not in err
+
+    def test_percent_sign_is_literal(self, workspace):
+        # values are not interpolated, so a '%' in a path is just a character
+        workspace.write_text(workspace.read_text().replace("output_dir = out",
+                                                           "output_dir = out%1"))
+        assert cli_main(["run", "--config", str(workspace), "--stage", "simulate"]) == 0
+        assert (workspace.parent / "out%1" / "sim_boucwen.npy").is_file()
 
     def test_import_leaves_out_scipy_signal(self):
         code = "import sys, falsikit.cli; sys.exit(int('scipy.signal' in sys.modules))"
