@@ -11,7 +11,10 @@ and take four ``rhs`` calls per substep, except hysteretic isolated systems:
 their state is models last (shape (n_states, n_models)), and ``integrate_rk4``
 advances them with the linear part of all four RK4 stages precomputed, so a
 substep evaluates only the per-model isolator force and Bouc-Wen rate of
-each stage and applies one matrix product.
+each stage, in place in buffers allocated once per call, and applies one
+matrix product.  The Bouc-Wen rate (``_boucwen``) and the hysteretic isolator
+force (``IsolatedSystem._isolator_force``) are each written once and shared by
+``boucwen_rate``, ``IsolatedSystem.rhs``, the stepper and the TMD chains.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "biaxial_device_force",
     "assemble_isolated_system",
     "integrate_rk4",
+    "substeps_per_sample",
     "simulate",
     "add_measurement_noise",
     "band_limited_record",
@@ -303,7 +307,7 @@ def boucwen_rate(z, v, a, beta, gamma, n_pow):
     if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
         raise ValueError("non-finite hysteretic state or velocity")
     n = _checked_n_pow(n_pow)
-    return _boucwen(z, v, a, beta, gamma, n, n - 1.0, _saturation_amplitude(a, beta, gamma, n))
+    return _boucwen(z, v, a, beta, gamma, n - 1.0, _saturation_amplitude(a, beta, gamma, n))[()]
 
 
 def _checked_n_pow(n_pow) -> np.ndarray:
@@ -321,10 +325,34 @@ def _saturation_amplitude(a, beta, gamma, n):
         return np.where(denom > 0.0, np.power(ratio, 1.0 / n), np.inf)
 
 
-def _boucwen(z, v, a, beta, gamma, n, n_less_one, z_max):
-    """The Bouc-Wen rate with n - 1 and the saturation amplitude given; no input checks."""
-    az = np.minimum(np.abs(z), z_max)
-    return a * v - beta * v * np.power(az, n) - gamma * z * np.abs(v) * np.power(az, n_less_one)
+def _boucwen(z, v, a, beta, gamma, n_less_one, z_max, out=None, work=None):
+    """The Bouc-Wen rate with n - 1 and the saturation amplitude given; no input checks.
+
+    a v - az**(n-1) (beta v az + gamma z |v|) with az = min(|z|, z_max): the
+    law of ``boucwen_rate`` with one power, since |z|**n = |z|**(n-1) |z|.
+    The result goes into ``out`` and the scratch into ``work``, of shape
+    (2,) + out.shape; either is allocated when not given.  ``out`` must not
+    share memory with ``z`` or ``v``.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(*map(np.shape, (z, v, a, beta, gamma, n_less_one,
+                                                             z_max))))
+    if work is None:
+        work = np.empty((2,) + out.shape)
+    az, t = work[0, ...], work[1, ...]
+    np.abs(z, out=az)
+    np.minimum(az, z_max, out=az)
+    np.multiply(beta, v, out=t)
+    t *= az                     # beta v az
+    np.abs(v, out=out)
+    out *= z
+    out *= gamma                # gamma z |v|
+    t += out
+    np.power(az, n_less_one, out=az)
+    t *= az
+    np.multiply(a, v, out=out)
+    out -= t
+    return out
 
 
 def equivalent_linear_params(variant: str, r_k: float, r_d, k_pre):
@@ -374,7 +402,9 @@ class IsolatedSystem:
 
     The state rate is ``A x + B a_g`` with one operator ``A`` for the whole
     batch (superstructure on the base mass), minus each model's isolator
-    force on the base row, plus the Bouc-Wen rate of z.  Hysteretic batches
+    force on the base row, plus the Bouc-Wen rate of z.  The hysteretic
+    isolator force contracts the per-model rows ``iso_rows`` = [k_iso; c_iso;
+    q_iso] with the state rows [x_b; v_b; z].  Hysteretic batches
     keep their models last (state shape (n_states, n_models)), so the isolator
     force and the Bouc-Wen rate read contiguous state rows, and they accept
     one input per model (a per-model excitation); ``rhs`` defines them, and
@@ -384,8 +414,8 @@ class IsolatedSystem:
 
     channel_names = ("base_abs_accel",)
     # the per-model rows of a hysteretic batch, concatenated by ``stacked``
-    _PER_MODEL = ("k_iso", "c_iso", "q_iso", "bw_a", "bw_beta", "bw_gamma", "n_pow",
-                  "n_pow_less_one", "z_max")
+    _PER_MODEL = ("iso_rows", "bw_a", "bw_beta", "bw_gamma", "n_pow", "n_pow_less_one",
+                  "z_max")
 
     def __init__(self, building: ShearBuildingModel, variant: str, *,
                  k_post, c_b, r_k, Q_y=None, r_d=None, n_pow=None):
@@ -441,9 +471,8 @@ class IsolatedSystem:
             if np.any(p["Q_y"] <= 0.0):
                 raise ValueError("Q_y must be > 0")
             Qy_si = p["Q_y"] / 100.0 * building.weight    # N
-            self.k_iso = p["k_post"] * MN_PER_M / masses[-1]
-            self.c_iso = p["c_b"] * KN / masses[-1]
-            self.q_iso = Qy_si * (1.0 - p["r_k"]) / masses[-1]
+            self.iso_rows = np.stack([p["k_post"] * MN_PER_M, p["c_b"] * KN,
+                                      Qy_si * (1.0 - p["r_k"])]) / masses[-1]
             self.bw_a = k_pre_si / Qy_si             # 1/m
             self.bw_beta = 0.5 * self.bw_a
             self.bw_gamma = 0.5 * self.bw_a
@@ -481,8 +510,9 @@ class IsolatedSystem:
         batch = copy.copy(first)
         batch.variant = "+".join(dict.fromkeys(system.variant for system in systems))
         for name in cls._PER_MODEL:
-            setattr(batch, name, np.concatenate([getattr(system, name) for system in systems]))
-        batch.n_models = batch.k_iso.size
+            setattr(batch, name, np.concatenate([getattr(system, name) for system in systems],
+                                                axis=-1))
+        batch.n_models = batch.bw_a.size
         return batch
 
     def initial_state(self) -> np.ndarray:
@@ -496,21 +526,25 @@ class IsolatedSystem:
             return deriv
         # models last; ``ag`` is a scalar or one value per model
         n = self.ns + 1
-        x_b, v_b, z = state[self._xb], state[self._vb], state[-1]
+        rows = state[[self._xb, self._vb, -1]]
         deriv = self._A @ state
         deriv[n:2 * n] -= ag
-        deriv[self._vb] -= self._isolator_force(x_b, v_b, z)
-        deriv[-1] = self._z_rate(z, v_b)
+        deriv[self._vb] -= self._isolator_force(rows)
+        self._z_rate(rows[2], rows[1], out=deriv[-1])
         return deriv
 
-    def _isolator_force(self, x_b, v_b, z):
-        """Hysteretic isolator force on the base per unit base mass, one value per model."""
-        return self.k_iso * x_b + self.c_iso * v_b + self.q_iso * z
+    def _isolator_force(self, rows, out=None):
+        """Hysteretic isolator force on the base per unit base mass, one value per model.
 
-    def _z_rate(self, z, v_b):
-        """Bouc-Wen rate dz/dt of each model."""
-        return _boucwen(z, v_b, self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow,
-                        self.n_pow_less_one, self.z_max)
+        ``rows`` are the [x_b; v_b; z] rows of a models-last state, shape
+        (3, n_models), contracted with ``iso_rows``.
+        """
+        return np.einsum("ij,ij->j", self.iso_rows, rows, out=out)
+
+    def _z_rate(self, z, v_b, out=None, work=None):
+        """Bouc-Wen rate dz/dt of each model, into ``out`` if given (see ``_boucwen``)."""
+        return _boucwen(z, v_b, self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow_less_one,
+                        self.z_max, out=out, work=work)
 
     def output(self, state: np.ndarray, deriv: np.ndarray, ag) -> np.ndarray:
         """Base absolute acceleration of a models-first batch, shape (n_models, 1)."""
@@ -551,15 +585,12 @@ def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = N
     takes a ``per_model`` excitation, whose ``u`` is a row of one sample per
     model.  Both paths stop with ``SimulationDivergedError`` naming the
     models whose state is non-finite or beyond ``_STATE_GUARD`` after a
-    record step.
+    record step; one whole-state test per record step finds that some model
+    did, and only then are the models named.
     """
     record = excitation if duration is None else excitation.truncated(duration)
     dt = record.dt
-    if dt_int is None:
-        dt_int = dt / 10.0
-    if dt_int <= 0.0:
-        raise ValueError("dt_int must be > 0")
-    n_sub = max(1, int(round(dt / dt_int)))
+    n_sub = substeps_per_sample(dt, dt_int)
     h = dt / n_sub
 
     hysteretic = isinstance(system, IsolatedSystem) and system.nonlinear
@@ -577,10 +608,20 @@ def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = N
             if outputs is None:
                 outputs = np.empty((y.shape[0], n_steps, y.shape[1]))
             outputs[:, k] = y
-            bad = ~np.all(np.isfinite(state), axis=1) | (np.abs(state).max(axis=1) > _STATE_GUARD)
-            if np.any(bad):
-                raise SimulationDivergedError((k + 1) * dt, np.nonzero(bad)[0])
+            # max propagates NaN, so a NaN state fails the test as an overflow does
+            if not np.abs(state).max() <= _STATE_GUARD:
+                good = np.abs(state).max(axis=1) <= _STATE_GUARD
+                raise SimulationDivergedError((k + 1) * dt, np.nonzero(~good)[0])
     return outputs.reshape(outputs.shape[0], -1)
+
+
+def substeps_per_sample(dt: float, dt_int: float | None = None) -> int:
+    """RK4 substeps per record interval ``dt`` at step ``dt_int`` (default dt / 10)."""
+    if dt_int is None:
+        dt_int = dt / 10.0
+    if dt_int <= 0.0:
+        raise ValueError("dt_int must be > 0")
+    return max(1, int(round(dt / dt_int)))
 
 
 def _rhs_step(system, h: float, n_sub: int):
@@ -616,11 +657,14 @@ def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
     the output k_1[v_b] + u are therefore fixed linear maps of the extended
     state W = [x; u; f_1; g_1; ...; f_4; g_4], built here once from A, B and
     h (Butcher; Hairer & Wanner).  A substep projects the x_b, v_b and z rows
-    of each stage out of W, evaluates f_i and g_i on them, and applies one
+    of each stage out of W into one (3, n_models) buffer (stage 1's map is
+    the identity, so its rows are taken, not multiplied), writes f_i and g_i
+    from that buffer straight into their rows of W, and applies one
     (n_states x n_W) product to advance x; the arithmetic is that of
-    ``rhs``-based RK4, regrouped, so the two agree to round-off.  Returns
+    ``rhs``-based RK4, regrouped, so the two agree to round-off.  Every
+    buffer is allocated here, once, so a stage allocates nothing.  Returns
     ``step(u)`` as ``_rhs_step`` does, with outputs of shape (n_models, 1) and
-    the state as a models-first view.
+    the state as a models-first view, both overwritten by the next call.
     """
     n = system.n_states
     width = n + 1 + 8                          # W = [x; u; f_1; g_1; ...; f_4; g_4]
@@ -643,7 +687,8 @@ def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
     advance = identity + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # stage i depends on f_j, g_j for j < i only: its x_b, v_b and z rows over
     # the first n + 1 + 2 i columns of W, and where its f_i and g_i go in W
-    stages = [(stage_map[[system._xb, system._vb, n - 1], :n + 1 + 2 * i], n + 1 + 2 * i)
+    rows = [system._xb, system._vb, n - 1]
+    stages = [(None if i == 0 else stage_map[rows, :n + 1 + 2 * i], n + 1 + 2 * i)
               for i, stage_map in enumerate(stage_maps)]
     output_row = k1[system._vb, :n + 3].copy()
     output_row[n] += 1.0                       # base absolute acceleration = k_1[v_b] + u
@@ -651,17 +696,23 @@ def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
     W = np.zeros((width, system.n_models))
     W[:n] = system.initial_state()
     spare = np.zeros_like(W)                   # the next substep's W, swapped in
+    stage_rows = np.empty((3, system.n_models))   # [x_b; v_b; z] of the current stage
+    work = np.empty((2, system.n_models))          # scratch of ``_boucwen``
+    y = np.empty(system.n_models)
 
     def step(u):
         nonlocal W, spare
         W[n] = spare[n] = u
         for j in range(n_sub):
             for projection, f in stages:
-                x_b, v_b, z = projection @ W[:f]
-                W[f] = system._isolator_force(x_b, v_b, z)
-                W[f + 1] = system._z_rate(z, v_b)
+                if projection is None:
+                    np.take(W, rows, axis=0, out=stage_rows, mode="clip")
+                else:
+                    np.matmul(projection, W[:f], out=stage_rows)
+                system._isolator_force(stage_rows, out=W[f])
+                system._z_rate(stage_rows[2], stage_rows[1], out=W[f + 1], work=work)
             if j == 0:
-                y = output_row @ W[:n + 3]
+                np.matmul(output_row, W[:n + 3], out=y)
             np.matmul(advance, W, out=spare[:n])
             W, spare = spare, W
         return y[:, None], W[:n].T
@@ -672,9 +723,9 @@ def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
 def simulate(system, excitation: ExcitationRecord, dt_int: float | None = None,
              duration: float | None = None) -> SimulationOutput:
     """Simulate a single-model system and return its stacked output vector."""
-    h = integrate_rk4(system, excitation, dt_int=dt_int, duration=duration)
-    if h.shape[0] != 1:
+    if system.n_models != 1:
         raise ValueError("simulate() expects a batch of one model; use integrate_rk4")
+    h = integrate_rk4(system, excitation, dt_int=dt_int, duration=duration)
     return SimulationOutput(excitation.dt, h[0], tuple(system.channel_names))
 
 
@@ -881,7 +932,7 @@ class TmdFrameSystem:
                               k_post=p["k_post"][..., None] if np.ndim(p["k_post"]) else p["k_post"], z=Z)
             bw_a = p["bw_a"][..., None] if np.ndim(p["bw_a"]) else p["bw_a"]
             z_max = p["z_max"][..., None] if np.ndim(p["z_max"]) else p["z_max"]
-            z_rate = _boucwen(Z, dUt, bw_a, 0.5 * bw_a, 0.5 * bw_a, 1.0, 0.0, z_max)
+            z_rate = _boucwen(Z, dUt, bw_a, 0.5 * bw_a, 0.5 * bw_a, 0.0, z_max)
         else:
             kw = {k: (v[..., None] if np.ndim(v) else v) for k, v in p.items()}
             f_dev = tmd_force(c["law"], dUt, Ut, **kw)

@@ -155,6 +155,9 @@ class RunManifest:
     # class_id -> {"log_bound", "margin_min", "margin_median", "margin_max"} of
     # log L - log B, plus "effective_sample_size" 1 / sum w^2 once weighted
     class_stats: dict = field(default_factory=dict)
+    # stage ("simulate", "predict") -> {class_id: models x record steps x RK4
+    # substeps simulated by this run}; a reused calibration cache counts 0
+    model_substeps: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
         payload = {
@@ -168,6 +171,7 @@ class RunManifest:
             "prediction_errors": self.prediction_errors,
             "noise_sigma": self.noise_sigma,
             "class_stats": self.class_stats,
+            "model_substeps": self.model_substeps,
         }
         return json.dumps(payload, indent=2, sort_keys=True)
 
@@ -595,10 +599,14 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         _atomic_write_text(key_path, sim_key + "\n")
     artifacts["simulations"] = {cid: str(p) for cid, p in sim_paths.items()}
     timings["simulate"] = time.perf_counter() - t0
+    substeps = calibration.n_steps * dynamics.substeps_per_sample(calibration.dt, dt_int)
+    model_substeps = {"simulate": {cid: 0 if reuse else len(thetas[cid]) * substeps
+                                   for cid in class_order}}
     if stage == "simulate":
         manifest = RunManifest(config_hash=config_hash, counts={}, savings_ratio=0.0,
                                prediction_simulations=0, prediction_inputs=0,
-                               stage_seconds=timings, artifacts=artifacts)
+                               stage_seconds=timings, artifacts=artifacts,
+                               model_substeps=model_substeps)
         _atomic_write_text(out / "manifest.json", manifest.to_json())
         return manifest
 
@@ -653,7 +661,8 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         manifest = RunManifest(config_hash=config_hash, counts=counts, savings_ratio=savings,
                                prediction_simulations=0, prediction_inputs=0,
                                stage_seconds=timings, artifacts=artifacts,
-                               noise_sigma=noise_sigma, class_stats=class_stats)
+                               noise_sigma=noise_sigma, class_stats=class_stats,
+                               model_substeps=model_substeps)
         _atomic_write_text(out / "manifest.json", manifest.to_json())
         return manifest
 
@@ -703,6 +712,10 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
                                     config.building)
                  for cid, we in ensembles.items()}
     outputs = _simulate_classes(survivors, records, dt_int)
+    substeps = sum(record.n_steps * dynamics.substeps_per_sample(record.dt, dt_int)
+                   for record in records.values())
+    model_substeps["predict"] = {cid: ensembles[cid].n_models * substeps if cid in ensembles
+                                 else 0 for cid in class_order}
     for label, record in records.items():
         for cid, we in ensembles.items():
             prediction_sims += we.n_models
@@ -726,7 +739,8 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         prediction_simulations=prediction_sims,
         prediction_inputs=len(config.prediction_paths),
         stage_seconds=timings, artifacts=artifacts,
-        prediction_errors=prediction_errors, noise_sigma=noise_sigma, class_stats=class_stats)
+        prediction_errors=prediction_errors, noise_sigma=noise_sigma, class_stats=class_stats,
+        model_substeps=model_substeps)
     _atomic_write_text(out / "manifest.json", manifest.to_json())
     return manifest
 
@@ -758,6 +772,15 @@ def emit_report(manifest: RunManifest, output_dir) -> Path:
             lines.append(f"{cid:<24}{c['log_bound']:>12.6g}{c['margin_min']:>12.6g}"
                          f"{c['margin_median']:>12.6g}{c['margin_max']:>12.6g}"
                          + (f"{ess:>10.2f}" if ess is not None else f"{'-':>10}"))
+
+    if manifest.model_substeps:
+        stages = [name for name in STAGES if name in manifest.model_substeps]
+        lines += ["", "Simulated model-substeps (models x record steps x RK4 substeps; "
+                  "0 where cached simulations were reused)", "-" * 60]
+        lines.append(f"{'Model class':<24}" + "".join(f"{name:>14}" for name in stages))
+        for cid in manifest.model_substeps[stages[0]]:
+            lines.append(f"{cid:<24}" + "".join(f"{manifest.model_substeps[name][cid]:>14}"
+                                                 for name in stages))
 
     est_path = out / "estimates.tsv"
     if est_path.is_file():

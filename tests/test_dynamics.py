@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from falsikit.dynamics import (LINEAR_VARIANTS, BiaxialDeviceParams, ExcitationRecord,
                                IsolatedSystem, IsolatorParams, ShearBuildingModel,
@@ -9,7 +10,7 @@ from falsikit.dynamics import (LINEAR_VARIANTS, BiaxialDeviceParams, ExcitationR
                                band_limited_record, biaxial_device_force,
                                biaxial_hysteresis_rates, boucwen_rate,
                                equivalent_linear_params, integrate_rk4, simulate,
-                               tmd_force)
+                               tmd_force, _boucwen)
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +40,16 @@ class _Sdof:
 
     def output(self, state, deriv, u):
         return state[:, :1]
+
+
+class _CountingSdof(_Sdof):
+    """``_Sdof`` that counts its ``rhs`` calls."""
+
+    calls = 0
+
+    def rhs(self, state, u):
+        self.calls += 1
+        return super().rhs(state, u)
 
 
 def _rhs_rk4(system, record, dt_int):
@@ -105,6 +116,29 @@ class TestBoucwen:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             boucwen_rate(np.nan, 1.0, 2.0, 1.0, 1.0, 1.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=st.floats(0.1, 100.0), beta_frac=st.floats(0.05, 1.5),
+           gamma_frac=st.floats(0.05, 1.5), n_pow=st.sampled_from([1.0, 1.5, 100.0]),
+           zv=st.lists(st.tuples(st.floats(-3.0, 3.0, allow_subnormal=False),
+                                 st.floats(-10.0, 10.0, allow_subnormal=False)),
+                       min_size=1, max_size=12))
+    def test_one_power_matches_two_power_law(self, a, beta_frac, gamma_frac, n_pow, zv):
+        # z in units of the saturation amplitude, so |z| > z_max is drawn too
+        beta, gamma = beta_frac * a, gamma_frac * a
+        z_max = (a / (beta + gamma)) ** (1.0 / n_pow)
+        z = np.array([frac for frac, _ in zv]) * z_max
+        v = np.array([vel for _, vel in zv])
+        az = np.minimum(np.abs(z), z_max)
+        terms = (a * v, beta * v * az**n_pow, gamma * z * np.abs(v) * az**(n_pow - 1.0))
+        textbook = terms[0] - terms[1] - terms[2]
+        scale = np.max(np.abs(terms), axis=0)
+        got = boucwen_rate(z, v, a, beta, gamma, n_pow)
+        assert np.all(np.abs(got - textbook) <= 1e-13 * scale)
+        # the in-place path computes the same numbers into the caller's buffers
+        out, work = np.empty_like(z), np.full((2, z.size), np.nan)
+        assert _boucwen(z, v, a, beta, gamma, n_pow - 1.0, z_max, out=out, work=work) is out
+        np.testing.assert_array_equal(out, _boucwen(z, v, a, beta, gamma, n_pow - 1.0, z_max))
 
     def test_isolated_system_rejects_n_pow_below_one(self, building):
         with pytest.raises(ValueError, match="n_pow"):
@@ -319,19 +353,33 @@ class TestIntegrator:
         with pytest.raises(SimulationDivergedError, match="diverged at t ="):
             integrate_rk4(_Unstable(), rec)
 
+    def test_divergence_guard_names_nan_rows(self):
+        # model 1's rate turns NaN once its clock passes 5.2 s; no state leaves the guard
+        class _NanAfter(_Sdof):
+            def rhs(self, state, u):
+                deriv = np.zeros_like(state)
+                deriv[:, 0] = 1.0
+                deriv[1, 1] = np.sqrt(5.2 - state[1, 0])
+                return deriv
+
+        rec = ExcitationRecord(0.5, np.zeros(20))
+        with pytest.raises(SimulationDivergedError) as err:
+            integrate_rk4(_NanAfter(1.0, n_models=3), rec)
+        assert err.value.time == 5.5
+        assert list(err.value.indices) == [1]
+
     def test_rhs_calls_per_record_step(self):
         # each sample is read from the first RK4 stage, not from an extra rhs call
-        class _Counting(_Sdof):
-            calls = 0
-
-            def rhs(self, state, u):
-                self.calls += 1
-                return super().rhs(state, u)
-
-        sys_ = _Counting(2.0, x0=1.0)
+        sys_ = _CountingSdof(2.0, x0=1.0)
         n_steps, n_sub = 30, 4
         integrate_rk4(sys_, ExcitationRecord(0.1, np.zeros(n_steps)), dt_int=0.1 / n_sub)
         assert sys_.calls == n_steps * 4 * n_sub
+
+    def test_simulate_refuses_a_batch_before_integrating(self):
+        sys_ = _CountingSdof(2.0, x0=1.0, n_models=3)
+        with pytest.raises(ValueError, match="batch of one model"):
+            simulate(sys_, ExcitationRecord(0.1, np.zeros(30)))
+        assert sys_.calls == 0
 
     def test_batch_matches_singles(self, building):
         rec = band_limited_record(5.0, 0.05, seed=3, peak=2.0)
@@ -393,7 +441,7 @@ class TestIsolatedBatch:
         vb = batch.n_states - 2
         # the models-first kernel: one isolator row per model, dotted with the state
         iso = np.zeros((batch.n_models, batch.n_states))
-        iso[:, vb // 2], iso[:, vb], iso[:, -1] = batch.k_iso, batch.c_iso, batch.q_iso
+        iso[:, vb // 2], iso[:, vb], iso[:, -1] = batch.iso_rows
         for ag in (0.7, rng.standard_normal(batch.n_models)):
             expected = first @ batch._A.T + np.multiply.outer(ag, batch._B)
             expected[:, vb] -= np.einsum("ij,ij->i", first, iso)

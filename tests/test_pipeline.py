@@ -384,6 +384,38 @@ class TestRunPipeline:
         del old["class_stats"], old["noise_sigma"]
         assert RunManifest.from_json(json.dumps(old)).class_stats == {}
 
+    def test_manifest_counts_model_substeps(self, workspace, monkeypatch):
+        # the counts equal the work integrate_rk4 is asked for, stage by stage
+        workspace.write_text(workspace.read_text() + BILINEAR_CLASS)
+        config = parse_config(workspace)
+        work = []
+        integrate = dynamics.integrate_rk4
+
+        def counting(system, record, dt_int=None, **kwargs):
+            work.append(system.n_models * record.n_steps
+                        * dynamics.substeps_per_sample(record.dt, dt_int))
+            return integrate(system, record, dt_int=dt_int, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_rk4", counting)
+        classes = ("boucwen", "aashto", "bilinear")
+        falsified = run_pipeline(config, stage="falsify")
+        assert falsified.model_substeps == {"simulate": {cid: 8 * 100 * 10 for cid in classes}}
+        assert sum(work) == 3 * 8 * 100 * 10
+        work.clear()
+        predicted = run_pipeline(config, stage="predict")   # reuses the calibration cache
+        assert predicted.model_substeps["simulate"] == {cid: 0 for cid in classes}
+        assert predicted.model_substeps["predict"] \
+            == {cid: c["n_u"] * 100 * 10 for cid, c in predicted.counts.items()}
+        assert sum(work) == sum(predicted.model_substeps["predict"].values()) > 0
+        report = emit_report(predicted, config.output_dir).read_text()
+        for cid, c in predicted.counts.items():
+            assert re.search(rf"^{cid} +0 +{c['n_u'] * 1000}$", report, re.MULTILINE)
+        round_trip = RunManifest.from_json((config.output_dir / "manifest.json").read_text())
+        assert round_trip.model_substeps == predicted.model_substeps
+        old = json.loads(predicted.to_json())
+        del old["model_substeps"]
+        assert RunManifest.from_json(json.dumps(old)).model_substeps == {}
+
     def test_prediction_error_recorded(self, workspace):
         config = parse_config(workspace)
         manifest = run_pipeline(config)
