@@ -73,7 +73,7 @@ def main():
         system = build_system(s, thetas[s.class_id], building)
         eps[s.class_id] = residuals(integrate_rk4(system, calibration), d)
 
-    verdicts = falsify_classes(eps, noise, FdrConfig(0.05))
+    verdicts = falsify_classes(eps, noise, FdrConfig(0.05), d.n_channels)
     print("\nunfalsified fraction per class (alpha = 0.05):")
     for s in specs:
         kept = verdicts[s.class_id].unfalsified

@@ -45,7 +45,7 @@ def main():
         freq_err = modes.frequencies - f_meas
         eps_rows.append(np.column_stack([freq_err, res[3:]]).reshape(-1))
 
-    verdicts = falsify("chain", np.asarray(eps_rows), noise, FdrConfig(0.05))
+    verdicts = falsify("chain", np.asarray(eps_rows), noise, FdrConfig(0.05), n_channels=2)
     kept = verdicts.unfalsified
     print(f"\n{kept.sum()}/{kept.size} stiffness models survive "
           f"(sigma_freq = {sigma_freq:.4f} Hz, sigma_mac = {sigma_mac})")

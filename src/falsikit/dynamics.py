@@ -23,8 +23,6 @@ import copy
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
-from scipy.constants import g as GRAVITY
 
 from .falsification import MeasurementSet
 
@@ -52,6 +50,7 @@ __all__ = [
     "band_limited_record",
 ]
 
+GRAVITY = 9.80665   # standard gravity [m/s^2]
 MG = 1.0e3          # Mg -> kg
 MN_PER_M = 1.0e6    # MN/m -> N/m
 KN = 1.0e3          # kN -> N
@@ -227,8 +226,9 @@ class ShearBuildingModel:
 
     def fixed_base_frequencies(self) -> np.ndarray:
         """Fixed-base natural circular frequencies [rad/s], ascending."""
-        lam = scipy.linalg.eigh(self.stiffness_matrix(), self.mass_matrix(),
-                                eigvals_only=True)
+        # M is diagonal, so K phi = lambda M phi is the symmetric M^-1/2 K M^-1/2
+        scale = 1.0 / np.sqrt(np.diag(self.mass_matrix()))
+        lam = np.linalg.eigvalsh(scale[:, None] * self.stiffness_matrix() * scale)
         return np.sqrt(np.clip(lam, 0.0, None))
 
     def rayleigh_coefficients(self) -> tuple[float, float]:
@@ -304,7 +304,7 @@ def boucwen_rate(z, v, a, beta, gamma, n_pow):
     """
     z = np.asarray(z, dtype=float)
     v = np.asarray(v, dtype=float)
-    if not (np.all(np.isfinite(z)) and np.all(np.isfinite(v))):
+    if not (np.isfinite(z).all() and np.isfinite(v).all()):
         raise ValueError("non-finite hysteretic state or velocity")
     n = _checked_n_pow(n_pow)
     return _boucwen(z, v, a, beta, gamma, n - 1.0, _saturation_amplitude(a, beta, gamma, n))[()]
@@ -312,17 +312,16 @@ def boucwen_rate(z, v, a, beta, gamma, n_pow):
 
 def _checked_n_pow(n_pow) -> np.ndarray:
     n = np.asarray(n_pow, dtype=float)
-    if np.any(n < 1.0):
+    if (n < 1.0).any():
         raise ValueError("n_pow must be >= 1")
     return n
 
 
 def _saturation_amplitude(a, beta, gamma, n):
     """(a / (beta + gamma))**(1/n), or inf where beta + gamma <= 0."""
-    denom = np.asarray(beta, dtype=float) + np.asarray(gamma, dtype=float)
+    denom = np.add(beta, gamma)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(denom > 0.0, a / np.maximum(denom, 1e-300), 1.0)
-        return np.where(denom > 0.0, np.power(ratio, 1.0 / n), np.inf)
+        return np.where(denom > 0.0, np.power(a / denom, 1.0 / n), np.inf)
 
 
 def _boucwen(z, v, a, beta, gamma, n_less_one, z_max, out=None, work=None):
@@ -331,28 +330,29 @@ def _boucwen(z, v, a, beta, gamma, n_less_one, z_max, out=None, work=None):
     a v - az**(n-1) (beta v az + gamma z |v|) with az = min(|z|, z_max): the
     law of ``boucwen_rate`` with one power, since |z|**n = |z|**(n-1) |z|.
     The result goes into ``out`` and the scratch into ``work``, of shape
-    (2,) + out.shape; either is allocated when not given.  ``out`` must not
-    share memory with ``z`` or ``v``.
+    (2,) + out.shape; either is allocated when not given, except when every
+    input is 0-d: then the steps run on numpy scalars, and each in-place step
+    rebinds its name instead of writing a buffer.  ``out`` must not share
+    memory with ``z`` or ``v``.
     """
     if out is None:
-        out = np.empty(np.broadcast_shapes(*map(np.shape, (z, v, a, beta, gamma, n_less_one,
-                                                             z_max))))
-    if work is None:
+        shape = np.broadcast(z, v, a, beta, gamma, n_less_one, z_max).shape
+        if shape:
+            out = np.empty(shape)
+    if work is None and out is not None:
         work = np.empty((2,) + out.shape)
-    az, t = work[0, ...], work[1, ...]
-    np.abs(z, out=az)
-    np.minimum(az, z_max, out=az)
-    np.multiply(beta, v, out=t)
+    az_buf, t_buf = (None, None) if work is None else (work[0, ...], work[1, ...])
+    az = np.minimum(np.abs(z, out=az_buf), z_max, out=az_buf)
+    t = np.multiply(beta, v, out=t_buf)
     t *= az                     # beta v az
-    np.abs(v, out=out)
-    out *= z
-    out *= gamma                # gamma z |v|
-    t += out
-    np.power(az, n_less_one, out=az)
-    t *= az
-    np.multiply(a, v, out=out)
-    out -= t
-    return out
+    rate = np.abs(v, out=out)
+    rate *= z
+    rate *= gamma               # gamma z |v|
+    t += rate
+    t *= np.power(az, n_less_one, out=az_buf)
+    rate = np.multiply(a, v, out=out)
+    rate -= t
+    return rate
 
 
 def equivalent_linear_params(variant: str, r_k: float, r_d, k_pre):

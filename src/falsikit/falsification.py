@@ -14,11 +14,12 @@ cached; every model in an ensemble shares it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import erfc, erfcinv
 
 __all__ = [
     "MeasurementSet",
@@ -39,6 +40,8 @@ __all__ = [
 
 _LOG_2PI = np.log(2.0 * np.pi)
 _SQRT2 = np.sqrt(2.0)
+_ERFC = np.vectorize(math.erfc, otypes=[float])
+_STANDARD_NORMAL = NormalDist()
 
 
 @dataclass(frozen=True)
@@ -97,6 +100,12 @@ class ResidualNoiseModel:
     @property
     def kind(self) -> str:
         return "diagonal_iid" if len(self.std_devs) == 1 else "diagonal_per_channel"
+
+    def check_channels(self, n_channels: int) -> None:
+        """Refuse sigmas that are neither one shared value nor one per channel."""
+        if len(self.std_devs) not in (1, n_channels):
+            raise ValueError(f"{len(self.std_devs)} residual sigmas for a measurement of "
+                             f"{n_channels} channel(s): give one sigma or one per channel")
 
     def sigma_vector(self, n_obs: int) -> np.ndarray:
         """Per-entry sigma for a stacked residual of length n_obs."""
@@ -197,7 +206,7 @@ def p_values(eps, noise: ResidualNoiseModel) -> np.ndarray:
     """
     eps = np.asarray(eps, dtype=float)
     sigma = noise.sigma_vector(eps.shape[-1])
-    return erfc(np.abs(eps) / (sigma * _SQRT2))
+    return _ERFC(np.abs(eps) / (sigma * _SQRT2))
 
 
 def bh_levels(config: FdrConfig, n_obs: int) -> np.ndarray:
@@ -208,10 +217,12 @@ def bh_levels(config: FdrConfig, n_obs: int) -> np.ndarray:
 def bh_quantiles(config: FdrConfig, n_obs: int) -> np.ndarray:
     """Standard-normal upper bounds q_i with P(|E| >= q_i) = alpha_i.
 
-    q_i = Phi^{-1}(1 - alpha_i / 2) = sqrt(2) erfcinv(alpha_i); strictly
+    q_i = Phi^{-1}(1 - alpha_i / 2) = -Phi^{-1}(alpha_i / 2), taken from the
+    lower tail, which avoids the cancellation in 1 - alpha_i / 2; strictly
     decreasing in rank i.
     """
-    return _SQRT2 * erfcinv(bh_levels(config, n_obs))
+    return np.array([-_STANDARD_NORMAL.inv_cdf(level / 2.0)
+                     for level in bh_levels(config, n_obs)])
 
 
 def bh_error_bounds(noise: ResidualNoiseModel, config: FdrConfig,
@@ -254,16 +265,23 @@ def measurement_rejections(eps, noise: ResidualNoiseModel, config: FdrConfig) ->
     """Number of residual entries outside their rank-assigned BH bounds.
 
     Diagnostic count N_r: entry at p-value rank i is rejected when its
-    p-value is at most alpha_i = (i / N_o) alpha.
+    p-value is at most alpha_i = (i / N_o) alpha.  The p-value falls as
+    |eps / sigma| grows, so this counts the ranks i of |eps / sigma|, sorted
+    in descending order, that reach q_i = Phi^{-1}(1 - alpha_i / 2).
     """
     eps = np.asarray(eps, dtype=float)
-    p_sorted = np.sort(p_values(eps, noise))
-    return int(np.sum(p_sorted <= bh_levels(config, eps.size)))
+    z = np.abs(eps) / noise.sigma_vector(eps.size)
+    return int(np.sum(np.sort(z)[::-1] >= bh_quantiles(config, eps.size)))
 
 
 def falsify(class_id: str, eps_matrix, noise: ResidualNoiseModel,
-            config: FdrConfig) -> ClassVerdicts:
-    """Score one class's residual matrix (n_models, N_o) against the shared bound."""
+            config: FdrConfig, n_channels: int = 1) -> ClassVerdicts:
+    """Score one class's residual matrix (n_models, N_o) against the shared bound.
+
+    ``n_channels`` is the number of interleaved measurement channels; the
+    noise model must give one sigma or one per channel.
+    """
+    noise.check_channels(n_channels)
     eps_matrix = np.asarray(eps_matrix, dtype=float)
     if eps_matrix.ndim != 2:
         raise ValueError("expected a residual matrix of shape (n_models, N_o)")
@@ -272,6 +290,7 @@ def falsify(class_id: str, eps_matrix, noise: ResidualNoiseModel,
 
 
 def falsify_classes(eps_by_class: dict[str, np.ndarray], noise: ResidualNoiseModel,
-                    config: FdrConfig) -> dict[str, ClassVerdicts]:
-    """Falsify every class against one measurement set."""
-    return {cid: falsify(cid, eps, noise, config) for cid, eps in eps_by_class.items()}
+                    config: FdrConfig, n_channels: int = 1) -> dict[str, ClassVerdicts]:
+    """Falsify every class against one measurement set of ``n_channels`` channels."""
+    return {cid: falsify(cid, eps, noise, config, n_channels)
+            for cid, eps in eps_by_class.items()}

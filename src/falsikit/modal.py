@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = ["ModalResult", "solve_modes", "mac", "modal_residual"]
 
@@ -53,6 +52,7 @@ def solve_modes(M: np.ndarray, K: np.ndarray, n_modes: int | None = None) -> Mod
         n_modes = M.shape[0]
     if n_modes > M.shape[0]:
         raise ValueError("n_modes exceeds the number of degrees of freedom")
+    import scipy.linalg   # imported here: it is slow to import and only this needs it
     try:
         lam, phi = scipy.linalg.eigh(K, M)
     except scipy.linalg.LinAlgError as err:

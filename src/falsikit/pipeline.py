@@ -12,6 +12,7 @@ import configparser
 import hashlib
 import json
 import os
+import statistics
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -630,7 +631,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     # --- falsify stage ------------------------------------------------------
     t0 = time.perf_counter()
     eps_by_class = {cid: residuals(h_by_class[cid], d) for cid in class_order}
-    verdicts = falsify_classes(eps_by_class, noise, config.fdr)
+    verdicts = falsify_classes(eps_by_class, noise, config.fdr, d.n_channels)
     del h_by_class, eps_by_class   # the verdicts hold all the later stages need
     ledger_lines = ["class_id\tsample_index\ttheta...\tlog_likelihood\tlog_bound\tunfalsified"]
     counts = {}
@@ -638,8 +639,9 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     for cid in class_order:
         v = verdicts[cid]
         margin = v.log_likelihood - v.log_bound
+        # statistics.median gives np.median's value without importing numpy.ma
         class_stats[cid] = {"log_bound": float(v.log_bound), "margin_min": float(margin.min()),
-                            "margin_median": float(np.median(margin)),
+                            "margin_median": statistics.median(margin.tolist()),
                             "margin_max": float(margin.max())}
         bound_txt = _FLOAT_FMT % v.log_bound
         unfalsified = v.unfalsified

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .falsification import ClassVerdicts
 
@@ -111,7 +110,12 @@ def post_falsification_weights(verdicts: ClassVerdicts, log_priors=None,
         if log_priors is None:
             raise ValueError("weight_prior='include' requires log prior densities")
         log_w = log_w + np.asarray(log_priors, dtype=float)[kept]
-    weights = np.exp(log_w - logsumexp(log_w))
+    # log-sum-exp shifted by the largest term, which is taken out of the sum so that
+    # log1p keeps the others' share exact to rounding (Blanchard, Higham & Higham 2021)
+    top = np.argmax(log_w)
+    rest = np.exp(log_w - log_w[top])
+    rest[top] = 0.0
+    weights = np.exp(log_w - (np.log1p(rest.sum()) + log_w[top]))
     weights = weights / weights.sum()   # remove residual rounding so the sum is exact
     return WeightedEnsemble(class_id=verdicts.class_id, sample_indices=tuple(kept),
                             weights=weights)

@@ -14,6 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
+import numpy.random   # numpy loads it lazily; every run draws from it
 
 __all__ = [
     "PriorSpec",

@@ -371,7 +371,7 @@ def test_criterion_10_modal_path():
         freq_err = (modes.frequencies - f_meas)
         eps_rows.append(np.column_stack([freq_err, res[3:]]).reshape(-1))
     eps = np.asarray(eps_rows)
-    verdicts = falsify("chain", eps, noise, FdrConfig(ALPHA))
+    verdicts = falsify("chain", eps, noise, FdrConfig(ALPHA), n_channels=2)
 
     assert verdicts.unfalsified[-1], "the true model must survive"
     first_freqs = np.asarray(first_freqs)

@@ -140,6 +140,18 @@ class TestBoucwen:
         assert _boucwen(z, v, a, beta, gamma, n_pow - 1.0, z_max, out=out, work=work) is out
         np.testing.assert_array_equal(out, _boucwen(z, v, a, beta, gamma, n_pow - 1.0, z_max))
 
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.floats(0.1, 100.0), n_pow=st.sampled_from([1.0, 1.5, 100.0]),
+           zv=st.lists(st.tuples(st.floats(-3.0, 3.0), st.floats(-10.0, 10.0)),
+                       min_size=1, max_size=8))
+    def test_scalar_calls_match_the_batch(self, a, n_pow, zv):
+        # 0-d inputs run the law on numpy scalars; the numbers are the buffered path's
+        z, v = np.array(zv).T
+        batch = boucwen_rate(z, v, a, 0.5 * a, 0.5 * a, n_pow)
+        for i in range(z.size):
+            single = boucwen_rate(float(z[i]), float(v[i]), a, 0.5 * a, 0.5 * a, n_pow)
+            assert np.ndim(single) == 0 and single == batch[i]
+
     def test_isolated_system_rejects_n_pow_below_one(self, building):
         with pytest.raises(ValueError, match="n_pow"):
             IsolatedSystem(building, "boucwen", k_post=4.0, c_b=20.0, r_k=0.1667, Q_y=5.0,
@@ -278,6 +290,15 @@ class TestShearBuilding(object):
         omega = building.fixed_base_frequencies()
         for w in omega[:2]:
             assert (a0 / w + a1 * w) / 2.0 == pytest.approx(0.03, rel=1e-8)
+
+    def test_frequencies_match_generalized_eigensolve(self):
+        import scipy.linalg
+        building = ShearBuildingModel((300.0, 250.0, 410.0, 180.0), (40.0, 35.0, 52.0, 20.0),
+                                      500.0)
+        lam = scipy.linalg.eigh(building.stiffness_matrix(), building.mass_matrix(),
+                                eigvals_only=True)
+        np.testing.assert_allclose(building.fixed_base_frequencies(), np.sqrt(lam),
+                                   rtol=1e-12, atol=0.0)
 
     def test_validation(self):
         from falsikit.dynamics import ShearBuildingModel

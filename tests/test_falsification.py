@@ -39,6 +39,19 @@ class TestNoiseModel:
         with pytest.raises(ValueError, match="multiple"):
             ResidualNoiseModel.per_channel((1.0, 2.0)).sigma_vector(5)
 
+    def test_sigma_count_must_match_the_channels(self):
+        noise = ResidualNoiseModel.per_channel((0.5, 5.0))
+        with pytest.raises(ValueError, match=r"2 residual sigmas .* 1 channel"):
+            falsify("c", np.zeros((1, 100)), noise, FdrConfig(0.05))
+        with pytest.raises(ValueError, match=r"2 residual sigmas .* 3 channel"):
+            falsify_classes({"c": np.zeros((1, 99))}, noise, FdrConfig(0.05), n_channels=3)
+        two = falsify("c", np.zeros((1, 100)), noise, FdrConfig(0.05), n_channels=2)
+        shared = falsify("c", np.zeros((1, 100)), ResidualNoiseModel.iid(0.5), FdrConfig(0.05),
+                         n_channels=2)
+        assert two.log_bound == likelihood_bound(noise, FdrConfig(0.05), 100)
+        assert shared.log_bound == likelihood_bound(ResidualNoiseModel.iid(0.5),
+                                                    FdrConfig(0.05), 100)
+
     def test_nonpositive_sigma_rejected(self):
         with pytest.raises(ValueError):
             ResidualNoiseModel.iid(0.0)
@@ -130,6 +143,13 @@ class TestPValues:
         b = p_values(np.array([0.6]), ResidualNoiseModel.iid(2.0))
         assert a[0] == b[0]
 
+    def test_matches_scipy_erfc(self):
+        from scipy.special import erfc
+        eps = np.linspace(-35.0, 35.0, 7007).reshape(7, 1001)   # p down to about 1e-268
+        noise = ResidualNoiseModel.iid(1.0)
+        np.testing.assert_allclose(p_values(eps, noise), erfc(np.abs(eps) / np.sqrt(2.0)),
+                                   rtol=1e-13, atol=0.0)
+
 
 @settings(max_examples=200, deadline=None)
 @given(eps=arrays(np.float64, 8, elements=st.floats(-1e6, 1e6)),
@@ -153,6 +173,15 @@ class TestBhBounds:
         # rank N_o level equals alpha, so the bound is the familiar 1.96 sigma
         q = bh_quantiles(FdrConfig(0.05), 10)
         assert q[-1] == pytest.approx(1.959964, abs=1e-6)
+
+    @pytest.mark.parametrize("n_obs", [1, 600, 10_000])
+    @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.5])
+    def test_quantiles_match_scipy_erfcinv(self, n_obs, alpha):
+        from scipy.special import erfcinv
+        config = FdrConfig(alpha)
+        np.testing.assert_allclose(bh_quantiles(config, n_obs),
+                                   np.sqrt(2.0) * erfcinv(bh_levels(config, n_obs)),
+                                   rtol=1e-14, atol=0.0)
 
     def test_error_bounds_symmetric(self):
         bounds = bh_error_bounds(ResidualNoiseModel.iid(0.5), FdrConfig(0.05), 10)
@@ -251,6 +280,24 @@ class TestFalsify:
         eps = np.zeros(10)
         eps[0] = 8.0   # p ~ 1e-15, far below every BH level
         assert measurement_rejections(eps, noise, config) == 1
+
+    @settings(max_examples=300, deadline=None)
+    @given(n_obs=st.integers(1, 60), alpha=st.floats(0.001, 0.9),
+           scale=st.integers(-3, 3), data=st.data())
+    def test_rejection_count_matches_p_values(self, n_obs, alpha, scale, data):
+        # ties: some entries sit exactly on a quantile q_j, with either sign
+        config = FdrConfig(alpha)
+        q = bh_quantiles(config, n_obs)
+        entry = st.one_of(st.floats(0.0, 8.0), st.sampled_from(list(q)))
+        z = np.array(data.draw(st.lists(entry, min_size=n_obs, max_size=n_obs)))
+        signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                            min_size=n_obs, max_size=n_obs)))
+        sigma = 2.0 ** scale            # a power of two keeps |eps / sigma| == z exact
+        noise = ResidualNoiseModel.iid(sigma)
+        # a tie at q_i rejects in both; erfc(q_i / sqrt 2) meets alpha_i only to rounding
+        p_sorted = np.sort(p_values(signs * z * sigma, noise))
+        expected = int(np.sum(p_sorted <= bh_levels(config, n_obs) * (1.0 + 1e-12)))
+        assert measurement_rejections(signs * z * sigma, noise, config) == expected
 
     def test_matrix_shape_required(self):
         with pytest.raises(ValueError):

@@ -606,3 +606,17 @@ class TestCli:
         code = "import sys, falsikit.cli; sys.exit(int('scipy.signal' in sys.modules))"
         env = dict(os.environ, PYTHONPATH=str(Path(falsikit.__file__).parents[1]))
         assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+    def test_whole_run_leaves_out_scipy(self, workspace):
+        code = ("import contextlib, io, sys, falsikit.cli\n"
+                "from falsikit.pipeline import parse_config\n"
+                "parse_config('run.ini')\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    rc = falsikit.cli.main(['run', '--config', 'run.ini', '--stage', 'all'])\n"
+                "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+                "sys.exit(f'exit {rc}, loaded {loaded}' if rc or loaded else 0)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(falsikit.__file__).parents[1]))
+        proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=workspace.parent,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (workspace.parent / "out" / "prediction_pred_boucwen.tsv").is_file()

@@ -29,6 +29,15 @@ class TestWeights:
         assert np.isfinite(we.weights).all()
         assert we.weights[0] / we.weights[1] == pytest.approx(np.exp(2.0), rel=1e-10)
 
+    @pytest.mark.parametrize("log_ls", [[-3.0], [-7.5] * 5, [-10.0, -750.0, -400.0, -12.5]],
+                             ids=["one survivor", "equal log L", "spread above 700 nats"])
+    def test_matches_scipy_logsumexp(self, log_ls):
+        from scipy.special import logsumexp
+        log_ls = np.array(log_ls)
+        we = post_falsification_weights(_verdicts(log_ls, bound=-1e4))
+        expected = np.exp(log_ls - logsumexp(log_ls))
+        np.testing.assert_allclose(we.weights, expected / expected.sum(), rtol=1e-15, atol=0.0)
+
     def test_all_falsified_raises(self):
         with pytest.raises(AllModelsFalsifiedError, match="'c'"):
             post_falsification_weights(_verdicts([-50.0, -11.0]))
