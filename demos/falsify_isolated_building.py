@@ -13,15 +13,15 @@ Run:  python3 demos/falsify_isolated_building.py
 
 import numpy as np
 
-from falsikit import (EnsembleSpec, FdrConfig, IsolatorParams, ModelClassSpec,
+from falsikit import (EnsembleSpec, FdrConfig, IsolatedSystem, ModelClassSpec,
                       PriorSpec, ResidualNoiseModel, ShearBuildingModel,
-                      add_measurement_noise, assemble_isolated_system,
-                      band_limited_record, estimate_parameters, falsify_classes,
-                      generate_ensemble, integrate_rk4, post_falsification_weights,
-                      predict_response, relative_rms_error, residuals, simulate,
-                      theta_matrix)
+                      add_measurement_noise, band_limited_record, estimate_parameters,
+                      falsify_classes, generate_ensemble, integrate_rk4,
+                      post_falsification_weights, predict_response, relative_rms_error,
+                      residuals, simulate, theta_matrix)
 
 N_SAMPLES = 100   # small ensemble so the demo runs in seconds
+TRUTH = dict(k_post=4.0, c_b=20.0, r_k=0.1667, Q_y=5.0)   # the hidden boucwen isolator
 
 
 def class_specs():
@@ -42,7 +42,6 @@ def class_specs():
 
 
 def build_system(spec, theta, building):
-    from falsikit import IsolatedSystem
     kwargs = {name: theta[:, i] for i, name in enumerate(spec.parameter_names)}
     return IsolatedSystem(building, spec.physics_binding, **kwargs)
 
@@ -50,15 +49,13 @@ def build_system(spec, theta, building):
 def main():
     building = ShearBuildingModel(story_masses=(300.0,) * 3,
                                   story_stiffnesses=(40.0,) * 3, base_mass=500.0)
-    truth = IsolatorParams(variant="boucwen", k_post=4.0, c_b=20.0,
-                           r_k=0.1667, Q_y=5.0)
+    truth_sys = IsolatedSystem(building, "boucwen", **TRUTH)
     calibration = band_limited_record(30.0, 0.05, band=(0.35, 1.5), seed=11,
                                       peak=2.0, label="calibration")
     prediction = band_limited_record(30.0, 0.05, band=(0.35, 1.5), seed=23,
                                      peak=4.0, label="prediction")
 
     print("simulating the (hidden) true system and adding 20% sensor noise ...")
-    truth_sys = assemble_isolated_system(building, truth)
     d = add_measurement_noise(simulate(truth_sys, calibration), 0.20,
                               np.random.default_rng(100))
     noise = ResidualNoiseModel.per_channel(tuple(0.15 * d.by_channel().std(axis=0)))
@@ -82,9 +79,8 @@ def main():
 
     survivors = post_falsification_weights(verdicts["boucwen"])
     estimate = estimate_parameters(survivors, thetas["boucwen"])
-    true_theta = np.array([truth.k_post, truth.c_b, truth.r_k, truth.Q_y])
     print("\nweighted parameter estimate over the surviving boucwen models:")
-    for name, est, ref in zip(("k_post", "c_b", "r_k", "Q_y"), estimate, true_theta):
+    for (name, ref), est in zip(TRUTH.items(), estimate):
         print(f"  {name:7s} {est:9.4f}   (true {ref:g}, error {100 * abs(est / ref - 1):.2f}%)")
 
     print("\npredicting the response under a stronger ground motion "

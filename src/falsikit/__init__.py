@@ -10,13 +10,11 @@ from .priors import (PriorSpec, ModelClassSpec, ModelSample, EnsembleSpec,
                      SamplingError, sample_prior, sample_rng, draw_sample,
                      generate_ensemble, theta_matrix)
 from .dynamics import (ExcitationRecord, SimulationOutput, ShearBuildingModel,
-                       IsolatorParams, IsolatedSystem, SimulationDivergedError,
+                       IsolatedSystem, SimulationDivergedError,
                        boucwen_rate, equivalent_linear_params,
-                       assemble_isolated_system, integrate_rk4, simulate,
+                       integrate_rk4, simulate,
                        add_measurement_noise, band_limited_record,
-                       TmdParams, TmdFrameModel, TmdFrameSystem, tmd_force,
-                       BiaxialDeviceParams, biaxial_hysteresis_rates,
-                       biaxial_device_force)
+                       TmdFrameModel, TmdFrameSystem, tmd_force)
 from .falsification import (MeasurementSet, ResidualNoiseModel, FdrConfig,
                             ClassVerdicts, residuals, log_likelihood, p_values,
                             bh_levels, bh_quantiles, bh_error_bounds,
@@ -29,6 +27,6 @@ from .prediction import (WeightedEnsemble, PredictionResult,
                          relative_rms_error)
 from .pipeline import (ConfigError, RunConfig, RunManifest, parse_config,
                        ingest_timeseries, ingest_measurement, run_pipeline,
-                       emit_report, register_binding, resolve_binding)
+                       emit_report, resolve_binding)
 
 __version__ = "0.1.0"

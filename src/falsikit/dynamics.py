@@ -1,8 +1,9 @@
 """Lumped-mass structural models with nonlinear isolation and damping devices.
 
-Everything here works in SI internally (kg, N, m, s); the public parameter
-objects accept the conventional engineering units noted on their fields
-(Mg, MN/m, kN.s/m, yield force as a percentage of structure weight).
+Everything here works in SI internally (kg, N, m, s); the public
+constructors accept the conventional engineering units noted in their
+docstrings (Mg, MN/m, kN.s/m, yield force as a percentage of structure
+weight).
 
 Simulation is fixed-step explicit RK4 for bit-reproducibility, vectorized
 over a batch of candidate models, and all parameter arrays broadcast over the
@@ -20,7 +21,7 @@ force (``IsolatedSystem._isolator_force``) are each written once and shared by
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,19 +31,13 @@ __all__ = [
     "ExcitationRecord",
     "SimulationOutput",
     "ShearBuildingModel",
-    "IsolatorParams",
     "IsolatedSystem",
-    "TmdParams",
     "TmdFrameModel",
     "TmdFrameSystem",
-    "BiaxialDeviceParams",
     "SimulationDivergedError",
     "boucwen_rate",
     "equivalent_linear_params",
     "tmd_force",
-    "biaxial_hysteresis_rates",
-    "biaxial_device_force",
-    "assemble_isolated_system",
     "integrate_rk4",
     "substeps_per_sample",
     "simulate",
@@ -87,15 +82,14 @@ class SimulationDivergedError(RuntimeError):
 class ExcitationRecord:
     """Sampled excitation: ground acceleration [m/s^2] or force [N].
 
-    ``samples`` has shape (n,) for one channel or (n, 2) for biaxial records.
-    With ``per_model`` it has shape (n, n_models): one single-channel input
-    column per model of a batch (see ``integrate_rk4``).
+    ``samples`` has shape (n,).  With ``per_model`` it has shape
+    (n, n_models): one input column per model of a batch (see
+    ``integrate_rk4``).
     """
 
     dt: float
     samples: np.ndarray
     label: str = ""
-    channel_count: int = 1
     per_model: bool = False
 
     def __post_init__(self):
@@ -104,15 +98,10 @@ class ExcitationRecord:
             raise ValueError("excitation dt must be > 0")
         if not np.all(np.isfinite(samples)):
             raise ValueError(f"excitation {self.label!r} contains non-finite samples")
-        if self.channel_count not in (1, 2):
-            raise ValueError("channel_count must be 1 or 2")
-        if self.per_model:
-            if self.channel_count != 1 or samples.ndim != 2:
-                raise ValueError("per-model excitation must have shape (n, n_models)")
-        elif self.channel_count == 1 and samples.ndim != 1:
-            raise ValueError("single-channel excitation must be a 1-d sample array")
-        if self.channel_count == 2 and (samples.ndim != 2 or samples.shape[1] != 2):
-            raise ValueError("biaxial excitation must have shape (n, 2)")
+        if self.per_model and samples.ndim != 2:
+            raise ValueError("per-model excitation must have shape (n, n_models)")
+        if not self.per_model and samples.ndim != 1:
+            raise ValueError("excitation must be a 1-d sample array")
         if samples.shape[0] == 0:
             raise ValueError(f"excitation {self.label!r} has no samples")
         object.__setattr__(self, "samples", samples)
@@ -124,12 +113,6 @@ class ExcitationRecord:
     @property
     def duration(self) -> float:
         return self.n_steps * self.dt
-
-    def truncated(self, duration: float) -> "ExcitationRecord":
-        n = int(round(duration / self.dt))
-        if n > self.n_steps:
-            raise ValueError("requested duration exceeds record length")
-        return replace(self, samples=self.samples[:n])
 
 
 @dataclass(frozen=True)
@@ -249,48 +232,6 @@ class ShearBuildingModel:
 # ---------------------------------------------------------------------------
 # isolator force laws
 
-@dataclass(frozen=True)
-class IsolatorParams:
-    """Isolation-layer parameters for one model class variant.
-
-    k_post in MN/m, c_b in kN.s/m, Q_y as a percentage of the structure
-    weight W (nonlinear variants), r_d the shear ductility ratio (linear
-    variants).  k_pre = k_post / r_k; yield displacement x_y = Q_y / k_pre.
-    """
-
-    variant: str
-    k_post: float
-    c_b: float
-    r_k: float
-    Q_y: float | None = None
-    r_d: float | None = None
-    n_pow: float | None = None
-
-    def __post_init__(self):
-        if self.variant not in NONLINEAR_VARIANTS + LINEAR_VARIANTS:
-            raise ValueError(f"unknown isolator variant {self.variant!r}")
-        if not (0.0 < self.r_k < 1.0):
-            raise ValueError("r_k must lie in (0, 1)")
-        if self.k_post <= 0.0 or self.c_b < 0.0:
-            raise ValueError("k_post must be > 0 and c_b >= 0")
-        if self.is_nonlinear:
-            if self.Q_y is None or self.Q_y <= 0.0:
-                raise ValueError(f"{self.variant} isolator requires Q_y > 0")
-            if self.n_pow is None:
-                object.__setattr__(self, "n_pow", 1.0 if self.variant == "boucwen" else 100.0)
-        else:
-            if self.r_d is None or self.r_d <= 1.0:
-                raise ValueError(f"{self.variant} isolator requires r_d > 1")
-
-    @property
-    def is_nonlinear(self) -> bool:
-        return self.variant in NONLINEAR_VARIANTS
-
-    @property
-    def k_pre(self) -> float:
-        return self.k_post / self.r_k
-
-
 def boucwen_rate(z, v, a, beta, gamma, n_pow):
     """Rate of the hysteretic evolutionary variable.
 
@@ -396,6 +337,11 @@ def equivalent_linear_params(variant: str, r_k: float, r_d, k_pre):
 class IsolatedSystem:
     """Shear building on an isolation layer, batched over candidate models.
 
+    Isolator parameters: k_post in MN/m, c_b in kN.s/m, Q_y as a percentage
+    of the structure weight W (nonlinear variants, with n_pow defaulting to 1
+    for boucwen and 100 for bilinear), r_d the shear ductility ratio (linear
+    variants).  k_pre = k_post / r_k; yield displacement x_y = Q_y / k_pre.
+
     State layout per model: [X_s (ns), x_b, V_s (ns), v_b] plus a trailing
     z for hysteretic variants.  All isolator parameter arrays broadcast over
     the batch.  Output is the base absolute acceleration [m/s^2].
@@ -462,6 +408,10 @@ class IsolatedSystem:
         p = {key: np.broadcast_to(value, shape) for key, value in per_model.items()}
         if np.any((p["r_k"] <= 0.0) | (p["r_k"] >= 1.0)):
             raise ValueError("r_k must lie in (0, 1)")
+        if np.any(p["k_post"] <= 0.0):
+            raise ValueError(f"k_post must be > 0, got {p['k_post'].min():g} MN/m")
+        if np.any(p["c_b"] < 0.0):
+            raise ValueError(f"c_b must be >= 0, got {p['c_b'].min():g} kN.s/m")
         self.n_models = int(shape[0])
         k_pre_si = p["k_post"] * MN_PER_M / p["r_k"]
 
@@ -551,21 +501,11 @@ class IsolatedSystem:
         return (deriv[:, self._vb] + ag)[:, None]
 
 
-def assemble_isolated_system(building: ShearBuildingModel,
-                             isolator: IsolatorParams) -> IsolatedSystem:
-    """Couple the superstructure with one isolator model (batch of one)."""
-    return IsolatedSystem(
-        building, isolator.variant,
-        k_post=isolator.k_post, c_b=isolator.c_b, r_k=isolator.r_k,
-        Q_y=isolator.Q_y, r_d=isolator.r_d, n_pow=isolator.n_pow)
-
-
 # ---------------------------------------------------------------------------
 # fixed-step RK4 with zero-order-hold excitation
 
-def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = None,
-                  duration: float | None = None) -> np.ndarray:
-    """Integrate ``system`` under ``excitation`` and collect its outputs.
+def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None) -> np.ndarray:
+    """Integrate ``system`` under the excitation ``record`` and collect its outputs.
 
     The excitation is held constant over integrator substeps within each
     record interval (zero-order hold).  Outputs are sampled at the record
@@ -588,7 +528,6 @@ def integrate_rk4(system, excitation: ExcitationRecord, dt_int: float | None = N
     record step; one whole-state test per record step finds that some model
     did, and only then are the models named.
     """
-    record = excitation if duration is None else excitation.truncated(duration)
     dt = record.dt
     n_sub = substeps_per_sample(dt, dt_int)
     h = dt / n_sub
@@ -720,12 +659,11 @@ def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
     return step
 
 
-def simulate(system, excitation: ExcitationRecord, dt_int: float | None = None,
-             duration: float | None = None) -> SimulationOutput:
+def simulate(system, excitation: ExcitationRecord, dt_int: float | None = None) -> SimulationOutput:
     """Simulate a single-model system and return its stacked output vector."""
     if system.n_models != 1:
         raise ValueError("simulate() expects a batch of one model; use integrate_rk4")
-    h = integrate_rk4(system, excitation, dt_int=dt_int, duration=duration)
+    h = integrate_rk4(system, excitation, dt_int=dt_int)
     return SimulationOutput(excitation.dt, h[0], tuple(system.channel_names))
 
 
@@ -743,39 +681,6 @@ def add_measurement_noise(clean: SimulationOutput, noise_fraction: float,
 
 # ---------------------------------------------------------------------------
 # TMD-equipped frame (reduced-scale wind example)
-
-TMD_LAWS = ("linear", "cubic", "boucwen", "power_law_truth")
-
-
-@dataclass(frozen=True)
-class TmdParams:
-    """Damping-device law for one TMD direction.
-
-    linear:          f = c1 * du            (c1 in kN.s/m)
-    cubic:           f = c3 * du^3 + c1 * du
-    boucwen:         f = q_y z + k_post u,  k_pre fixed, n_pow = 1,
-                     Q_y as a percentage of the TMD weight
-    power_law_truth: f = coef |du|^0.8 sgn(du) + c_lin du
-    """
-
-    law: str
-    c1: float = 0.0
-    c3: float = 0.0
-    r_k: float = 0.0
-    Q_y: float = 0.0
-    k_pre: float = 0.0
-    power_coef: float = 0.0
-    power_lin: float = 0.0
-
-    def __post_init__(self):
-        if self.law not in TMD_LAWS:
-            raise ValueError(f"unknown TMD damping law {self.law!r}")
-        if self.law == "boucwen":
-            if not (0.0 < self.r_k < 1.0):
-                raise ValueError("boucwen TMD requires r_k in (0, 1)")
-            if self.Q_y <= 0.0 or self.k_pre <= 0.0:
-                raise ValueError("boucwen TMD requires Q_y > 0 and fixed k_pre > 0")
-
 
 def tmd_force(law: str, du, u=0.0, *, c1=0.0, c3=0.0, q_y=0.0, k_post=0.0,
               z=0.0, power_coef=0.0, power_lin=0.0):
@@ -966,89 +871,6 @@ class TmdFrameSystem:
         ns = self.frame.n_stories
         roof = [self.layout[d][0] + self.layout[d][1] + ns - 1 for d in ("x", "y")]
         return deriv[:, roof]
-
-
-# ---------------------------------------------------------------------------
-# biaxial hysteretic devices
-
-BIAXIAL_DEVICES = ("rubber_bearing", "elastic_sliding_bearing", "steel_damper")
-
-
-@dataclass(frozen=True)
-class BiaxialDeviceParams:
-    """Base-layer device parameters (Example-III style biaxial laws).
-
-    Stiffnesses in kN/m (or kN/cm where the source tables use cm), friction
-    force mu_W in kN, yield displacements D_x / D_y in the displacement units
-    of the device.  Steel dampers use D_x = D_y = 1 since their hysteretic
-    variables are not dimensionless.
-    """
-
-    device: str
-    relationship: str                      # "linear" | "hysteretic"
-    k: float = 0.0                         # kN per displacement unit
-    k_xy: float = 0.0
-    mu_W: float = 0.0                      # kN
-    alpha: float = 0.0
-    beta: float = 0.0
-    gamma: float = 0.0
-    A: float = 1.0
-    D_x: float = 1.0
-    D_y: float = 1.0
-
-    def __post_init__(self):
-        if self.device not in BIAXIAL_DEVICES:
-            raise ValueError(f"unknown biaxial device {self.device!r}")
-        if self.relationship not in ("linear", "hysteretic"):
-            raise ValueError("relationship must be 'linear' or 'hysteretic'")
-        if self.relationship == "hysteretic":
-            if self.device == "elastic_sliding_bearing" and (self.D_x <= 0 or self.D_y <= 0):
-                raise ValueError("sliding-bearing hysteresis requires D_x, D_y > 0")
-            if self.device == "steel_damper" and not (0.0 < self.alpha < 1.0):
-                raise ValueError("steel-damper hysteresis requires alpha in (0, 1)")
-
-
-def biaxial_hysteresis_rates(z_x, z_y, v_x, v_y, *, A=1.0, beta=0.0, gamma=0.0,
-                             D_x=1.0, D_y=1.0):
-    """Coupled biaxial evolution of the hysteretic variables (Z_x, Z_y).
-
-    D_y dZ_x/dt = A v_x - beta |v_x Z_x| Z_x - gamma v_x Z_x^2
-                  - beta |v_y Z_y| Z_x - gamma v_y Z_x Z_y
-    and symmetrically for dZ_y/dt (normalized by D_x).  With one direction
-    quiescent this reduces to a uniaxial law with quadratic-exponent terms.
-    """
-    z_x = np.asarray(z_x, dtype=float)
-    z_y = np.asarray(z_y, dtype=float)
-    v_x = np.asarray(v_x, dtype=float)
-    v_y = np.asarray(v_y, dtype=float)
-    for arr in (z_x, z_y, v_x, v_y):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("non-finite biaxial hysteresis state")
-    dzx = (A * v_x - beta * np.abs(v_x * z_x) * z_x - gamma * v_x * z_x**2
-           - beta * np.abs(v_y * z_y) * z_x - gamma * v_y * z_x * z_y) / D_y
-    dzy = (A * v_y - beta * np.abs(v_y * z_y) * z_y - gamma * v_y * z_y**2
-           - beta * np.abs(v_x * z_x) * z_y - gamma * v_x * z_y * z_x) / D_x
-    return dzx, dzy
-
-
-def biaxial_device_force(params: BiaxialDeviceParams, u_x, u_y, z_x=0.0, z_y=0.0):
-    """Restoring force (f_x, f_y) [kN] of one base-layer device."""
-    u_x = np.asarray(u_x, dtype=float)
-    u_y = np.asarray(u_y, dtype=float)
-    if params.relationship == "linear":
-        return params.k * u_x, params.k * u_y
-    z_x = np.asarray(z_x, dtype=float)
-    z_y = np.asarray(z_y, dtype=float)
-    if params.device == "elastic_sliding_bearing":
-        return params.mu_W * z_x, params.mu_W * z_y
-    if params.device == "steel_damper":
-        # K_SD couples the two directions through k_xy
-        fx = params.alpha * (params.k * u_x + params.k_xy * u_y) \
-            + (1.0 - params.alpha) * (params.k * z_x + params.k_xy * z_y)
-        fy = params.alpha * (params.k_xy * u_x + params.k * u_y) \
-            + (1.0 - params.alpha) * (params.k_xy * z_x + params.k * z_y)
-        return fx, fy
-    raise ValueError(f"{params.device} has no hysteretic relationship")
 
 
 # ---------------------------------------------------------------------------

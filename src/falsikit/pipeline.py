@@ -14,7 +14,7 @@ import json
 import os
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ __all__ = [
     "RunConfig",
     "RunManifest",
     "BINDINGS",
-    "register_binding",
     "resolve_binding",
     "parse_config",
     "ingest_timeseries",
@@ -63,16 +62,6 @@ _SECTION_KEYS = {
 
 # ---------------------------------------------------------------------------
 # physics bindings
-
-BINDINGS: dict = {}
-
-
-def register_binding(name: str):
-    def deco(factory):
-        BINDINGS[name] = factory
-        return factory
-    return deco
-
 
 def resolve_binding(name: str):
     try:
@@ -112,8 +101,8 @@ def _isolator_factory(variant):
     return factory
 
 
-for _variant in dynamics.NONLINEAR_VARIANTS + dynamics.LINEAR_VARIANTS:
-    register_binding(_variant)(_isolator_factory(_variant))
+BINDINGS = {variant: _isolator_factory(variant)
+            for variant in dynamics.NONLINEAR_VARIANTS + dynamics.LINEAR_VARIANTS}
 
 
 # ---------------------------------------------------------------------------
@@ -161,20 +150,7 @@ class RunManifest:
     model_substeps: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "config_hash": self.config_hash,
-            "counts": self.counts,
-            "savings_ratio": self.savings_ratio,
-            "prediction_simulations": self.prediction_simulations,
-            "prediction_inputs": self.prediction_inputs,
-            "stage_seconds": self.stage_seconds,
-            "artifacts": self.artifacts,
-            "prediction_errors": self.prediction_errors,
-            "noise_sigma": self.noise_sigma,
-            "class_stats": self.class_stats,
-            "model_substeps": self.model_substeps,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
@@ -424,32 +400,40 @@ def _check_uniform_grid(path, t: np.ndarray) -> float:
     return float(dt)
 
 
-def ingest_timeseries(path, expected_channels: int = 1) -> ExcitationRecord:
-    """Read a delimited (time, value...) text file into an ExcitationRecord.
+def _read_series(path, n_channels: int | None = None) -> tuple[float, np.ndarray]:
+    """The sample interval and the (n, channels) values of a (time, value...) file.
 
     The first column is time [s] on a strictly increasing uniform grid
-    (tolerance 1e-6 dt); one value column per channel follows.  An optional
-    non-numeric header line is skipped.
+    (tolerance 1e-6 dt); one value column per channel follows, as many as
+    ``n_channels`` when it is given.  An optional non-numeric header line is
+    skipped.
     """
     table = _read_numeric_table(path)
-    if table.shape[1] != expected_channels + 1:
+    if n_channels is not None and table.shape[1] != n_channels + 1:
         raise ValueError(
-            f"{path}: expected {expected_channels + 1} columns "
-            f"(time + {expected_channels} channel(s)), found {table.shape[1]}")
-    dt = _check_uniform_grid(path, table[:, 0])
-    values = table[:, 1] if expected_channels == 1 else table[:, 1:]
-    return ExcitationRecord(dt=dt, samples=values, label=Path(path).name,
-                            channel_count=expected_channels)
+            f"{path}: expected {n_channels + 1} columns "
+            f"(time + {n_channels} channel(s)), found {table.shape[1]}")
+    if table.shape[1] < 2:
+        raise ValueError(f"{path}: expected a time column and at least one value column")
+    return _check_uniform_grid(path, table[:, 0]), table[:, 1:]
 
 
-def ingest_measurement(path, expected_channels: int = 1,
-                       channel_names=None) -> MeasurementSet:
-    """Read a measured response file into a stacked MeasurementSet."""
-    record = ingest_timeseries(path, expected_channels)
-    stacked = record.samples.reshape(-1)
+def ingest_timeseries(path) -> ExcitationRecord:
+    """Read a delimited (time, value) text file into an ExcitationRecord."""
+    dt, values = _read_series(path, 1)
+    return ExcitationRecord(dt=dt, samples=values[:, 0], label=Path(path).name)
+
+
+def ingest_measurement(path, channel_names=None) -> MeasurementSet:
+    """Read a measured response file of any number of channels into a stacked MeasurementSet.
+
+    Without ``channel_names`` the channels are named ``channel_0``, ...;
+    with them, the file must have one value column per name.
+    """
+    dt, values = _read_series(path, None if channel_names is None else len(channel_names))
     if channel_names is None:
-        channel_names = tuple(f"channel_{i}" for i in range(expected_channels))
-    return MeasurementSet(d=stacked, dt=record.dt, channel_names=channel_names)
+        channel_names = tuple(f"channel_{i}" for i in range(values.shape[1]))
+    return MeasurementSet(d=values.reshape(-1), dt=dt, channel_names=channel_names)
 
 
 def write_timeseries(path, dt: float, columns: np.ndarray, header: str | None = None):
@@ -483,7 +467,10 @@ def _atomic_write_text(path, text):
 def _build_system(class_spec: ModelClassSpec, theta: np.ndarray,
                   building: ShearBuildingModel):
     factory = resolve_binding(class_spec.physics_binding)
-    return factory(theta, class_spec.parameter_names, building, class_spec.fixed_constants)
+    try:
+        return factory(theta, class_spec.parameter_names, building, class_spec.fixed_constants)
+    except ValueError as err:
+        raise ConfigError(f"[class:{class_spec.class_id}] {err}") from None
 
 
 def _simulate_classes(systems: dict, records: dict, dt_int: float) -> dict:
@@ -614,8 +601,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     # --- measurement and noise model ---------------------------------------
     channel_names = tuple(IsolatedSystem.channel_names)
     if config.measurement_path is not None:
-        d = ingest_measurement(config.measurement_path, len(channel_names),
-                               channel_names=channel_names)
+        d = ingest_measurement(config.measurement_path, channel_names=channel_names)
     else:
         raise ConfigError("no [measurement] file configured")
     if abs(d.dt - calibration.dt) > 1e-6 * calibration.dt:
@@ -701,7 +687,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     records = {p_path.stem: ingest_timeseries(p_path) for p_path in config.prediction_paths}
     truth_series = {}
     for p_path, t_path in zip(config.prediction_paths, config.prediction_truth_paths):
-        truth = ingest_measurement(t_path, len(channel_names), channel_names=channel_names)
+        truth = ingest_measurement(t_path, channel_names=channel_names)
         record = records[p_path.stem]
         if abs(truth.dt - record.dt) > 1e-6 * record.dt:
             raise ConfigError(f"[excitation] prediction_truth {t_path}: sampled at "

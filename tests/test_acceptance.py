@@ -12,8 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from falsikit.dynamics import (IsolatedSystem, IsolatorParams, add_measurement_noise,
-                               assemble_isolated_system, band_limited_record,
+from falsikit.dynamics import (IsolatedSystem, add_measurement_noise, band_limited_record,
                                boucwen_rate, equivalent_linear_params,
                                integrate_rk4, simulate)
 from falsikit.falsification import (FdrConfig, ResidualNoiseModel, falsify,
@@ -73,10 +72,10 @@ def scenario(building):
                                       peak=2.0, label="calibration")
     prediction = band_limited_record(DURATION, DT, band=(0.35, 1.5), seed=23,
                                      peak=4.0, label="prediction")
-    iso = IsolatorParams(variant="boucwen", k_post=TRUE_THETA[0], c_b=TRUE_THETA[1],
-                         r_k=TRUE_THETA[2], Q_y=TRUE_THETA[3])
-    truth_cal = simulate(assemble_isolated_system(building, iso), calibration)
-    truth_pred = simulate(assemble_isolated_system(building, iso), prediction)
+    truth = IsolatedSystem(building, "boucwen", k_post=TRUE_THETA[0], c_b=TRUE_THETA[1],
+                           r_k=TRUE_THETA[2], Q_y=TRUE_THETA[3])
+    truth_cal = simulate(truth, calibration)
+    truth_pred = simulate(truth, prediction)
     return dict(building=building, calibration=calibration, prediction=prediction,
                 truth_cal=truth_cal, truth_pred=truth_pred)
 

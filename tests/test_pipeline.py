@@ -12,8 +12,7 @@ import pytest
 import falsikit
 from falsikit import dynamics
 from falsikit.cli import main as cli_main
-from falsikit.dynamics import (IsolatedSystem, IsolatorParams, SimulationDivergedError,
-                               add_measurement_noise, assemble_isolated_system,
+from falsikit.dynamics import (IsolatedSystem, SimulationDivergedError, add_measurement_noise,
                                band_limited_record, simulate)
 from falsikit.pipeline import (BINDINGS, ConfigError, RunManifest, _simulate_classes,
                                emit_report, ingest_measurement, ingest_timeseries,
@@ -72,9 +71,9 @@ def workspace(tmp_path, building):
     """Config file plus excitation/measurement artifacts for a small run."""
     cal = band_limited_record(5.0, 0.05, seed=3, peak=2.0)
     pred = band_limited_record(5.0, 0.05, seed=4, peak=2.5)
-    iso = IsolatorParams(variant="boucwen", k_post=4.0, c_b=20.0, r_k=0.1667, Q_y=5.0)
-    truth = simulate(assemble_isolated_system(building, iso), cal, dt_int=0.005)
-    pred_truth = simulate(assemble_isolated_system(building, iso), pred, dt_int=0.005)
+    iso = IsolatedSystem(building, "boucwen", k_post=4.0, c_b=20.0, r_k=0.1667, Q_y=5.0)
+    truth = simulate(iso, cal, dt_int=0.005)
+    pred_truth = simulate(iso, pred, dt_int=0.005)
     d = add_measurement_noise(truth, 0.2, np.random.default_rng(1))
     write_timeseries(tmp_path / "cal.tsv", 0.05, cal.samples)
     write_timeseries(tmp_path / "pred.tsv", 0.05, pred.samples)
@@ -101,11 +100,15 @@ class TestIngestTimeseries:
         assert rec.dt == pytest.approx(0.1)
         np.testing.assert_array_equal(rec.samples, [1.0, 2.0, 3.0])
 
-    def test_biaxial_columns(self, tmp_path):
-        path = tmp_path / "b.tsv"
-        path.write_text("0.0\t1.0\t2.0\n0.1\t3.0\t4.0\n")
-        rec = ingest_timeseries(path, expected_channels=2)
-        assert rec.samples.shape == (2, 2)
+    def test_measurement_of_three_channels(self, tmp_path):
+        path = tmp_path / "m3.tsv"
+        path.write_text("0.0\t1.0\t2.0\t3.0\n0.1\t4.0\t5.0\t6.0\n")
+        d = ingest_measurement(path)
+        assert d.channel_names == ("channel_0", "channel_1", "channel_2")
+        assert d.dt == pytest.approx(0.1)
+        np.testing.assert_array_equal(d.d, np.arange(1.0, 7.0))
+        with pytest.raises(ValueError, match=r"expected 3 columns \(time \+ 2 channel"):
+            ingest_measurement(path, channel_names=("x", "y"))
 
     def test_non_uniform_grid_reports_row(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -123,12 +126,12 @@ class TestIngestTimeseries:
         path = tmp_path / "bad.tsv"
         path.write_text("0.0\t1.0\t9.0\n0.1\t2.0\t9.0\n")
         with pytest.raises(ValueError, match="columns"):
-            ingest_timeseries(path, expected_channels=1)
+            ingest_timeseries(path)
 
     def test_measurement_stacking(self, tmp_path):
         path = tmp_path / "m.tsv"
         path.write_text("0.0\t1.0\t2.0\n0.1\t3.0\t4.0\n")
-        d = ingest_measurement(path, expected_channels=2, channel_names=("x", "y"))
+        d = ingest_measurement(path, channel_names=("x", "y"))
         np.testing.assert_array_equal(d.d, [1.0, 2.0, 3.0, 4.0])
 
 
@@ -511,6 +514,19 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert "class 'boucwen'" in err and "'Q_y'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    def test_invalid_draw_exit_code(self, workspace, capsys):
+        # an unbounded normal prior draws some k_post <= 0, which no isolator has
+        prior = "binding = aashto\nk_post = lognormal 4.5 0.25"
+        text = workspace.read_text()
+        assert prior in text
+        workspace.write_text(text.replace(prior, "binding = aashto\nk_post = normal 1.0 2.0"))
+        rc = cli_main(["run", "--config", str(workspace), "--stage", "falsify"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "error: [class:aashto] k_post must be > 0" in err
         assert "Traceback" not in err
 
     def test_sigma_count_exit_code(self, workspace, capsys):
