@@ -18,7 +18,7 @@ from falsikit import (EnsembleSpec, FdrConfig, IsolatedSystem, ModelClassSpec,
                       add_measurement_noise, band_limited_record, estimate_parameters,
                       falsify_classes, generate_ensemble, integrate_rk4,
                       post_falsification_weights, predict_response, relative_rms_error,
-                      residuals, simulate, theta_matrix)
+                      residuals, simulate)
 
 N_SAMPLES = 100   # small ensemble so the demo runs in seconds
 TRUTH = dict(k_post=4.0, c_b=20.0, r_k=0.1667, Q_y=5.0)   # the hidden boucwen isolator
@@ -61,8 +61,7 @@ def main():
     noise = ResidualNoiseModel.per_channel(tuple(0.15 * d.by_channel().std(axis=0)))
 
     specs = class_specs()
-    ensemble = generate_ensemble(EnsembleSpec(tuple(specs), N_SAMPLES, 2024))
-    thetas = {s.class_id: theta_matrix(ensemble[s.class_id]) for s in specs}
+    thetas = generate_ensemble(EnsembleSpec(tuple(specs), N_SAMPLES, 2024))
 
     print(f"simulating {len(specs)} classes x {N_SAMPLES} candidate models ...")
     eps = {}

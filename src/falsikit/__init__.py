@@ -6,9 +6,8 @@ bound, and the surviving models carry Bayesian weights into response
 prediction under new excitations.
 """
 
-from .priors import (PriorSpec, ModelClassSpec, ModelSample, EnsembleSpec,
-                     SamplingError, sample_prior, sample_rng, draw_sample,
-                     generate_ensemble, theta_matrix)
+from .priors import (PriorSpec, ModelClassSpec, EnsembleSpec, SamplingError,
+                     sample_prior, sample_rng, draw_sample, generate_ensemble)
 from .dynamics import (ExcitationRecord, SimulationOutput, ShearBuildingModel,
                        IsolatedSystem, SimulationDivergedError,
                        boucwen_rate, equivalent_linear_params,

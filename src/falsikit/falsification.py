@@ -120,21 +120,13 @@ class ResidualNoiseModel:
 
 @dataclass(frozen=True)
 class FdrConfig:
-    """Target identification probability phi = 1 - alpha."""
+    """Significance level alpha of the Benjamini-Hochberg bound."""
 
     alpha: float
 
     def __post_init__(self):
         if not (0.0 < self.alpha < 1.0):
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
-
-    @classmethod
-    def from_phi(cls, phi: float) -> "FdrConfig":
-        return cls(alpha=1.0 - phi)
-
-    @property
-    def phi(self) -> float:
-        return 1.0 - self.alpha
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from .falsification import (FdrConfig, MeasurementSet, ResidualNoiseModel,
                             falsify_classes, residuals)
 from .prediction import (estimate_parameters, post_falsification_weights,
                          predict_response, relative_rms_error)
-from .priors import EnsembleSpec, ModelClassSpec, PriorSpec, generate_ensemble, theta_matrix
+from .priors import EnsembleSpec, ModelClassSpec, PriorSpec, generate_ensemble
 
 __all__ = [
     "ConfigError",
@@ -50,8 +50,7 @@ class ConfigError(ValueError):
 
 # every key a section other than [class:<id>] may hold
 _SECTION_KEYS = {
-    "run": ("master_seed", "samples_per_class", "output_dir", "weight_prior", "phi", "alpha",
-            "dt_int"),
+    "run": ("master_seed", "samples_per_class", "output_dir", "alpha", "dt_int"),
     "building": ("story_masses", "story_stiffnesses", "base_mass", "damping_ratio",
                  "damping_modes"),
     "noise": ("sigma_fraction", "sigma"),
@@ -120,7 +119,6 @@ class RunConfig:
     sigma_absolute: tuple[float, ...] | None
     fdr: FdrConfig
     dt_int: float | None
-    weight_prior: str
     output_dir: Path
     config_path: Path | None = None
 
@@ -239,13 +237,7 @@ def parse_config(path) -> RunConfig:
     master_seed = number("run", "master_seed", required=True, kind=int)
     samples_per_class = number("run", "samples_per_class", required=True, kind=int)
     output_dir = Path(get("run", "output_dir", required=True))
-    weight_prior = get("run", "weight_prior", "cancel")
-    if weight_prior not in ("cancel", "include"):
-        raise ConfigError(f"[run] weight_prior must be 'cancel' or 'include', got {weight_prior!r}")
-    phi = number("run", "phi", "0.95")
-    alpha = number("run", "alpha")
-    if alpha is None:
-        alpha = 1.0 - phi
+    alpha = number("run", "alpha", "0.05")
     if not (0.0 < alpha < 1.0):
         raise ConfigError(f"[run] alpha must lie in (0, 1), got {alpha}")
     fdr = FdrConfig(alpha=alpha)
@@ -353,7 +345,7 @@ def parse_config(path) -> RunConfig:
         prediction_truth_paths=tuple(resolved(p) for p in truth_paths),
         measurement_path=resolved(measurement_path) if measurement_path else None,
         sigma_fraction=sigma_fraction, sigma_absolute=sigma_absolute,
-        fdr=fdr, dt_int=dt_int, weight_prior=weight_prior,
+        fdr=fdr, dt_int=dt_int,
         output_dir=output_dir if output_dir.is_absolute() else base / output_dir,
         config_path=path)
 
@@ -363,6 +355,7 @@ def parse_config(path) -> RunConfig:
 
 def _read_numeric_table(path) -> np.ndarray:
     rows = []
+    header_allowed = True   # a header may only be the first line not blank or a comment
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -372,9 +365,11 @@ def _read_numeric_table(path) -> np.ndarray:
             try:
                 rows.append([float(x) for x in parts])
             except ValueError:
-                if lineno == 1:
+                if header_allowed:
+                    header_allowed = False
                     continue   # optional header line
                 raise ValueError(f"{path}: non-numeric data at line {lineno}")
+            header_allowed = False
     if not rows:
         raise ValueError(f"{path}: no numeric rows")
     widths = {len(r) for r in rows}
@@ -405,8 +400,9 @@ def _read_series(path, n_channels: int | None = None) -> tuple[float, np.ndarray
 
     The first column is time [s] on a strictly increasing uniform grid
     (tolerance 1e-6 dt); one value column per channel follows, as many as
-    ``n_channels`` when it is given.  An optional non-numeric header line is
-    skipped.
+    ``n_channels`` when it is given.  Blank lines and ``#`` comments are
+    skipped, and so is one non-numeric header line if it comes before the
+    first row.
     """
     table = _read_numeric_table(path)
     if n_channels is not None and table.shape[1] != n_channels + 1:
@@ -437,10 +433,13 @@ def ingest_measurement(path, channel_names=None) -> MeasurementSet:
 
 
 def write_timeseries(path, dt: float, columns: np.ndarray, header: str | None = None):
-    """Write (time, columns...) delimited text with full double precision."""
-    columns = np.atleast_2d(np.asarray(columns, dtype=float))
-    if columns.shape[0] < columns.shape[1]:
-        columns = columns.T
+    """Write (time, columns...) delimited text with full double precision.
+
+    ``columns`` is one column (1-d) or an (n_samples, n_columns) table.
+    """
+    columns = np.asarray(columns, dtype=float)
+    if columns.ndim == 1:
+        columns = columns[:, None]
     t = np.arange(columns.shape[0]) * dt
     table = np.column_stack([t, columns])
     _atomic_savetxt(path, table, header=header)
@@ -478,11 +477,11 @@ def _simulate_classes(systems: dict, records: dict, dt_int: float) -> dict:
 
     ``records`` maps an input label to its record.  The hysteretic classes
     run as one stacked batch for all records of equal dt and length, with one
-    input column per model, so each ``rhs`` call covers every model on every
-    such record; each class and record gets its rows back.  Linear classes
-    run one batch per record.  A divergence names the class of the first
-    diverging model, that class's own model indices and, unless its label
-    is None, the record.
+    input column per model, so each RK4 substep of that batch advances every
+    model on every such record; each class and record gets its rows back.
+    Linear classes run one batch per record.  A divergence names the class of
+    the first diverging model, that class's own model indices and, unless its
+    label is None, the record.
     """
     hysteretic = [cid for cid, system in systems.items()
                   if isinstance(system, IsolatedSystem) and system.nonlinear]
@@ -548,7 +547,6 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}")
     out = Path(config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     timings = {}
     artifacts = {}
 
@@ -559,8 +557,25 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     calibration = ingest_timeseries(config.calibration_path)
     dt_int = config.dt_int if config.dt_int is not None else calibration.dt / 10.0
 
-    ensemble = generate_ensemble(config.ensemble)
-    thetas = {cid: theta_matrix(samples) for cid, samples in ensemble.items()}
+    # --- measurement and noise model, checked before anything is simulated ---
+    channel_names = tuple(IsolatedSystem.channel_names)
+    if stage != "simulate":
+        if config.measurement_path is None:
+            raise ConfigError("no [measurement] file configured")
+        d = ingest_measurement(config.measurement_path, channel_names=channel_names)
+        if abs(d.dt - calibration.dt) > 1e-6 * calibration.dt:
+            raise ConfigError(f"[measurement] {config.measurement_path}: sampled at "
+                              f"dt = {d.dt:g} s, the calibration record at "
+                              f"dt = {calibration.dt:g} s")
+        n_sim = calibration.n_steps * len(channel_names)
+        if d.n_obs != n_sim:
+            raise ConfigError(f"[measurement] {config.measurement_path}: {d.n_obs} samples, "
+                              f"but the calibration record simulates {n_sim}")
+        noise = config.noise_model(d)
+        noise_sigma = list(noise.std_devs)
+    out.mkdir(parents=True, exist_ok=True)
+
+    thetas = generate_ensemble(config.ensemble)
     class_specs = {c.class_id: c for c in config.ensemble.class_specs}
     class_order = [c.class_id for c in config.ensemble.class_specs]
 
@@ -597,22 +612,6 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
                                model_substeps=model_substeps)
         _atomic_write_text(out / "manifest.json", manifest.to_json())
         return manifest
-
-    # --- measurement and noise model ---------------------------------------
-    channel_names = tuple(IsolatedSystem.channel_names)
-    if config.measurement_path is not None:
-        d = ingest_measurement(config.measurement_path, channel_names=channel_names)
-    else:
-        raise ConfigError("no [measurement] file configured")
-    if abs(d.dt - calibration.dt) > 1e-6 * calibration.dt:
-        raise ConfigError(f"[measurement] {config.measurement_path}: sampled at dt = {d.dt:g} s, "
-                          f"the calibration record at dt = {calibration.dt:g} s")
-    n_sim = next(iter(h_by_class.values())).shape[1]
-    if d.n_obs != n_sim:
-        raise ConfigError(f"[measurement] {config.measurement_path}: {d.n_obs} samples, "
-                          f"but the calibration record simulates {n_sim}")
-    noise = config.noise_model(d)
-    noise_sigma = list(noise.std_devs)
 
     # --- falsify stage ------------------------------------------------------
     t0 = time.perf_counter()
@@ -661,12 +660,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     for cid in class_order:
         if not verdicts[cid].unfalsified.any():
             continue
-        log_priors = None
-        if config.weight_prior == "include":
-            spec = class_specs[cid]
-            log_priors = [spec.log_prior(t) for t in thetas[cid]]
-        we = post_falsification_weights(verdicts[cid], log_priors=log_priors,
-                                        weight_prior=config.weight_prior)
+        we = post_falsification_weights(verdicts[cid])
         ensembles[cid] = we
         class_stats[cid]["effective_sample_size"] = we.effective_sample_size
         estimates[cid] = estimate_parameters(we, thetas[cid])

@@ -1,15 +1,10 @@
 """Bayesian weighting of unfalsified models, parameter estimates, predictions.
 
-Weights are proportional to likelihood times prior density for unfalsified
-models and exactly zero for falsified ones.  All weight arithmetic happens
-in log space with a log-sum-exp normalization, since the likelihoods of
-long residual vectors underflow double precision in linear space.
-
-When the candidate models were sampled from the prior itself, including the
-prior density in the weights double-counts it (the sample set already
-carries the prior measure); the ``weight_prior="cancel"`` default therefore
-uses likelihood-only weights, and ``"include"`` restores the explicit
-prior factor.
+Candidates are draws from their class priors, so the sample already carries
+the prior measure and the weights are the normalized likelihoods of the
+unfalsified models (exactly zero for falsified ones).  All weight arithmetic
+happens in log space with a log-sum-exp normalization, since the likelihoods
+of long residual vectors underflow double precision in linear space.
 """
 
 from __future__ import annotations
@@ -35,8 +30,8 @@ class AllModelsFalsifiedError(RuntimeError):
     def __init__(self, class_id: str):
         super().__init__(
             f"every candidate model of class {class_id!r} was falsified; "
-            "enlarge the candidate set, raise the target identification "
-            "probability phi, or add model classes")
+            "enlarge the candidate set, lower the significance level "
+            "alpha, or add model classes")
 
 
 @dataclass(frozen=True)
@@ -93,23 +88,12 @@ class PredictionResult:
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
 
 
-def post_falsification_weights(verdicts: ClassVerdicts, log_priors=None,
-                               weight_prior: str = "cancel") -> WeightedEnsemble:
-    """Normalized weights over the unfalsified subset of one class.
-
-    ``log_priors`` gives the log prior density per sample index and is only
-    used with ``weight_prior="include"``.
-    """
-    if weight_prior not in ("cancel", "include"):
-        raise ValueError("weight_prior must be 'cancel' or 'include'")
+def post_falsification_weights(verdicts: ClassVerdicts) -> WeightedEnsemble:
+    """Normalized likelihood weights over the unfalsified subset of one class."""
     kept = np.flatnonzero(verdicts.unfalsified)
     if kept.size == 0:
         raise AllModelsFalsifiedError(verdicts.class_id)
     log_w = verdicts.log_likelihood[kept]
-    if weight_prior == "include":
-        if log_priors is None:
-            raise ValueError("weight_prior='include' requires log prior densities")
-        log_w = log_w + np.asarray(log_priors, dtype=float)[kept]
     # log-sum-exp shifted by the largest term, which is taken out of the sum so that
     # log1p keeps the others' share exact to rounding (Blanchard, Higham & Higham 2021)
     top = np.argmax(log_w)

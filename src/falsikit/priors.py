@@ -19,7 +19,6 @@ import numpy.random   # numpy loads it lazily; every run draws from it
 __all__ = [
     "PriorSpec",
     "ModelClassSpec",
-    "ModelSample",
     "EnsembleSpec",
     "SamplingError",
     "sample_prior",
@@ -70,44 +69,6 @@ class PriorSpec:
             raise ValueError("lognormal prior requires mean > 0")
         if self.positive_only and self.kind != "normal":
             raise ValueError("positive_only only applies to normal priors")
-
-    @property
-    def support(self) -> tuple[float, float]:
-        """Closed support interval of the prior (infinite endpoints for normal)."""
-        if self.kind == "uniform":
-            half = self.std_dev * _SQRT3
-            return (self.mean - half, self.mean + half)
-        if self.kind == "lognormal" or self.positive_only:
-            return (0.0, np.inf)
-        return (-np.inf, np.inf)
-
-    def contains(self, value: float) -> bool:
-        lo, hi = self.support
-        open_left = self.kind == "lognormal" or self.positive_only
-        return (value > lo if open_left else value >= lo) and value <= hi
-
-    def log_pdf(self, value):
-        """Log prior density, elementwise over ``value``."""
-        value = np.asarray(value, dtype=float)
-        if self.kind == "normal":
-            out = -0.5 * np.log(2.0 * np.pi) - np.log(self.std_dev) \
-                - 0.5 * ((value - self.mean) / self.std_dev) ** 2
-            if self.positive_only:
-                # renormalization over the positive half-line is a constant
-                # factor shared by all samples; omitted since weights are
-                # normalized downstream anyway
-                out = np.where(value > 0.0, out, -np.inf)
-            return out
-        if self.kind == "lognormal":
-            sig2 = np.log1p((self.std_dev / self.mean) ** 2)
-            mu = np.log(self.mean) - 0.5 * sig2
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lv = np.where(value > 0.0, np.log(np.where(value > 0.0, value, 1.0)), np.nan)
-                out = -0.5 * np.log(2.0 * np.pi * sig2) - lv - 0.5 * (lv - mu) ** 2 / sig2
-            return np.where(value > 0.0, out, -np.inf)
-        lo, hi = self.support
-        inside = (value >= lo) & (value <= hi)
-        return np.where(inside, -np.log(hi - lo), -np.inf)
 
 
 def sample_prior(spec: PriorSpec, rng: np.random.Generator, name: str = "parameter") -> float:
@@ -163,25 +124,6 @@ class ModelClassSpec:
     def n_parameters(self) -> int:
         return len(self.parameter_names)
 
-    def log_prior(self, theta) -> float:
-        """Joint log prior density of one parameter vector (independent marginals)."""
-        theta = np.asarray(theta, dtype=float)
-        return float(sum(p.log_pdf(t) for p, t in zip(self.priors, theta)))
-
-
-@dataclass(frozen=True)
-class ModelSample:
-    """One candidate model: a parameter draw from its class's priors."""
-
-    class_id: str
-    theta: tuple[float, ...]
-    sample_index: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
-        if self.sample_index < 0:
-            raise ValueError("sample_index must be >= 0")
-
 
 @dataclass(frozen=True)
 class EnsembleSpec:
@@ -212,8 +154,8 @@ def sample_rng(master_seed: int, class_id: str, sample_index: int) -> np.random.
     return np.random.default_rng(seq)
 
 
-def draw_sample(class_spec: ModelClassSpec, master_seed: int, sample_index: int) -> ModelSample:
-    """Draw a single ModelSample; independent of any other sample's draws."""
+def draw_sample(class_spec: ModelClassSpec, master_seed: int, sample_index: int) -> list[float]:
+    """The parameter vector of one candidate; independent of any other sample's draws."""
     rng = sample_rng(master_seed, class_spec.class_id, sample_index)
     theta = []
     for name, prior in zip(class_spec.parameter_names, class_spec.priors):
@@ -222,24 +164,16 @@ def draw_sample(class_spec: ModelClassSpec, master_seed: int, sample_index: int)
         except SamplingError as err:
             raise SamplingError(
                 f"class {class_spec.class_id!r}, sample {sample_index}: {err}") from err
-    return ModelSample(class_spec.class_id, tuple(theta), sample_index)
+    return theta
 
 
-def generate_ensemble(spec: EnsembleSpec) -> dict[str, list[ModelSample]]:
-    """Generate ``samples_per_class`` models for every class in ``spec``.
+def generate_ensemble(spec: EnsembleSpec) -> dict[str, np.ndarray]:
+    """Draw ``samples_per_class`` models for every class in ``spec``.
 
-    Returns a mapping class_id -> list of ModelSample ordered by sample_index.
-    Deterministic: the same spec yields bit-identical ensembles.
+    Returns a mapping class_id -> (samples_per_class, n_parameters) array
+    whose row i is the parameter vector of sample index i.  Deterministic:
+    the same spec yields bit-identical ensembles.
     """
-    out: dict[str, list[ModelSample]] = {}
-    for class_spec in spec.class_specs:
-        out[class_spec.class_id] = [
-            draw_sample(class_spec, spec.master_seed, i)
-            for i in range(spec.samples_per_class)
-        ]
-    return out
-
-
-def theta_matrix(samples: list[ModelSample]) -> np.ndarray:
-    """Stack sample parameter vectors into an (n_samples, n_parameters) array."""
-    return np.array([s.theta for s in samples], dtype=float)
+    return {c.class_id: np.array([draw_sample(c, spec.master_seed, i)
+                                  for i in range(spec.samples_per_class)], dtype=float)
+            for c in spec.class_specs}

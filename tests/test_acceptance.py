@@ -21,8 +21,7 @@ from falsikit.falsification import (FdrConfig, ResidualNoiseModel, falsify,
 from falsikit.modal import ModalResult, mac, modal_residual, solve_modes
 from falsikit.prediction import (estimate_parameters, post_falsification_weights,
                                  predict_response, relative_rms_error)
-from falsikit.priors import (EnsembleSpec, ModelClassSpec, PriorSpec,
-                             generate_ensemble, theta_matrix)
+from falsikit.priors import EnsembleSpec, ModelClassSpec, PriorSpec, generate_ensemble
 
 # ---------------------------------------------------------------------------
 # frozen replica scenario
@@ -86,8 +85,7 @@ def replica(scenario):
     building = scenario["building"]
     specs = _class_specs()
     t0 = time.perf_counter()
-    ensemble = generate_ensemble(EnsembleSpec(tuple(specs), N_S, MASTER_SEED))
-    thetas = {s.class_id: theta_matrix(ensemble[s.class_id]) for s in specs}
+    thetas = generate_ensemble(EnsembleSpec(tuple(specs), N_S, MASTER_SEED))
     h_by_class = {s.class_id: integrate_rk4(_system(s, thetas[s.class_id], building),
                                             scenario["calibration"])
                   for s in specs}

@@ -64,10 +64,6 @@ class TestFdrConfig:
         with pytest.raises(ValueError):
             FdrConfig(1.0)
 
-    def test_phi_round_trip(self):
-        assert FdrConfig.from_phi(0.95).alpha == pytest.approx(0.05)
-        assert FdrConfig(0.05).phi == pytest.approx(0.95)
-
 
 class TestResiduals:
     def test_batch_and_single(self):

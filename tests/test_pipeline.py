@@ -100,6 +100,30 @@ class TestIngestTimeseries:
         assert rec.dt == pytest.approx(0.1)
         np.testing.assert_array_equal(rec.samples, [1.0, 2.0, 3.0])
 
+    def test_header_after_comment(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("# recorded 2026-01-01\ntime,accel\n0.0,1.0\n0.1,2.0\n")
+        rec = ingest_timeseries(path)
+        assert rec.dt == pytest.approx(0.1)
+        np.testing.assert_array_equal(rec.samples, [1.0, 2.0])
+        d = ingest_measurement(path, channel_names=("accel",))
+        np.testing.assert_array_equal(d.d, [1.0, 2.0])
+
+    def test_second_non_numeric_line_rejected(self, tmp_path):
+        path = tmp_path / "series.csv"
+        path.write_text("# recorded 2026-01-01\ntime,accel\nunits,m/s2\n0.0,1.0\n0.1,2.0\n")
+        with pytest.raises(ValueError, match="non-numeric data at line 3"):
+            ingest_timeseries(path)
+
+    def test_wide_table_round_trip(self, tmp_path):
+        # fewer rows than columns: written as given, not transposed
+        table = np.arange(12.0).reshape(3, 4)
+        path = tmp_path / "wide.tsv"
+        write_timeseries(path, 0.05, table)
+        d = ingest_measurement(path)
+        assert d.channel_names == ("channel_0", "channel_1", "channel_2", "channel_3")
+        np.testing.assert_array_equal(d.by_channel(), table)
+
     def test_measurement_of_three_channels(self, tmp_path):
         path = tmp_path / "m3.tsv"
         path.write_text("0.0\t1.0\t2.0\t3.0\n0.1\t4.0\t5.0\t6.0\n")
@@ -206,6 +230,17 @@ class TestParseConfig:
         workspace.write_text(text)
         with pytest.raises(ConfigError, match="alpha"):
             parse_config(workspace)
+
+    def test_readme_minimal_config_parses(self, tmp_path):
+        # a key removed from the code but still shown in the README fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"A minimal config:\s*```ini\n(.*?)```", readme, re.S)
+        assert block, "README has no minimal config block"
+        for name in ("cal.tsv", "pred.tsv", "measured.tsv"):
+            write_timeseries(tmp_path / name, 0.05, np.sin(np.arange(20.0)))
+        (tmp_path / "run.ini").write_text(block.group(1))
+        config = parse_config(tmp_path / "run.ini")
+        assert [c.class_id for c in config.ensemble.class_specs] == ["boucwen"]
 
     def test_resolve_binding_registry(self):
         for name in ("boucwen", "bilinear", "aashto", "jpwri", "modified_aashto",
@@ -494,6 +529,16 @@ class TestCli:
         rc = cli_main(["run", "--config", str(workspace), "--stage", "falsify"])
         assert rc == 2
         assert "error: [measurement]" in capsys.readouterr().err
+        assert not (workspace.parent / "out" / "sim_key.txt").exists()
+
+    def test_missing_measurement_refused_before_simulating(self, workspace, capsys):
+        text = workspace.read_text()
+        assert "[measurement]\nfile = measured.tsv\n" in text
+        workspace.write_text(text.replace("[measurement]\nfile = measured.tsv\n", ""))
+        rc = cli_main(["run", "--config", str(workspace), "--stage", "all"])
+        assert rc == 2
+        assert "error: no [measurement] file configured" in capsys.readouterr().err
+        assert not (workspace.parent / "out" / "sim_key.txt").exists()
 
     @pytest.mark.parametrize("rows,dt", [(40, 0.05), (100, 0.02)])
     def test_prediction_truth_grid_mismatch_exit_code(self, workspace, capsys, rows, dt):
@@ -557,6 +602,9 @@ class TestCli:
 
     @pytest.mark.parametrize("old,new,message", [
         ("[building]", "alpah = 0.01\n\n[building]", r"\[run\] alpah: unknown key"),
+        ("[building]", "phi = 0.95\n\n[building]", r"\[run\] phi: unknown key"),
+        ("[building]", "weight_prior = include\n\n[building]",
+         r"\[run\] weight_prior: unknown key"),
         ("base_mass = 500", "base_mass = 500\nmass = 5", r"\[building\] mass: unknown key"),
         ("file = measured.tsv", "file = measured.tsv\nchannels = 1",
          r"\[measurement\] channels: unknown key"),
@@ -575,7 +623,8 @@ class TestCli:
     @pytest.mark.parametrize("old,new,message", [
         ("base_mass = 500", "base_mass = 5OO",
          r"\[building\] base_mass: expected a number, got '5OO'"),
-        ("[building]", "phi = high\n\n[building]", r"\[run\] phi: expected a number, got 'high'"),
+        ("[building]", "alpha = high\n\n[building]",
+         r"\[run\] alpha: expected a number, got 'high'"),
         ("master_seed = 11", "master_seed = 1.5",
          r"\[run\] master_seed: expected an integer, got '1.5'"),
         ("sigma_fraction = 0.15", "sigma_fraction = 0,15",

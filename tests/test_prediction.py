@@ -42,28 +42,6 @@ class TestWeights:
         with pytest.raises(AllModelsFalsifiedError, match="'c'"):
             post_falsification_weights(_verdicts([-50.0, -11.0]))
 
-    def test_include_prior(self):
-        verdicts = _verdicts([-5.0, -5.0])
-        we = post_falsification_weights(verdicts, log_priors=[0.0, np.log(3.0)],
-                                        weight_prior="include")
-        assert we.weights[1] / we.weights[0] == pytest.approx(3.0, rel=1e-12)
-
-    def test_include_prior_by_sample_index(self):
-        # the falsified sample's prior is skipped, not shifted onto its neighbour
-        we = post_falsification_weights(_verdicts([-5.0, -20.0, -5.0]),
-                                        log_priors=[0.0, 50.0, np.log(3.0)],
-                                        weight_prior="include")
-        assert we.sample_indices == (0, 2)
-        assert we.weights[1] / we.weights[0] == pytest.approx(3.0, rel=1e-12)
-
-    def test_include_prior_requires_densities(self):
-        with pytest.raises(ValueError, match="prior"):
-            post_falsification_weights(_verdicts([-5.0]), weight_prior="include")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            post_falsification_weights(_verdicts([-5.0]), weight_prior="drop")
-
     def test_ensemble_validation(self):
         with pytest.raises(ValueError):
             WeightedEnsemble("c", (0, 1), np.array([0.6, 0.6]))
