@@ -15,6 +15,17 @@ from .pipeline import STAGES, ConfigError, emit_report, parse_config, run_pipeli
 from .priors import SamplingError
 
 
+def _seed(text: str) -> int:
+    """A master seed: an integer >= 0, as numpy's SeedSequence takes."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {seed}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="falsikit",
@@ -23,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="execute the simulate/falsify/predict pipeline")
     run.add_argument("--config", required=True, help="path to the run configuration file")
-    run.add_argument("--seed-override", type=int, default=None,
+    run.add_argument("--seed-override", type=_seed, default=None,
                      help="replace the configured master seed")
     run.add_argument("--stage", choices=STAGES, default="all",
                      help="run up to this stage, reusing earlier artifacts (default all)")

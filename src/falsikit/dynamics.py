@@ -174,6 +174,8 @@ class ShearBuildingModel:
             raise ValueError("story masses and stiffnesses must be > 0")
         if self.base_mass <= 0:
             raise ValueError("base mass must be > 0")
+        if not self.damping_ratio >= 0.0:
+            raise ValueError(f"damping_ratio must be >= 0, got {self.damping_ratio}")
         i, j = self.damping_modes
         if not (1 <= i < j <= len(self.story_masses)):
             raise ValueError("damping_modes must be two distinct 1-based mode numbers")
@@ -270,10 +272,10 @@ def _boucwen(z, v, a, beta, gamma, n_less_one, z_max, out=None, work=None):
 
     a v - az**(n-1) (beta v az + gamma z |v|) with az = min(|z|, z_max): the
     law of ``boucwen_rate`` with one power, since |z|**n = |z|**(n-1) |z|.
-    The result goes into ``out`` and the scratch into ``work``, of shape
-    (2,) + out.shape; either is allocated when not given, except when every
-    input is 0-d: then the steps run on numpy scalars, and each in-place step
-    rebinds its name instead of writing a buffer.  ``out`` must not share
+    The result goes into ``out`` and the scratch into ``work``, a pair of
+    arrays of out's shape; either is allocated when not given, except when
+    every input is 0-d: then the steps run on numpy scalars, and each in-place
+    step rebinds its name instead of writing a buffer.  ``out`` must not share
     memory with ``z`` or ``v``.
     """
     if out is None:
@@ -282,7 +284,7 @@ def _boucwen(z, v, a, beta, gamma, n_less_one, z_max, out=None, work=None):
             out = np.empty(shape)
     if work is None and out is not None:
         work = np.empty((2,) + out.shape)
-    az_buf, t_buf = (None, None) if work is None else (work[0, ...], work[1, ...])
+    az_buf, t_buf = (None, None) if work is None else work
     az = np.minimum(np.abs(z, out=az_buf), z_max, out=az_buf)
     t = np.multiply(beta, v, out=t_buf)
     t *= az                     # beta v az
@@ -480,7 +482,7 @@ class IsolatedSystem:
         deriv = self._A @ state
         deriv[n:2 * n] -= ag
         deriv[self._vb] -= self._isolator_force(rows)
-        self._z_rate(rows[2], rows[1], out=deriv[-1])
+        _boucwen(rows[2], rows[1], *self._boucwen_params, out=deriv[-1])
         return deriv
 
     def _isolator_force(self, rows, out=None):
@@ -491,10 +493,10 @@ class IsolatedSystem:
         """
         return np.einsum("ij,ij->j", self.iso_rows, rows, out=out)
 
-    def _z_rate(self, z, v_b, out=None, work=None):
-        """Bouc-Wen rate dz/dt of each model, into ``out`` if given (see ``_boucwen``)."""
-        return _boucwen(z, v_b, self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow_less_one,
-                        self.z_max, out=out, work=work)
+    @property
+    def _boucwen_params(self):
+        """The per-model operands of ``_boucwen`` after z and v: a, beta, gamma, n - 1, z_max."""
+        return self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow_less_one, self.z_max
 
     def output(self, state: np.ndarray, deriv: np.ndarray, ag) -> np.ndarray:
         """Base absolute acceleration of a models-first batch, shape (n_models, 1)."""
@@ -591,7 +593,7 @@ def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
     """The record step of a hysteretic batch: RK4 with its linear part precomputed.
 
     Stage i of an RK4 substep has the rate k_i = A Y_i + B u - e_vb f_i + e_z g_i,
-    where f_i = ``_isolator_force`` and g_i = ``_z_rate`` at the stage state
+    where f_i = ``_isolator_force`` and g_i = ``_boucwen`` at the stage state
     Y_i, the only terms that differ per model.  Each Y_i, the new state and
     the output k_1[v_b] + u are therefore fixed linear maps of the extended
     state W = [x; u; f_1; g_1; ...; f_4; g_4], built here once from A, B and
@@ -601,9 +603,11 @@ def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
     from that buffer straight into their rows of W, and applies one
     (n_states x n_W) product to advance x; the arithmetic is that of
     ``rhs``-based RK4, regrouped, so the two agree to round-off.  Every
-    buffer is allocated here, once, so a stage allocates nothing.  Returns
-    ``step(u)`` as ``_rhs_step`` does, with outputs of shape (n_models, 1) and
-    the state as a models-first view, both overwritten by the next call.
+    buffer, and every view of one that a stage reads or writes, is made here,
+    once, for both W buffers, so a stage allocates and slices nothing.
+    Returns ``step(u)`` as ``_rhs_step`` does, with outputs of shape
+    (n_models, 1) and the state as a models-first view, both overwritten by
+    the next call.
     """
     n = system.n_states
     width = n + 1 + 8                          # W = [x; u; f_1; g_1; ...; f_4; g_4]
@@ -626,35 +630,50 @@ def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
     advance = identity + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     # stage i depends on f_j, g_j for j < i only: its x_b, v_b and z rows over
     # the first n + 1 + 2 i columns of W, and where its f_i and g_i go in W
-    rows = [system._xb, system._vb, n - 1]
+    rows = np.array([system._xb, system._vb, n - 1])
     stages = [(None if i == 0 else stage_map[rows, :n + 1 + 2 * i], n + 1 + 2 * i)
               for i, stage_map in enumerate(stage_maps)]
     output_row = k1[system._vb, :n + 3].copy()
     output_row[n] += 1.0                       # base absolute acceleration = k_1[v_b] + u
 
-    W = np.zeros((width, system.n_models))
-    W[:n] = system.initial_state()
-    spare = np.zeros_like(W)                   # the next substep's W, swapped in
+    buffers = (np.zeros((width, system.n_models)), np.zeros((width, system.n_models)))
+    buffers[0][:n] = system.initial_state()
     stage_rows = np.empty((3, system.n_models))   # [x_b; v_b; z] of the current stage
-    work = np.empty((2, system.n_models))          # scratch of ``_boucwen``
+    z_row, v_row = stage_rows[2], stage_rows[1]
+    work = tuple(np.empty((2, system.n_models)))  # scratch rows of ``_boucwen``
+    boucwen_params = system._boucwen_params
     y = np.empty(system.n_models)
 
+    def substep_views(W, spare):
+        """A substep from ``W`` into ``spare``: per stage its projection, the rows
+        of W it reads and the f_i and g_i rows it writes; the rows the output
+        reads, the full W and where the new x goes."""
+        per_stage = [(projection, W if projection is None else W[:f], W[f], W[f + 1])
+                     for projection, f in stages]
+        return per_stage, W[:n + 3], W, spare[:n]
+
+    views = (substep_views(*buffers), substep_views(*buffers[::-1]))
+    states = tuple(W[:n].T for W in buffers)
+    inputs = tuple(W[n] for W in buffers)
+    current = 0
+
     def step(u):
-        nonlocal W, spare
-        W[n] = spare[n] = u
+        nonlocal current
+        inputs[0][...] = inputs[1][...] = u
         for j in range(n_sub):
-            for projection, f in stages:
+            per_stage, head, W, next_x = views[current]
+            for projection, known, f_row, g_row in per_stage:
                 if projection is None:
-                    np.take(W, rows, axis=0, out=stage_rows, mode="clip")
+                    np.take(known, rows, axis=0, out=stage_rows, mode="clip")
                 else:
-                    np.matmul(projection, W[:f], out=stage_rows)
-                system._isolator_force(stage_rows, out=W[f])
-                system._z_rate(stage_rows[2], stage_rows[1], out=W[f + 1], work=work)
+                    np.matmul(projection, known, out=stage_rows)
+                system._isolator_force(stage_rows, out=f_row)
+                _boucwen(z_row, v_row, *boucwen_params, out=g_row, work=work)
             if j == 0:
-                np.matmul(output_row, W[:n + 3], out=y)
-            np.matmul(advance, W, out=spare[:n])
-            W, spare = spare, W
-        return y[:, None], W[:n].T
+                np.matmul(output_row, head, out=y)
+            np.matmul(advance, W, out=next_x)
+            current ^= 1
+        return y[:, None], states[current]
 
     return step
 

@@ -9,9 +9,12 @@ Reruns with the same config and seed produce byte-identical artifacts.
 from __future__ import annotations
 
 import configparser
+import contextlib
 import hashlib
 import json
+import math
 import os
+import re
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -21,7 +24,7 @@ import numpy as np
 
 from . import dynamics
 from .dynamics import ExcitationRecord, IsolatedSystem, ShearBuildingModel
-from .falsification import (FdrConfig, MeasurementSet, ResidualNoiseModel,
+from .falsification import (ClassVerdicts, FdrConfig, MeasurementSet, ResidualNoiseModel,
                             falsify_classes, residuals)
 from .prediction import (estimate_parameters, post_falsification_weights,
                          predict_response, relative_rms_error)
@@ -42,6 +45,8 @@ __all__ = [
 
 _FLOAT_FMT = "%.17g"   # round-trips double precision
 STAGES = ("simulate", "falsify", "predict", "all")
+MAX_SUBSTEPS_PER_SAMPLE = 1000   # RK4 substeps per record interval that dt_int may ask for
+_CLASS_ID = re.compile(r"[A-Za-z0-9_.-]+")   # a class id names its sim_ and prediction_ files
 
 
 class ConfigError(ValueError):
@@ -79,28 +84,30 @@ def _theta_column(theta, names, key, fixed):
     return None
 
 
-def _isolator_factory(variant):
-    def factory(theta, parameter_names, building, fixed_constants):
+class _IsolatorBinding:
+    """Builds the ``IsolatedSystem`` batch of one variant from a class's θ matrix.
+
+    ``parameter_names`` are the names the variant takes, as priors or as
+    ``fixed_`` constants; all but ``n_pow`` are required.
+    """
+
+    def __init__(self, variant: str):
+        self.variant = variant
+        self.parameter_names = (("k_post", "c_b", "r_k", "Q_y", "n_pow")
+                                if variant in dynamics.NONLINEAR_VARIANTS
+                                else ("k_post", "c_b", "r_k", "r_d"))
+
+    def __call__(self, theta, parameter_names, building, fixed_constants):
         names = list(parameter_names)
-        get = lambda key: _theta_column(theta, names, key, fixed_constants)
-        kwargs = dict(k_post=get("k_post"), c_b=get("c_b"), r_k=get("r_k"))
-        for key, value in kwargs.items():
-            if value is None:
-                raise ConfigError(f"{variant} binding requires parameter {key!r}")
-        if variant in dynamics.NONLINEAR_VARIANTS:
-            kwargs["Q_y"] = get("Q_y")
-            if kwargs["Q_y"] is None:
-                raise ConfigError(f"{variant} binding requires parameter 'Q_y'")
-            kwargs["n_pow"] = get("n_pow")
-        else:
-            kwargs["r_d"] = get("r_d")
-            if kwargs["r_d"] is None:
-                raise ConfigError(f"{variant} binding requires parameter 'r_d'")
-        return IsolatedSystem(building, variant, **kwargs)
-    return factory
+        kwargs = {}
+        for key in self.parameter_names:
+            kwargs[key] = _theta_column(theta, names, key, fixed_constants)
+            if kwargs[key] is None and key != "n_pow":
+                raise ConfigError(f"{self.variant} binding requires parameter {key!r}")
+        return IsolatedSystem(building, self.variant, **kwargs)
 
 
-BINDINGS = {variant: _isolator_factory(variant)
+BINDINGS = {variant: _IsolatorBinding(variant)
             for variant in dynamics.NONLINEAR_VARIANTS + dynamics.LINEAR_VARIANTS}
 
 
@@ -178,17 +185,17 @@ def _parse_prior(class_name: str, key: str, text: str) -> PriorSpec:
 
 def _number(section: str, key: str, text: str, kind=float):
     try:
-        return kind(text)
+        value = kind(text)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"[{section}] {key}: expected {what}, got {text!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"[{section}] {key}: expected a finite number, got {text!r}")
+    return value
 
 
 def _floats(section: str, key: str, text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.replace(",", " ").split())
-    except ValueError:
-        raise ConfigError(f"[{section}] {key}: expected numbers, got {text!r}")
+    return tuple(_number(section, key, x) for x in text.replace(",", " ").split())
 
 
 def parse_config(path) -> RunConfig:
@@ -235,7 +242,11 @@ def parse_config(path) -> RunConfig:
 
     # [run]
     master_seed = number("run", "master_seed", required=True, kind=int)
+    if master_seed < 0:
+        raise ConfigError(f"[run] master_seed must be >= 0, got {master_seed}")
     samples_per_class = number("run", "samples_per_class", required=True, kind=int)
+    if samples_per_class < 1:
+        raise ConfigError(f"[run] samples_per_class must be >= 1, got {samples_per_class}")
     output_dir = Path(get("run", "output_dir", required=True))
     alpha = number("run", "alpha", "0.05")
     if not (0.0 < alpha < 1.0):
@@ -271,6 +282,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError("[noise] sigma_fraction must be > 0")
     if cp.has_option("noise", "sigma"):
         sigma_absolute = _floats("noise", "sigma", get("noise", "sigma"))
+        if any(sigma <= 0.0 for sigma in sigma_absolute):
+            raise ConfigError(f"[noise] sigma must be > 0, got {get('noise', 'sigma')!r}")
         n_channels = len(IsolatedSystem.channel_names)
         if len(sigma_absolute) not in (1, n_channels):
             raise ConfigError(f"[noise] sigma: expected one value or one per measured channel "
@@ -304,18 +317,25 @@ def parse_config(path) -> RunConfig:
         if not section.startswith("class:"):
             continue
         class_id = section.split(":", 1)[1]
+        if not _CLASS_ID.fullmatch(class_id):
+            raise ConfigError(f"[{section}] class id must be one or more of the characters "
+                              "A-Z a-z 0-9 _ . -, as it names the class's files")
         binding = get(section, "binding", required=True)
-        resolve_binding(binding)   # unresolved binding is a configuration error
+        takes = resolve_binding(binding).parameter_names
         names, priors = [], []
         fixed = {}
         for key, value in cp.items(section):
             if key == "binding":
                 continue
-            if key.startswith("fixed_"):
-                fixed[key[len("fixed_"):]] = _number(section, key, value)
-                continue
-            names.append(key)
-            priors.append(_parse_prior(class_id, key, value))
+            name = key.removeprefix("fixed_")
+            if name != key:
+                fixed[name] = _number(section, key, value)
+            else:
+                names.append(key)
+                priors.append(_parse_prior(class_id, key, value))
+            if name not in takes:
+                raise ConfigError(f"[{section}] {key}: the {binding} binding takes no parameter "
+                                  f"{name!r}; it takes {', '.join(takes)}")
         if not names:
             raise ConfigError(f"[{section}] declares no parameters")
         class_specs.append(ModelClassSpec(
@@ -523,6 +543,29 @@ def _integrate(batch, record: ExcitationRecord, dt_int: float, blocks) -> np.nda
         raise dynamics.SimulationDivergedError(err.time, local, cid, label) from None
 
 
+def _check_dt_int(given: float | None, dt_int: float, records: dict) -> None:
+    """Refuse an RK4 step that does not split each record's dt into whole substeps.
+
+    ``given`` is the configured ``dt_int`` (None for the default ``dt_int``,
+    calibration dt / 10) and ``records`` maps each record's path to the
+    record.  One sample may take at most ``MAX_SUBSTEPS_PER_SAMPLE`` substeps.
+    """
+    key = f"[run] dt_int = {dt_int:g} s" + ("" if given is not None
+                                            else " (the default, calibration dt / 10)")
+    for path, record in records.items():
+        ratio = record.dt / dt_int
+        n_sub = round(ratio)
+        if ratio < 1.0 - 1e-6:
+            raise ConfigError(f"{key} exceeds the sampling interval dt = {record.dt:g} s "
+                              f"of {path}")
+        if abs(ratio - n_sub) > 1e-6 * ratio:
+            raise ConfigError(f"{key} does not divide the sampling interval dt = {record.dt:g} s "
+                              f"of {path}")
+        if n_sub > MAX_SUBSTEPS_PER_SAMPLE:
+            raise ConfigError(f"{key} takes {n_sub} RK4 substeps per sample of {path}; "
+                              f"at most {MAX_SUBSTEPS_PER_SAMPLE} are allowed")
+
+
 def _simulation_key(config: RunConfig, calibration: ExcitationRecord, dt_int: float) -> str:
     """sha256 of everything the calibration simulations depend on."""
     inputs = {
@@ -538,11 +581,89 @@ def _simulation_key(config: RunConfig, calibration: ExcitationRecord, dt_int: fl
     return digest.hexdigest()
 
 
+def _verdict_key(sim_key: str, d: MeasurementSet, noise: ResidualNoiseModel,
+                 fdr: FdrConfig) -> str:
+    """sha256 of everything the verdict ledger depends on: the simulations' key,
+    the measurement, the noise sigmas and alpha."""
+    inputs = {"simulations": sim_key, "sigma": [repr(s) for s in noise.std_devs],
+              "alpha": repr(fdr.alpha)}
+    digest = hashlib.sha256(json.dumps(inputs, sort_keys=True).encode())
+    digest.update(d.d.tobytes())
+    return digest.hexdigest()
+
+
+def _keyed(key_path: Path, key: str, paths) -> bool:
+    """Whether the cache of ``paths`` holds what ``key`` describes.
+
+    True when ``key_path`` holds ``key`` and every path is a file; a cache is
+    only rewritten inside ``_rewriting``, so its key is on disk only while
+    all its files are the ones written for that key.
+    """
+    return (key_path.is_file() and key_path.read_text().strip() == key
+            and all(p.is_file() for p in paths))
+
+
+@contextlib.contextmanager
+def _rewriting(key_path: Path, key: str):
+    """Rewrite a cache in the ``with`` block, with no key on disk until it is done."""
+    key_path.unlink(missing_ok=True)
+    yield
+    _atomic_write_text(key_path, key + "\n")
+
+
+_LEDGER_HEADER = "class_id\tsample_index\ttheta...\tlog_likelihood\tlog_bound\tunfalsified"
+
+
+def _ledger_text(thetas: dict, verdicts: dict) -> str:
+    """The verdict ledger: one row per candidate, its θ, log L, log B and verdict."""
+    lines = [_LEDGER_HEADER]
+    for cid, v in verdicts.items():
+        bound_txt = _FLOAT_FMT % v.log_bound
+        for i, (theta, log_l, keep) in enumerate(zip(thetas[cid], v.log_likelihood,
+                                                     v.unfalsified)):
+            theta_txt = "\t".join(_FLOAT_FMT % x for x in theta)
+            lines.append(
+                f"{cid}\t{i}\t{theta_txt}\t{_FLOAT_FMT % log_l}\t{bound_txt}\t{int(keep)}")
+    return "\n".join(lines) + "\n"
+
+
+def _read_ledger(path: Path, ensemble: EnsembleSpec):
+    """The θ matrices and verdicts of a ledger that ``_ledger_text`` wrote.
+
+    ``%.17g`` round-trips, so every value equals the one written bit for bit.
+    None when the rows are not one per sample of each of ``ensemble``'s
+    classes, in order.
+    """
+    rows = {spec.class_id: [] for spec in ensemble.class_specs}
+    with open(path) as fh:
+        if fh.readline() != _LEDGER_HEADER + "\n":
+            return None
+        for line in fh:
+            cid, _, fields = line.partition("\t")
+            if cid not in rows:
+                return None
+            rows[cid].append([float(x) for x in fields.split("\t")])
+    n = ensemble.samples_per_class
+    thetas, verdicts = {}, {}
+    for spec in ensemble.class_specs:
+        table = np.array(rows[spec.class_id])   # sample_index, θ..., log L, log B, verdict
+        if (table.shape != (n, spec.n_parameters + 4)
+                or not np.array_equal(table[:, 0], np.arange(n))):
+            return None
+        thetas[spec.class_id] = np.ascontiguousarray(table[:, 1:-3])
+        verdicts[spec.class_id] = ClassVerdicts(spec.class_id, table[:, -3], float(table[0, -2]))
+    return thetas, verdicts
+
+
 def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     """Execute simulate -> falsify -> predict and persist all artifacts.
 
-    ``stage`` runs the pipeline up to the named stage, reusing any artifacts
-    already present in the output directory for earlier stages.
+    ``stage`` runs the pipeline up to the named stage.  ``falsify`` and
+    ``predict`` reuse the calibration simulations in the output directory
+    when ``sim_key.txt`` matches, and ``predict`` also reuses the verdict
+    ledger when ``verdict_key.txt`` matches: it then takes θ and the
+    verdicts from ``verdicts.tsv`` and draws, loads and scores nothing.
+    ``all`` recomputes every stage.
     """
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}")
@@ -554,10 +675,12 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     if config.config_path is not None and Path(config.config_path).is_file():
         config_hash = hashlib.sha256(Path(config.config_path).read_bytes()).hexdigest()
 
+    # --- inputs, all checked before anything is simulated or written --------
     calibration = ingest_timeseries(config.calibration_path)
     dt_int = config.dt_int if config.dt_int is not None else calibration.dt / 10.0
-
-    # --- measurement and noise model, checked before anything is simulated ---
+    predicts = stage in ("predict", "all")
+    inputs = {p: ingest_timeseries(p) for p in config.prediction_paths} if predicts else {}
+    _check_dt_int(config.dt_int, dt_int, {config.calibration_path: calibration, **inputs})
     channel_names = tuple(IsolatedSystem.channel_names)
     if stage != "simulate":
         if config.measurement_path is None:
@@ -573,33 +696,53 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
                               f"but the calibration record simulates {n_sim}")
         noise = config.noise_model(d)
         noise_sigma = list(noise.std_devs)
+    truth_series = {}
+    for (p_path, record), t_path in zip(inputs.items(), config.prediction_truth_paths):
+        truth = ingest_measurement(t_path, channel_names=channel_names)
+        if abs(truth.dt - record.dt) > 1e-6 * record.dt:
+            raise ConfigError(f"[excitation] prediction_truth {t_path}: sampled at "
+                              f"dt = {truth.dt:g} s, its input {p_path} at dt = {record.dt:g} s")
+        if truth.n_obs != record.n_steps * len(channel_names):
+            raise ConfigError(f"[excitation] prediction_truth {t_path}: {truth.n_obs} samples, "
+                              f"but its input {p_path} predicts {record.n_steps}")
+        truth_series[p_path.stem] = truth
+    records = {p_path.stem: record for p_path, record in inputs.items()}
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"[run] output_dir {out} exists and is not a directory")
     out.mkdir(parents=True, exist_ok=True)
 
-    thetas = generate_ensemble(config.ensemble)
     class_specs = {c.class_id: c for c in config.ensemble.class_specs}
     class_order = [c.class_id for c in config.ensemble.class_specs]
-
-    # --- simulate stage -----------------------------------------------------
-    t0 = time.perf_counter()
     sim_paths = {cid: out / f"sim_{cid}.npy" for cid in class_order}
     key_path = out / "sim_key.txt"
     sim_key = _simulation_key(config, calibration, dt_int)
-    reuse = (stage in ("falsify", "predict") and key_path.is_file()
-             and key_path.read_text().strip() == sim_key
-             and all(p.is_file() for p in sim_paths.values()))
-    if reuse:
-        h_by_class = {cid: np.load(p) for cid, p in sim_paths.items()}
+    reuse = (stage in ("falsify", "predict")
+             and _keyed(key_path, sim_key, sim_paths.values()))
+    ledger_path, verdict_key_path = out / "verdicts.tsv", out / "verdict_key.txt"
+    ledger = None
+    if stage != "simulate":
+        verdict_key = _verdict_key(sim_key, d, noise, config.fdr)
+        if reuse and stage == "predict" and _keyed(verdict_key_path, verdict_key, [ledger_path]):
+            ledger = _read_ledger(ledger_path, config.ensemble)
+
+    # --- simulate stage -----------------------------------------------------
+    if ledger is None:
+        thetas = generate_ensemble(config.ensemble)
     else:
-        key_path.unlink(missing_ok=True)   # no key while the cache is being rewritten
-        systems = {cid: _build_system(class_specs[cid], thetas[cid], config.building)
-                   for cid in class_order}
-        h_by_class = _simulate_classes(systems, {None: calibration}, dt_int)[None]
-        for cid in class_order:
-            tmp = sim_paths[cid].with_name(sim_paths[cid].name + ".tmp")
-            with open(tmp, "wb") as fh:   # file handle: np.save must not append .npy
-                np.save(fh, h_by_class[cid])
-            os.replace(tmp, sim_paths[cid])
-        _atomic_write_text(key_path, sim_key + "\n")
+        thetas, verdicts = ledger
+    t0 = time.perf_counter()
+    if reuse and ledger is None:
+        h_by_class = {cid: np.load(p) for cid, p in sim_paths.items()}
+    elif not reuse:
+        with _rewriting(key_path, sim_key):
+            systems = {cid: _build_system(class_specs[cid], thetas[cid], config.building)
+                       for cid in class_order}
+            h_by_class = _simulate_classes(systems, {None: calibration}, dt_int)[None]
+            for cid in class_order:
+                tmp = sim_paths[cid].with_name(sim_paths[cid].name + ".tmp")
+                with open(tmp, "wb") as fh:   # file handle: np.save must not append .npy
+                    np.save(fh, h_by_class[cid])
+                os.replace(tmp, sim_paths[cid])
     artifacts["simulations"] = {cid: str(p) for cid, p in sim_paths.items()}
     timings["simulate"] = time.perf_counter() - t0
     substeps = calibration.n_steps * dynamics.substeps_per_sample(calibration.dt, dt_int)
@@ -615,10 +758,12 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
 
     # --- falsify stage ------------------------------------------------------
     t0 = time.perf_counter()
-    eps_by_class = {cid: residuals(h_by_class[cid], d) for cid in class_order}
-    verdicts = falsify_classes(eps_by_class, noise, config.fdr, d.n_channels)
-    del h_by_class, eps_by_class   # the verdicts hold all the later stages need
-    ledger_lines = ["class_id\tsample_index\ttheta...\tlog_likelihood\tlog_bound\tunfalsified"]
+    if ledger is None:
+        eps_by_class = {cid: residuals(h_by_class[cid], d) for cid in class_order}
+        verdicts = falsify_classes(eps_by_class, noise, config.fdr, d.n_channels)
+        del h_by_class, eps_by_class   # the verdicts hold all the later stages need
+        with _rewriting(verdict_key_path, verdict_key):
+            _atomic_write_text(ledger_path, _ledger_text(thetas, verdicts))
     counts = {}
     class_stats = {}
     for cid in class_order:
@@ -628,16 +773,9 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         class_stats[cid] = {"log_bound": float(v.log_bound), "margin_min": float(margin.min()),
                             "margin_median": statistics.median(margin.tolist()),
                             "margin_max": float(margin.max())}
-        bound_txt = _FLOAT_FMT % v.log_bound
-        unfalsified = v.unfalsified
-        for i, (theta, log_l, keep) in enumerate(zip(thetas[cid], v.log_likelihood, unfalsified)):
-            theta_txt = "\t".join(_FLOAT_FMT % x for x in theta)
-            ledger_lines.append(
-                f"{cid}\t{i}\t{theta_txt}\t{_FLOAT_FMT % log_l}\t{bound_txt}\t{int(keep)}")
-        n_s, n_u = unfalsified.size, int(unfalsified.sum())
+        n_s, n_u = v.unfalsified.size, int(v.unfalsified.sum())
         counts[cid] = {"n_s": n_s, "n_u": n_u, "n_f": n_s - n_u}
-    _atomic_write_text(out / "verdicts.tsv", "\n".join(ledger_lines) + "\n")
-    artifacts["verdict_ledger"] = str(out / "verdicts.tsv")
+    artifacts["verdict_ledger"] = str(ledger_path)
     timings["falsify"] = time.perf_counter() - t0
 
     total_s = sum(c["n_s"] for c in counts.values())
@@ -678,18 +816,6 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
 
     prediction_sims = 0
     prediction_errors = {}
-    records = {p_path.stem: ingest_timeseries(p_path) for p_path in config.prediction_paths}
-    truth_series = {}
-    for p_path, t_path in zip(config.prediction_paths, config.prediction_truth_paths):
-        truth = ingest_measurement(t_path, channel_names=channel_names)
-        record = records[p_path.stem]
-        if abs(truth.dt - record.dt) > 1e-6 * record.dt:
-            raise ConfigError(f"[excitation] prediction_truth {t_path}: sampled at "
-                              f"dt = {truth.dt:g} s, its input {p_path} at dt = {record.dt:g} s")
-        if truth.n_obs != record.n_steps * len(channel_names):
-            raise ConfigError(f"[excitation] prediction_truth {t_path}: {truth.n_obs} samples, "
-                              f"but its input {p_path} predicts {record.n_steps}")
-        truth_series[p_path.stem] = truth
     survivors = {cid: _build_system(class_specs[cid], thetas[cid][np.asarray(we.sample_indices)],
                                     config.building)
                  for cid, we in ensembles.items()}

@@ -10,14 +10,15 @@ import numpy as np
 import pytest
 
 import falsikit
-from falsikit import dynamics
+from falsikit import dynamics, pipeline
 from falsikit.cli import main as cli_main
 from falsikit.dynamics import (IsolatedSystem, SimulationDivergedError, add_measurement_noise,
                                band_limited_record, simulate)
-from falsikit.pipeline import (BINDINGS, ConfigError, RunManifest, _simulate_classes,
-                               emit_report, ingest_measurement, ingest_timeseries,
-                               parse_config, resolve_binding, run_pipeline,
+from falsikit.pipeline import (BINDINGS, ConfigError, RunManifest, _read_ledger,
+                               _simulate_classes, emit_report, ingest_measurement,
+                               ingest_timeseries, parse_config, resolve_binding, run_pipeline,
                                write_timeseries)
+from falsikit.priors import generate_ensemble
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -296,6 +297,100 @@ class TestRunPipeline:
         manifest = run_pipeline(config, stage="predict")
         assert manifest.prediction_inputs == 1
 
+    def test_predict_reads_the_ledger(self, workspace, monkeypatch):
+        # falsify then predict: predict draws, loads and scores nothing and keeps the ledger
+        config = parse_config(workspace)
+        run_pipeline(config, stage="falsify")
+        ledger = config.output_dir / "verdicts.tsv"
+        stamp = ledger.stat().st_mtime_ns
+        calibration = ingest_timeseries(config.calibration_path)
+        calls = {"generate_ensemble": 0, "residuals": 0, "falsify_classes": 0, "load": 0,
+                 "calibration": 0}
+        for module, name in ((pipeline, "generate_ensemble"), (pipeline, "residuals"),
+                             (pipeline, "falsify_classes"), (pipeline.np, "load")):
+            def counted(*args, _fn=getattr(module, name), _key=name, **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        integrate = dynamics.integrate_rk4
+
+        def counting(system, record, **kwargs):
+            if np.array_equal(record.samples, calibration.samples):
+                calls["calibration"] += 1
+            return integrate(system, record, **kwargs)
+
+        monkeypatch.setattr(dynamics, "integrate_rk4", counting)
+        manifest = run_pipeline(config, stage="predict")
+        assert calls == dict.fromkeys(calls, 0)
+        assert ledger.stat().st_mtime_ns == stamp
+        assert manifest.prediction_simulations == sum(c["n_u"] for c in manifest.counts.values())
+
+    def test_ledger_values_round_trip(self, workspace):
+        # the θ, log L and log B read back are the ones computed, bit for bit
+        config = parse_config(workspace)
+        run_pipeline(config, stage="falsify")
+        thetas, verdicts = _read_ledger(config.output_dir / "verdicts.tsv", config.ensemble)
+        drawn = generate_ensemble(config.ensemble)
+        d = ingest_measurement(config.measurement_path, channel_names=("base_abs_accel",))
+        for cid, theta in thetas.items():
+            assert theta.tobytes() == drawn[cid].tobytes()
+            h = np.load(config.output_dir / f"sim_{cid}.npy")
+            scored = pipeline.falsify_classes({cid: pipeline.residuals(h, d)},
+                                              config.noise_model(d), config.fdr)[cid]
+            assert verdicts[cid].log_likelihood.tobytes() == scored.log_likelihood.tobytes()
+            assert verdicts[cid].log_bound == scored.log_bound
+
+    @pytest.mark.parametrize("change", ["alpha", "measurement", "seed"])
+    def test_predict_recomputes_a_stale_ledger(self, workspace, change):
+        # a changed alpha, measurement or seed gives the ledger a fresh run gives
+        out = workspace.parent / "out"
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify"]) == 0
+        stale = (out / "verdicts.tsv").read_bytes()
+        extra = []
+        if change == "alpha":
+            workspace.write_text(workspace.read_text().replace("[building]",
+                                                               "alpha = 0.2\n\n[building]"))
+        elif change == "measurement":
+            measured = workspace.parent / "measured.tsv"
+            record = ingest_timeseries(measured)   # negated: the same sigma, other residuals
+            write_timeseries(measured, record.dt, -record.samples)
+        else:
+            extra = ["--seed-override", "12"]
+        assert cli_main(["run", "--config", str(workspace), "--stage", "predict", *extra]) == 0
+        reused = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        shutil.rmtree(out)
+        assert cli_main(["run", "--config", str(workspace), "--stage", "all", *extra]) == 0
+        fresh = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        assert fresh["verdicts.tsv"] != stale
+        del reused["report.txt"], fresh["report.txt"]   # the simulate column differs
+        assert reused == fresh
+
+    def test_predict_recomputes_an_unreadable_ledger(self, workspace):
+        # a ledger short of a row under a matching key is scored again, not trusted
+        config = parse_config(workspace)
+        run_pipeline(config, stage="falsify")
+        ledger = config.output_dir / "verdicts.tsv"
+        whole = ledger.read_text()
+        ledger.write_text(whole[:whole.rindex("\n", 0, -1) + 1])
+        run_pipeline(config, stage="predict")
+        assert ledger.read_text() == whole
+
+    def test_two_stages_match_one_run(self, workspace):
+        # falsify + predict writes what --stage all writes, but for what it simulated
+        workspace.write_text(workspace.read_text() + BILINEAR_CLASS)
+        config = parse_config(workspace)
+        runs = []
+        for stages in (("falsify", "predict"), ("all",)):
+            shutil.rmtree(config.output_dir, ignore_errors=True)
+            for stage in stages:
+                manifest = json.loads(run_pipeline(config, stage=stage).to_json())
+            del manifest["stage_seconds"], manifest["model_substeps"]["simulate"]
+            files = {p.name: p.read_bytes() for p in config.output_dir.iterdir()
+                     if p.name != "manifest.json"}
+            runs.append((manifest, files))
+        assert runs[0] == runs[1]
+        assert "verdict_key.txt" in runs[0][1]
+
     def test_one_batch_for_hysteretic_classes(self, workspace, monkeypatch):
         # two prediction inputs: one hysteretic batch covers both
         shutil.copy(workspace.parent / "pred.tsv", workspace.parent / "pred2.tsv")
@@ -548,7 +643,7 @@ class TestCli:
         rc = cli_main(["run", "--config", str(workspace)])
         assert rc == 2
         assert "error: [excitation] prediction_truth" in capsys.readouterr().err
-        assert not list((workspace.parent / "out").glob("prediction_*"))
+        assert not (workspace.parent / "out").exists()   # refused before simulating
 
     def test_unsatisfiable_prior_exit_code(self, workspace, capsys):
         text = workspace.read_text()
@@ -640,6 +735,66 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert re.search(r"^error: " + message, err)
+
+    @pytest.mark.parametrize("old,new,message", [
+        ("[class:aashto]", "[class:]", r"\[class:\] class id must be one or more of"),
+        ("[class:aashto]", "[class:a/b]", r"\[class:a/b\] class id must be one or more of"),
+        ("binding = boucwen\n", "binding = bilinear\nbogus = uniform 1 0.1\n",
+         r"\[class:boucwen\] bogus: the bilinear binding takes no parameter 'bogus'; "
+         r"it takes k_post, c_b, r_k, Q_y, n_pow$"),
+        ("binding = aashto\n", "binding = aashto\nfixed_n_pow = 2\n",
+         r"\[class:aashto\] fixed_n_pow: the aashto binding takes no parameter 'n_pow'"),
+        ("output_dir = out", "output_dir = out\ndt_int = nan",
+         r"\[run\] dt_int: expected a finite number, got 'nan'"),
+        ("base_mass = 500", "base_mass = nan",
+         r"\[building\] base_mass: expected a finite number, got 'nan'"),
+        ("story_stiffnesses = 40 40 40", "story_stiffnesses = 40 inf 40",
+         r"\[building\] story_stiffnesses: expected a finite number, got 'inf'"),
+        ("master_seed = 11", "master_seed = -5", r"\[run\] master_seed must be >= 0, got -5"),
+        ("samples_per_class = 8", "samples_per_class = 0",
+         r"\[run\] samples_per_class must be >= 1, got 0"),
+        ("sigma_fraction = 0.15", "sigma = -1", r"\[noise\] sigma must be > 0"),
+        ("base_mass = 500", "base_mass = 500\ndamping_ratio = -0.5",
+         r"\[building\]: damping_ratio must be >= 0, got -0.5"),
+        ("output_dir = out", "output_dir = cal.tsv",
+         r"\[run\] output_dir .*cal\.tsv exists and is not a directory"),
+        ("output_dir = out", "output_dir = out\ndt_int = 0.1",
+         r"\[run\] dt_int = 0.1 s exceeds the sampling interval dt = 0.05 s of .*cal\.tsv$"),
+        ("output_dir = out", "output_dir = out\ndt_int = 0.003",
+         r"\[run\] dt_int = 0.003 s does not divide the sampling interval dt = 0.05 s"),
+        ("output_dir = out", "output_dir = out\ndt_int = 0.00001",
+         r"\[run\] dt_int = 1e-05 s takes 5000 RK4 substeps per sample of .*cal\.tsv; "
+         r"at most 1000 are allowed$"),
+    ])
+    def test_refused_before_output_exit_code(self, workspace, capsys, old, new, message):
+        text = workspace.read_text()
+        assert old in text
+        workspace.write_text(text.replace(old, new, 1))
+        rc = cli_main(["run", "--config", str(workspace), "--stage", "all"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.search(r"^error: " + message, err, re.MULTILINE)
+        assert not (workspace.parent / "out").exists()
+
+    def test_prediction_input_dt_int_exit_code(self, workspace, capsys):
+        # the default dt_int is the calibration dt / 10, which 0.0125 s does not divide
+        pred = ingest_timeseries(workspace.parent / "pred.tsv")
+        write_timeseries(workspace.parent / "pred.tsv", 0.0125, pred.samples)
+        workspace.write_text(workspace.read_text().replace("prediction_truth = pred_truth.tsv", ""))
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify"]) == 0
+        rc = cli_main(["run", "--config", str(workspace), "--stage", "predict"])
+        assert rc == 2
+        assert re.search(r"^error: \[run\] dt_int = 0.005 s \(the default, calibration dt / 10\) "
+                         r"does not divide the sampling interval dt = 0.0125 s of .*pred\.tsv$",
+                         capsys.readouterr().err, re.MULTILINE)
+
+    @pytest.mark.parametrize("seed", ["-5", "five"])
+    def test_bad_seed_override_exit_code(self, workspace, capsys, seed):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "--config", str(workspace), "--seed-override", seed])
+        assert exc.value.code == 2
+        assert "--seed-override: " in capsys.readouterr().err
+        assert not (workspace.parent / "out").exists()
 
     @pytest.mark.parametrize("old,new,message", [
         ("master_seed = 11\n", "master_seed = 11\nmaster_seed = 12\n",
