@@ -16,7 +16,7 @@ from .dynamics import (ExcitationRecord, SimulationOutput, ShearBuildingModel,
                        TmdFrameModel, TmdFrameSystem, tmd_force)
 from .falsification import (MeasurementSet, ResidualNoiseModel, FdrConfig,
                             ClassVerdicts, residuals, log_likelihood, p_values,
-                            bh_levels, bh_quantiles, bh_error_bounds,
+                            bh_levels, bh_quantiles,
                             likelihood_bound, measurement_rejections, falsify,
                             falsify_classes)
 from .modal import ModalResult, solve_modes, mac, modal_residual

@@ -7,15 +7,18 @@ weight).
 
 Simulation is fixed-step explicit RK4 for bit-reproducibility, vectorized
 over a batch of candidate models, and all parameter arrays broadcast over the
-batch.  Systems keep their models first (state shape (n_models, n_states))
-and take four ``rhs`` calls per substep, except hysteretic isolated systems:
-their state is models last (shape (n_states, n_models)), and ``integrate_rk4``
-advances them with the linear part of all four RK4 stages precomputed, so a
-substep evaluates only the per-model isolator force and Bouc-Wen rate of
-each stage, in place in buffers allocated once per call, and applies one
-matrix product.  The Bouc-Wen rate (``_boucwen``) and the hysteretic isolator
-force (``IsolatedSystem._isolator_force``) are each written once and shared by
-``boucwen_rate``, ``IsolatedSystem.rhs``, the stepper and the TMD chains.
+batch.  ``integrate_rk4`` has two steppers.  A system made of one linear
+operator shared by the batch plus a few per-model devices (the hysteretic
+isolated building, the TMD frame) keeps its models last (state shape
+(n_states, n_models)) and describes itself by A, B, the state rows its
+devices read, the rate rows their outputs enter (E) and ``devices``; the
+device stepper precomputes the linear part of all four RK4 stages, so a
+substep evaluates only the devices of each stage, in place in buffers
+allocated once per call, and applies one matrix product.  Any other system
+(equivalent-linear isolators) keeps its models first (shape (n_models,
+n_states)) and takes four ``rhs`` calls per substep.  The Bouc-Wen rate
+(``_boucwen``) and the hysteretic isolator force
+(``IsolatedSystem._isolator_force``) are each written once.
 """
 
 from __future__ import annotations
@@ -352,18 +355,19 @@ class IsolatedSystem:
     batch (superstructure on the base mass), minus each model's isolator
     force on the base row, plus the Bouc-Wen rate of z.  The hysteretic
     isolator force contracts the per-model rows ``iso_rows`` = [k_iso; c_iso;
-    q_iso] with the state rows [x_b; v_b; z].  Hysteretic batches
-    keep their models last (state shape (n_states, n_models)), so the isolator
-    force and the Bouc-Wen rate read contiguous state rows, and they accept
-    one input per model (a per-model excitation); ``rhs`` defines them, and
-    ``integrate_rk4`` advances them with ``_hysteretic_step``, which evaluates
-    the same two rates.  Linear batches keep their models first.
+    q_iso] with the state rows [x_b; v_b; z].  Hysteretic batches are device
+    systems (see ``integrate_rk4``): models last (state shape (n_states,
+    n_models)), their one device reads [x_b; v_b; z] and writes the isolator
+    force, which leaves the v_b rate, and the Bouc-Wen rate, which is the z
+    rate, and their output is k_1[v_b] + a_g.  They accept one input per
+    model (a per-model excitation).  Linear batches keep their models first.
     """
 
     channel_names = ("base_abs_accel",)
     # the per-model rows of a hysteretic batch, concatenated by ``stacked``
     _PER_MODEL = ("iso_rows", "bw_a", "bw_beta", "bw_gamma", "n_pow", "n_pow_less_one",
                   "z_max")
+    device_reads = None   # the state rows the devices read; None for a linear batch
 
     def __init__(self, building: ShearBuildingModel, variant: str, *,
                  k_post, c_b, r_k, Q_y=None, r_d=None, n_pow=None):
@@ -431,6 +435,11 @@ class IsolatedSystem:
             self.n_pow = _checked_n_pow(p["n_pow"])
             self.n_pow_less_one = self.n_pow - 1.0
             self.z_max = _saturation_amplitude(self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow)
+            self.device_reads = np.array([self._xb, self._vb, self.n_states - 1])
+            self._E = np.zeros((self.n_states, 2))
+            self._E[self._vb, 0], self._E[-1, 1] = -1.0, 1.0
+            self.output_rows, self.feedthrough = np.array([self._vb]), np.ones(1)
+            self._work = tuple(np.empty((2, self.n_models)))   # scratch rows of ``_boucwen``
         else:
             zeta_eq, k_eq = equivalent_linear_params(variant, p["r_k"], p["r_d"], k_pre_si)
             # c_eq = 2 zeta_eq sqrt(k_eq m) with m the total isolated mass
@@ -465,6 +474,7 @@ class IsolatedSystem:
             setattr(batch, name, np.concatenate([getattr(system, name) for system in systems],
                                                 axis=-1))
         batch.n_models = batch.bw_a.size
+        batch._work = tuple(np.empty((2, batch.n_models)))
         return batch
 
     def initial_state(self) -> np.ndarray:
@@ -472,31 +482,25 @@ class IsolatedSystem:
         return np.zeros(shape[::-1] if self.model_axis else shape)
 
     def rhs(self, state: np.ndarray, ag) -> np.ndarray:
-        if not self.nonlinear:
-            deriv = state @ self._A.T + ag * self._B
-            deriv[:, self._vb] -= np.einsum("ij,ij->i", state, self._iso)
-            return deriv
-        # models last; ``ag`` is a scalar or one value per model
-        n = self.ns + 1
-        rows = state[[self._xb, self._vb, -1]]
-        deriv = self._A @ state
-        deriv[n:2 * n] -= ag
-        deriv[self._vb] -= self._isolator_force(rows)
-        _boucwen(rows[2], rows[1], *self._boucwen_params, out=deriv[-1])
+        if self.nonlinear:
+            return _device_rhs(self, state, ag)
+        deriv = state @ self._A.T + ag * self._B
+        deriv[:, self._vb] -= np.einsum("ij,ij->i", state, self._iso)
         return deriv
 
-    def _isolator_force(self, rows, out=None):
+    def devices(self, rows, out):
+        """The isolator force and the Bouc-Wen rate at the [x_b; v_b; z] ``rows``, into ``out``."""
+        self._isolator_force(rows, out=out[0])
+        _boucwen(rows[2], rows[1], self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow_less_one,
+                 self.z_max, out=out[1], work=self._work)
+
+    def _isolator_force(self, rows, out):
         """Hysteretic isolator force on the base per unit base mass, one value per model.
 
         ``rows`` are the [x_b; v_b; z] rows of a models-last state, shape
         (3, n_models), contracted with ``iso_rows``.
         """
         return np.einsum("ij,ij->j", self.iso_rows, rows, out=out)
-
-    @property
-    def _boucwen_params(self):
-        """The per-model operands of ``_boucwen`` after z and v: a, beta, gamma, n - 1, z_max."""
-        return self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow_less_one, self.z_max
 
     def output(self, state: np.ndarray, deriv: np.ndarray, ag) -> np.ndarray:
         """Base absolute acceleration of a models-first batch, shape (n_models, 1)."""
@@ -514,32 +518,41 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     dt, at times 0, dt, ..., (n-1) dt.  Returns an array of shape
     (n_models, n_samples * n_channels) with channels interleaved time-major.
 
-    ``system`` provides ``initial_state()``, ``rhs(state, u)`` returning the
-    state rate, and ``output(state, deriv, u)`` returning the outputs, where
-    ``deriv`` is ``rhs(state, u)`` at the same state and input; it is the
-    first RK4 stage, so an output that needs the rate costs no extra ``rhs``
-    call.  The state has shape (n_models, n_states) and the outputs
-    (n_models, n_channels); each substep takes four ``rhs`` calls.
+    A device system (one whose ``device_reads`` is not None: hysteretic
+    ``IsolatedSystem`` batches and ``TmdFrameSystem``) keeps its models last
+    (``initial_state()`` has shape (n_states, n_models)) and has the rate
+    ``A x + B u + E devices(x[device_reads])``: ``_A``,
+    ``_B`` and ``_E`` are shared by the batch, and ``devices(rows, out)``
+    writes the per-model device outputs into ``out`` in place.  Its outputs
+    are the rate rows ``output_rows`` of the first RK4 stage plus
+    ``feedthrough`` times the input.  ``_device_step`` advances it with the
+    linear part of the four stages precomputed; it never calls ``rhs``, and
+    such a system alone takes a ``per_model`` excitation, whose ``u`` is a
+    row of one sample per model.
 
-    A hysteretic ``IsolatedSystem`` batch instead takes the same RK4
-    substeps through ``_hysteretic_step``, with the linear part of the four
-    stages precomputed; it never calls ``rhs`` or ``output``, and it alone
-    takes a ``per_model`` excitation, whose ``u`` is a row of one sample per
-    model.  Both paths stop with ``SimulationDivergedError`` naming the
-    models whose state is non-finite or beyond ``_STATE_GUARD`` after a
-    record step; one whole-state test per record step finds that some model
-    did, and only then are the models named.
+    Any other system provides ``initial_state()``, ``rhs(state, u)``
+    returning the state rate, and ``output(state, deriv, u)`` returning the
+    outputs, where ``deriv`` is ``rhs(state, u)`` at the same state and
+    input; it is the first RK4 stage, so an output that needs the rate costs
+    no extra ``rhs`` call.  Its state has shape (n_models, n_states) and its
+    outputs (n_models, n_channels); ``_rhs_step`` takes four ``rhs`` calls
+    per substep.
+
+    Both steppers stop with ``SimulationDivergedError`` naming the models
+    whose state is non-finite or beyond ``_STATE_GUARD`` after a record step;
+    one whole-state test per record step finds that some model did, and only
+    then are the models named.
     """
     dt = record.dt
     n_sub = substeps_per_sample(dt, dt_int)
     h = dt / n_sub
 
-    hysteretic = isinstance(system, IsolatedSystem) and system.nonlinear
-    if record.per_model and not (hysteretic and record.samples.shape[1] == system.n_models):
+    devices = getattr(system, "device_reads", None) is not None
+    if record.per_model and not (devices and record.samples.shape[1] == system.n_models):
         raise ValueError(f"a per-model excitation of {record.samples.shape[1]} columns needs "
                          f"a models-last system of as many models, not {system.n_models} "
-                         f"with model axis {getattr(system, 'model_axis', 0)}")
-    step = (_hysteretic_step if hysteretic else _rhs_step)(system, h, n_sub)
+                         f"with model axis {1 if devices else 0}")
+    step = (_device_step if devices else _rhs_step)(system, h, n_sub)
     n_steps = record.n_steps
     outputs = None   # (n_models, n_steps, n_channels)
     # a diverging model overflows before the guard below names it
@@ -589,36 +602,47 @@ def _rhs_step(system, h: float, n_sub: int):
     return step
 
 
-def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
-    """The record step of a hysteretic batch: RK4 with its linear part precomputed.
+def _device_rhs(system, state: np.ndarray, u) -> np.ndarray:
+    """The rate ``A x + B u + E devices(x[device_reads])`` of a models-last device system.
 
-    Stage i of an RK4 substep has the rate k_i = A Y_i + B u - e_vb f_i + e_z g_i,
-    where f_i = ``_isolator_force`` and g_i = ``_boucwen`` at the stage state
-    Y_i, the only terms that differ per model.  Each Y_i, the new state and
-    the output k_1[v_b] + u are therefore fixed linear maps of the extended
-    state W = [x; u; f_1; g_1; ...; f_4; g_4], built here once from A, B and
-    h (Butcher; Hairer & Wanner).  A substep projects the x_b, v_b and z rows
-    of each stage out of W into one (3, n_models) buffer (stage 1's map is
-    the identity, so its rows are taken, not multiplied), writes f_i and g_i
-    from that buffer straight into their rows of W, and applies one
-    (n_states x n_W) product to advance x; the arithmetic is that of
-    ``rhs``-based RK4, regrouped, so the two agree to round-off.  Every
-    buffer, and every view of one that a stage reads or writes, is made here,
-    once, for both W buffers, so a stage allocates and slices nothing.
-    Returns ``step(u)`` as ``_rhs_step`` does, with outputs of shape
-    (n_models, 1) and the state as a models-first view, both overwritten by
+    ``u`` is a scalar or one value per model.  The reference form of what
+    ``_device_step`` evaluates.
+    """
+    out = np.empty((system._E.shape[1], state.shape[1]))
+    system.devices(state[system.device_reads], out)
+    return system._A @ state + system._B[:, None] * u + system._E @ out
+
+
+def _device_step(system, h: float, n_sub: int):
+    """The record step of a device system: RK4 with its linear part precomputed.
+
+    Stage i of an RK4 substep has the rate k_i = A Y_i + B u + E o_i, where
+    o_i = ``devices`` at the stage state Y_i, the only terms that differ per
+    model.  Each Y_i, the new state and the outputs k_1[output_rows] +
+    feedthrough u are therefore fixed linear maps of the extended state
+    W = [x; u; o_1; ...; o_4], built here once from A, B, E and h (Butcher;
+    Hairer & Wanner).  A substep projects the rows the devices read of each
+    stage out of W into one buffer (stage 1's map is the identity, so its
+    rows are taken, not multiplied), writes o_i from that buffer straight
+    into its rows of W, and applies one (n_states x n_W) product to advance
+    x; the arithmetic is that of ``rhs``-based RK4, regrouped, so the two
+    agree to round-off.  Every buffer, and every view of one that a stage
+    reads or writes, is made here, once, for both W buffers, so a stage
+    allocates and slices nothing that its devices do not.  Returns
+    ``step(u)`` as ``_rhs_step`` does, with outputs of shape (n_models,
+    n_channels) and the state as a models-first view, both overwritten by
     the next call.
     """
-    n = system.n_states
-    width = n + 1 + 8                          # W = [x; u; f_1; g_1; ...; f_4; g_4]
+    A, B, E = system._A, system._B, system._E
+    n, d = E.shape
+    width = n + 1 + 4 * d                      # W = [x; u; o_1; ...; o_4]
     identity = np.eye(n, width)                # x as a map of W
 
     def rate(stage_map, i):
         """k_i as a map of W, given the map of the stage state Y_i."""
-        k = system._A @ stage_map
-        k[:, n] += system._B
-        k[system._vb, n + 1 + 2 * i] -= 1.0
-        k[-1, n + 2 + 2 * i] += 1.0
+        k = A @ stage_map
+        k[:, n] += B
+        k[:, n + 1 + d * i:n + 1 + d * (i + 1)] += E
         return k
 
     stage_maps = [identity]
@@ -628,29 +652,27 @@ def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
         rates.append(rate(stage_maps[-1], i))
     k1, k2, k3, k4 = rates
     advance = identity + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    # stage i depends on f_j, g_j for j < i only: its x_b, v_b and z rows over
-    # the first n + 1 + 2 i columns of W, and where its f_i and g_i go in W
-    rows = np.array([system._xb, system._vb, n - 1])
-    stages = [(None if i == 0 else stage_map[rows, :n + 1 + 2 * i], n + 1 + 2 * i)
+    # stage i depends on o_j for j < i only: the rows its devices read over
+    # the first n + 1 + d i columns of W, and where its o_i goes in W
+    reads = system.device_reads
+    stages = [(None if i == 0 else stage_map[reads, :n + 1 + d * i], n + 1 + d * i)
               for i, stage_map in enumerate(stage_maps)]
-    output_row = k1[system._vb, :n + 3].copy()
-    output_row[n] += 1.0                       # base absolute acceleration = k_1[v_b] + u
+    output_map = k1[system.output_rows, :n + 1 + d].copy()
+    output_map[:, n] += system.feedthrough
 
     buffers = (np.zeros((width, system.n_models)), np.zeros((width, system.n_models)))
     buffers[0][:n] = system.initial_state()
-    stage_rows = np.empty((3, system.n_models))   # [x_b; v_b; z] of the current stage
-    z_row, v_row = stage_rows[2], stage_rows[1]
-    work = tuple(np.empty((2, system.n_models)))  # scratch rows of ``_boucwen``
-    boucwen_params = system._boucwen_params
-    y = np.empty(system.n_models)
+    stage_rows = np.empty((reads.size, system.n_models))   # the rows the devices read
+    devices = system.devices
+    y = np.empty((output_map.shape[0], system.n_models))
 
     def substep_views(W, spare):
         """A substep from ``W`` into ``spare``: per stage its projection, the rows
-        of W it reads and the f_i and g_i rows it writes; the rows the output
-        reads, the full W and where the new x goes."""
-        per_stage = [(projection, W if projection is None else W[:f], W[f], W[f + 1])
-                     for projection, f in stages]
-        return per_stage, W[:n + 3], W, spare[:n]
+        of W it reads and the rows of o_i it writes; the rows the output reads,
+        the full W and where the new x goes."""
+        per_stage = [(projection, W if projection is None else W[:o], W[o:o + d])
+                     for projection, o in stages]
+        return per_stage, W[:n + 1 + d], W, spare[:n]
 
     views = (substep_views(*buffers), substep_views(*buffers[::-1]))
     states = tuple(W[:n].T for W in buffers)
@@ -662,18 +684,17 @@ def _hysteretic_step(system: IsolatedSystem, h: float, n_sub: int):
         inputs[0][...] = inputs[1][...] = u
         for j in range(n_sub):
             per_stage, head, W, next_x = views[current]
-            for projection, known, f_row, g_row in per_stage:
+            for projection, known, out in per_stage:
                 if projection is None:
-                    np.take(known, rows, axis=0, out=stage_rows, mode="clip")
+                    known.take(reads, axis=0, out=stage_rows, mode="clip")
                 else:
                     np.matmul(projection, known, out=stage_rows)
-                system._isolator_force(stage_rows, out=f_row)
-                _boucwen(z_row, v_row, *boucwen_params, out=g_row, work=work)
+                devices(stage_rows, out)
             if j == 0:
-                np.matmul(output_row, head, out=y)
+                np.matmul(output_map, head, out=y)
             np.matmul(advance, W, out=next_x)
             current ^= 1
-        return y[:, None], states[current]
+        return y.T, states[current]
 
     return step
 
@@ -767,6 +788,12 @@ class TmdFrameSystem:
     The excitation record carries the scalar wind force [N]; each chain
     receives its directional component distributed over height.  Outputs are
     the x and y roof absolute accelerations, interleaved.
+
+    A device system (see ``integrate_rk4``), models last.  Per chain the
+    state is [X_s, U, V_s, dU] plus one z per hysteretic TMD, with U the TMD
+    motion relative to the roof.  ``A`` holds the stories and the TMD
+    springs, ``B`` the wind shape, and each TMD is a device: it reads its U,
+    dU (and z) rows and writes its law's force (and its Bouc-Wen z rate).
     """
 
     channel_names = ("roof_accel_x", "roof_accel_y")
@@ -776,120 +803,89 @@ class TmdFrameSystem:
         self.frame = frame
         self.laws = (law_x, law_y)
         self.n_models = n_models
-        self.chains = {}
-        for direction, law, raw in (("x", law_x, params_x), ("y", law_y, params_y)):
+        ns = frame.n_stories
+        theta = np.deg2rad(frame.wind_angle_deg)
+        # per chain: stories + TMDs (disp, vel), then one z per hysteretic TMD
+        n_tmd = {"x": 1, "y": 2}
+        n_z = {d: n_tmd[d] if law == "boucwen" else 0 for d, law in zip("xy", self.laws)}
+        self.n_states = n = sum(2 * (ns + n_tmd[d]) + n_z[d] for d in "xy")
+        self._A, self._B = np.zeros((n, n)), np.zeros(n)
+        self._E = np.zeros((n, sum(n_tmd[d] + n_z[d] for d in "xy")))
+        reads, roofs, self._devices = [], [], []
+        x = col = 0   # the chain's first state row and its first device output
+        for direction, law, raw, wind in (("x", law_x, params_x, np.cos(theta)),
+                                          ("y", law_y, params_y, np.sin(theta))):
             chain = frame.chain(direction)
-            n_tmd = 1 if direction == "x" else 2
             frac = frame.tmd_mass_fraction_x if direction == "x" else frame.tmd_mass_fraction_y
             m_tmd = frac * chain.n_stories * frame.story_mass * MG
             omega1 = chain.fixed_base_frequencies()[0]
             mu = m_tmd / (MG * sum(chain.story_masses))
             omega_t = omega1 / (1.0 + mu)        # classic frequency tuning
-            params = self._si_params(law, raw, m_tmd)
-            self.chains[direction] = {
-                "M": np.asarray(chain.story_masses) * MG,
-                "Ks": chain.stiffness_matrix(),
-                "Cs": chain.damping_matrix(),
-                "n_tmd": n_tmd,
-                "m_tmd": m_tmd,
-                "k_tmd": m_tmd * omega_t**2,
-                "law": law,
-                "params": params,
-                "shape": (np.arange(1, chain.n_stories + 1) / chain.n_stories) ** 0.3,
-            }
-        theta = np.deg2rad(frame.wind_angle_deg)
-        self.wind_components = {"x": np.cos(theta), "y": np.sin(theta)}
-        ns = frame.n_stories
-        # per chain: stories + TMDs (disp, vel) and one z per hysteretic TMD
-        self.layout = {}
-        offset = 0
-        for direction in ("x", "y"):
-            c = self.chains[direction]
-            n_dof = ns + c["n_tmd"]
-            n_z = c["n_tmd"] if c["law"] == "boucwen" else 0
-            self.layout[direction] = (offset, n_dof, n_z)
-            offset += 2 * n_dof + n_z
-        self.n_states = offset
+            k_tmd = m_tmd * omega_t**2
+            masses = np.asarray(chain.story_masses) * MG
+            k, nz = n_tmd[direction], n_z[direction]
+            v, z = x + ns + k, x + 2 * (ns + k)  # the chain's first velocity and z rows
+            tmds, roof = np.arange(ns, ns + k), v + ns - 1
+            self._A[x:v, v:z] = np.eye(ns + k)
+            self._A[v:v + ns, x:x + ns] = -chain.stiffness_matrix() / masses[:, None]
+            self._A[v:v + ns, v:v + ns] = -chain.damping_matrix() / masses[:, None]
+            self._A[roof, x + tmds] = k_tmd / masses[-1]   # the TMD springs pull on the roof
+            self._B[v:v + ns] = wind * (np.arange(1, ns + 1) / ns) ** 0.3 / masses
+            forces = np.arange(col, col + k)
+            self._E[roof, forces] = 1.0 / masses[-1]        # and so do the device forces
+            # m_tmd (u_ddot + roof_ddot) = -k u - f_dev  =>  u relative to the roof
+            self._A[v + tmds] = -self._A[roof]
+            self._A[v + tmds, x + tmds] -= k_tmd / m_tmd
+            self._B[v + tmds] = -self._B[roof]
+            self._E[v + tmds] = -self._E[roof]
+            self._E[v + tmds, forces] -= 1.0 / m_tmd
+            self._E[z + np.arange(nz), col + k + np.arange(nz)] = 1.0
+            # the device reads [U; dU; z] at rows r, r + k, r + 2 k of the read rows
+            r = sum(rows.size for rows in reads)
+            reads.append(np.concatenate([x + tmds, v + tmds, z + np.arange(nz)]))
+            force_kw, bw = self._si_params(law, raw, m_tmd)
+            self._devices.append((law, force_kw, bw, slice(r, r + k), slice(r + k, r + 2 * k),
+                                  slice(r + 2 * k, r + 2 * k + nz), slice(col, col + k),
+                                  slice(col + k, col + k + nz)))
+            roofs.append(roof)
+            x, col = z + nz, col + k + nz
+        self.device_reads = np.concatenate(reads)
+        self.output_rows, self.feedthrough = np.array(roofs), np.zeros(2)
 
     @staticmethod
-    def _si_params(law: str, raw: dict, m_tmd: float) -> dict:
-        """Convert kN-based law parameters to SI; batch arrays pass through."""
+    def _si_params(law: str, raw: dict, m_tmd: float):
+        """The ``tmd_force`` keywords of a law in SI, and the ``_boucwen`` operands
+        after z and v of a hysteretic one (else None); batch arrays pass through."""
         a = lambda key, default=0.0: np.asarray(raw.get(key, default), dtype=float)
         if law == "linear":
-            return {"c1": a("c1") * KN}
+            return {"c1": a("c1") * KN}, None
         if law == "cubic":
-            return {"c1": a("c1") * KN, "c3": a("c3") * KN}
+            return {"c1": a("c1") * KN, "c3": a("c3") * KN}, None
         if law == "power_law_truth":
-            return {"power_coef": a("power_coef") * KN, "power_lin": a("power_lin") * KN}
+            return {"power_coef": a("power_coef") * KN, "power_lin": a("power_lin") * KN}, None
         if law == "boucwen":
             r_k = a("r_k")
             Q_y = a("Q_y")  # % of TMD weight
             k_pre = a("k_pre") * KN  # kN/m -> N/m
             Qy_si = Q_y / 100.0 * m_tmd * GRAVITY
             bw_a = k_pre / Qy_si
-            return {
-                "k_post": r_k * k_pre,
-                "q_y": Qy_si * (1.0 - r_k),
-                "bw_a": bw_a,
-                "z_max": _saturation_amplitude(bw_a, 0.5 * bw_a, 0.5 * bw_a, 1.0),
-            }
+            z_max = _saturation_amplitude(bw_a, 0.5 * bw_a, 0.5 * bw_a, 1.0)
+            return ({"k_post": r_k * k_pre, "q_y": Qy_si * (1.0 - r_k)},
+                    (bw_a, 0.5 * bw_a, 0.5 * bw_a, 0.0, z_max))
         raise ValueError(law)
 
     def initial_state(self) -> np.ndarray:
-        return np.zeros((self.n_models, self.n_states))
+        return np.zeros((self.n_states, self.n_models))
 
-    def _chain_rhs(self, direction: str, state, wind_force):
-        c = self.chains[direction]
-        offset, n_dof, n_z = self.layout[direction]
-        ns = self.frame.n_stories
-        n_tmd = c["n_tmd"]
-        X = state[:, offset:offset + n_dof]
-        V = state[:, offset + n_dof:offset + 2 * n_dof]
-        Xs, Ut = X[:, :ns], X[:, ns:]
-        Vs, dUt = V[:, :ns], V[:, ns:]
+    def rhs(self, state: np.ndarray, wind_force) -> np.ndarray:
+        return _device_rhs(self, state, wind_force)
 
-        # device force per TMD (relative coordinate u = tmd motion - roof motion)
-        p = c["params"]
-        if c["law"] == "boucwen":
-            Z = state[:, offset + 2 * n_dof:offset + 2 * n_dof + n_z]
-            f_dev = tmd_force("boucwen", dUt, Ut, q_y=p["q_y"][..., None] if np.ndim(p["q_y"]) else p["q_y"],
-                              k_post=p["k_post"][..., None] if np.ndim(p["k_post"]) else p["k_post"], z=Z)
-            bw_a = p["bw_a"][..., None] if np.ndim(p["bw_a"]) else p["bw_a"]
-            z_max = p["z_max"][..., None] if np.ndim(p["z_max"]) else p["z_max"]
-            z_rate = _boucwen(Z, dUt, bw_a, 0.5 * bw_a, 0.5 * bw_a, 0.0, z_max)
-        else:
-            kw = {k: (v[..., None] if np.ndim(v) else v) for k, v in p.items()}
-            f_dev = tmd_force(c["law"], dUt, Ut, **kw)
-            z_rate = None
-
-        f_tmd = c["k_tmd"] * Ut + f_dev          # total force the TMDs apply on the roof
-        load = wind_force * self.wind_components[direction] * c["shape"]
-
-        acc_s = (-Vs @ c["Cs"].T - Xs @ c["Ks"].T + load) / c["M"]
-        acc_s[:, -1] += f_tmd.sum(axis=1) / c["M"][-1]
-        # m_tmd (u_ddot + roof_ddot) = -k u - f_dev  =>  u relative to the roof
-        acc_u = -(c["k_tmd"] * Ut + f_dev) / c["m_tmd"] - acc_s[:, -1:]
-
-        deriv = np.zeros_like(state[:, offset:offset + 2 * n_dof + n_z])
-        deriv[:, :n_dof] = V
-        deriv[:, n_dof:n_dof + ns] = acc_s
-        deriv[:, n_dof + ns:2 * n_dof] = acc_u
-        if z_rate is not None:
-            deriv[:, 2 * n_dof:] = z_rate
-        return deriv
-
-    def rhs(self, state: np.ndarray, wind_force: float) -> np.ndarray:
-        deriv = np.empty_like(state)
-        for direction in ("x", "y"):
-            offset, n_dof, n_z = self.layout[direction]
-            deriv[:, offset:offset + 2 * n_dof + n_z] = self._chain_rhs(direction, state, wind_force)
-        return deriv
-
-    def output(self, state: np.ndarray, deriv: np.ndarray, wind_force: float) -> np.ndarray:
-        """Roof accelerations of the x and y chains, shape (n_models, 2)."""
-        ns = self.frame.n_stories
-        roof = [self.layout[d][0] + self.layout[d][1] + ns - 1 for d in ("x", "y")]
-        return deriv[:, roof]
+    def devices(self, rows, out):
+        """Each TMD's law force, and the z rate of each hysteretic one, into ``out``."""
+        for law, force_kw, bw, u, du, z, f, g in self._devices:
+            out[f] = tmd_force(law, rows[du], rows[u], z=rows[z], **force_kw)
+            if bw is not None:
+                _boucwen(rows[z], rows[du], *bw, out=out[g])
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ __all__ = [
     "p_values",
     "bh_levels",
     "bh_quantiles",
-    "bh_error_bounds",
     "likelihood_bound",
     "measurement_rejections",
     "falsify",
@@ -96,10 +95,6 @@ class ResidualNoiseModel:
     @classmethod
     def per_channel(cls, sigmas) -> "ResidualNoiseModel":
         return cls(tuple(sigmas))
-
-    @property
-    def kind(self) -> str:
-        return "diagonal_iid" if len(self.std_devs) == 1 else "diagonal_per_channel"
 
     def check_channels(self, n_channels: int) -> None:
         """Refuse sigmas that are neither one shared value nor one per channel."""
@@ -215,20 +210,6 @@ def bh_quantiles(config: FdrConfig, n_obs: int) -> np.ndarray:
     """
     return np.array([-_STANDARD_NORMAL.inv_cdf(level / 2.0)
                      for level in bh_levels(config, n_obs)])
-
-
-def bh_error_bounds(noise: ResidualNoiseModel, config: FdrConfig,
-                    n_obs: int) -> np.ndarray:
-    """Symmetric residual error bounds [lower_i, upper_i] in BH rank order.
-
-    Defined for the shared-sigma noise model, where the bounds are the same
-    whichever entry lands at rank i.  Shape (N_o, 2).
-    """
-    if noise.kind != "diagonal_iid":
-        raise ValueError("rank-ordered error bounds require a shared residual sigma; "
-                         "per-channel bounds depend on the rank assignment")
-    upper = noise.std_devs[0] * bh_quantiles(config, n_obs)
-    return np.column_stack([-upper, upper])
 
 
 @lru_cache(maxsize=256)

@@ -763,6 +763,10 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         verdicts = falsify_classes(eps_by_class, noise, config.fdr, d.n_channels)
         del h_by_class, eps_by_class   # the verdicts hold all the later stages need
         with _rewriting(verdict_key_path, verdict_key):
+            # what the predict stage wrote from the last ledger is stale now
+            for path in (*out.glob("weights_*.tsv"), out / "estimates.tsv",
+                         *out.glob("prediction_*.tsv")):
+                path.unlink(missing_ok=True)
             _atomic_write_text(ledger_path, _ledger_text(thetas, verdicts))
     counts = {}
     class_stats = {}
@@ -890,10 +894,9 @@ def emit_report(manifest: RunManifest, output_dir) -> Path:
             lines.append(f"{cid:<24}" + "".join(f"{manifest.model_substeps[name][cid]:>14}"
                                                  for name in stages))
 
-    est_path = out / "estimates.tsv"
-    if est_path.is_file():
+    if "estimates" in manifest.artifacts:
         lines += ["", "Parameter estimates (weighted over unfalsified models)", "-" * 60]
-        for line in est_path.read_text().splitlines()[1:]:
+        for line in (out / "estimates.tsv").read_text().splitlines()[1:]:
             cid, name, value = line.split("\t")
             lines.append(f"{cid:<24}{name:<12}{float(value):>16.6g}")
 

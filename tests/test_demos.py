@@ -1,4 +1,4 @@
-"""Every demo still imports against the library, and the quick one runs."""
+"""Every demo still imports against the library, and the quick ones run."""
 
 import runpy
 from pathlib import Path
@@ -20,3 +20,14 @@ def test_modal_screening_runs(capsys):
     out = capsys.readouterr().out
     assert "stiffness models survive" in out
     assert "true model retained: True" in out
+
+
+def test_tmd_frame_wind_runs(capsys):
+    path = next(p for p in DEMOS if p.stem == "tmd_frame_wind")
+    runpy.run_path(str(path), run_name="demo")["main"]()
+    lines = capsys.readouterr().out.splitlines()
+    laws = ("power_law_truth", "linear", "cubic", "boucwen")
+    rms = {line.split()[0]: (line.split()[1], line.split()[3])
+           for line in lines if line.split()[:1] and line.split()[0] in laws}
+    assert set(rms) == set(laws)
+    assert len(set(rms.values())) == len(laws)

@@ -50,22 +50,23 @@ class _CountingSdof(_Sdof):
 
 
 def _rhs_rk4(system, record, dt_int):
-    """The generic four-``rhs`` RK4 loop on a models-last hysteretic batch.
+    """The generic four-``rhs`` RK4 loop on a models-last device system.
 
     The reference for the precomputed stepper of ``integrate_rk4``: the same
-    zero-order hold, output k_1[v_b] + u and divergence guard, evaluated
-    stage by stage through ``IsolatedSystem.rhs``.
+    zero-order hold, outputs k_1[output_rows] + feedthrough u and divergence
+    guard, evaluated stage by stage through the system's ``rhs``.
     """
     n_sub = max(1, int(round(record.dt / dt_int)))
     h = record.dt / n_sub
     state = system.initial_state()
-    outputs = np.empty((system.n_models, record.n_steps))
+    outputs = np.empty((system.n_models, record.n_steps, system.output_rows.size))
     with np.errstate(over="ignore", invalid="ignore"):
         for k, u in enumerate(record.samples):
             for j in range(n_sub):
                 k1 = system.rhs(state, u)
                 if j == 0:
-                    outputs[:, k] = k1[system.n_states - 2] + u
+                    outputs[:, k] = (k1[system.output_rows]
+                                     + system.feedthrough[:, None] * u).T
                 k2 = system.rhs(state + 0.5 * h * k1, u)
                 k3 = system.rhs(state + 0.5 * h * k2, u)
                 k4 = system.rhs(state + h * k3, u)
@@ -73,7 +74,7 @@ def _rhs_rk4(system, record, dt_int):
             bad = ~np.all(np.isfinite(state), axis=0) | (np.abs(state).max(axis=0) > 1.0e6)
             if np.any(bad):
                 raise SimulationDivergedError((k + 1) * record.dt, np.nonzero(bad)[0])
-    return outputs
+    return outputs.reshape(system.n_models, -1)
 
 
 def _integrate_z(x_fn, v_fn, t_end, dt, a, beta, gamma, n_pow):
@@ -598,7 +599,134 @@ class TestContainers:
 # ---------------------------------------------------------------------------
 # TMD force laws and frame
 
+_TMD_LAW_PARAMS = {   # per-model parameter draws of each law, in the constructor's kN units
+    "linear": lambda rng, m: dict(c1=rng.uniform(20.0, 60.0, m)),
+    "cubic": lambda rng, m: dict(c1=rng.uniform(5.0, 15.0, m), c3=rng.uniform(500.0, 1000.0, m)),
+    "boucwen": lambda rng, m: dict(r_k=rng.uniform(0.15, 0.25, m), Q_y=rng.uniform(6.0, 10.0, m),
+                                   k_pre=rng.uniform(400.0, 600.0, m)),
+    "power_law_truth": lambda rng, m: dict(power_coef=rng.uniform(150.0, 300.0, m),
+                                           power_lin=rng.uniform(2.0, 8.0, m)),
+}
+_TMD_LAW_PAIRS = [("linear", "linear"), ("cubic", "cubic"), ("boucwen", "boucwen"),
+                  ("power_law_truth", "power_law_truth"), ("cubic", "boucwen")]
+
+
+def _frame_chain_rhs(frame, laws, params, state, wind):
+    """The TMD frame's equations of motion written out chain by chain.
+
+    Per chain the models-last state is [X_s, U, V_s, dU] plus one z per
+    hysteretic TMD, U the TMD motion relative to the roof; ``wind`` is a
+    scalar or one force per model.  The reference for ``TmdFrameSystem.rhs``:
+    the state rate and the x and y roof accelerations, shape (2, n_models).
+    """
+    ns = frame.n_stories
+    theta = np.deg2rad(frame.wind_angle_deg)
+    shape = (np.arange(1, ns + 1) / ns) ** 0.3
+    deriv = np.empty_like(state)
+    roofs = []
+    offset = 0
+    for direction, law, raw, n_tmd, frac, component in (
+            ("x", laws[0], params[0], 1, frame.tmd_mass_fraction_x, np.cos(theta)),
+            ("y", laws[1], params[1], 2, frame.tmd_mass_fraction_y, np.sin(theta))):
+        chain = frame.chain(direction)
+        masses = np.asarray(chain.story_masses) * 1.0e3
+        m_tmd = frac * ns * frame.story_mass * 1.0e3
+        omega_t = chain.fixed_base_frequencies()[0] / (1.0 + m_tmd / masses.sum())
+        k_tmd = m_tmd * omega_t**2
+        n_dof, n_z = ns + n_tmd, (n_tmd if law == "boucwen" else 0)
+        X, V = state[offset:offset + n_dof], state[offset + n_dof:offset + 2 * n_dof]
+        Z = state[offset + 2 * n_dof:offset + 2 * n_dof + n_z]
+        Xs, U, Vs, dU = X[:ns], X[ns:], V[:ns], V[ns:]
+        si = {key: np.asarray(value) * 1.0e3 for key, value in raw.items()}   # kN -> N
+        if law == "linear":
+            f_dev = si["c1"] * dU
+        elif law == "cubic":
+            f_dev = si["c3"] * dU**3 + si["c1"] * dU
+        elif law == "power_law_truth":
+            f_dev = si["power_coef"] * np.abs(dU) ** 0.8 * np.sign(dU) + si["power_lin"] * dU
+        else:
+            r_k, Qy = np.asarray(raw["r_k"]), raw["Q_y"] / 100.0 * m_tmd * 9.80665
+            f_dev = r_k * si["k_pre"] * U + Qy * (1.0 - r_k) * Z
+            a = si["k_pre"] / Qy
+            deriv[offset + 2 * n_dof:offset + 2 * n_dof + n_z] = boucwen_rate(
+                Z, dU, a, 0.5 * a, 0.5 * a, 1.0)
+        f_tmd = k_tmd * U + f_dev                # what the TMDs apply to the roof
+        load = shape[:, None] * (wind * component)
+        acc_s = (-chain.damping_matrix() @ Vs - chain.stiffness_matrix() @ Xs + load) \
+            / masses[:, None]
+        acc_s[-1] += f_tmd.sum(axis=0) / masses[-1]
+        deriv[offset:offset + n_dof] = V
+        deriv[offset + n_dof:offset + n_dof + ns] = acc_s
+        deriv[offset + n_dof + ns:offset + 2 * n_dof] = -f_tmd / m_tmd - acc_s[-1]
+        roofs.append(acc_s[-1])
+        offset += 2 * n_dof + n_z
+    assert offset == state.shape[0]
+    return deriv, np.array(roofs)
+
+
 class TestTmd:
+    @staticmethod
+    def _frame_batch(laws, m, seed, tiles=1):
+        """A TMD frame batch of ``m`` models with distinct per-model parameters,
+        the batch repeated ``tiles`` times, and its parameters."""
+        rng = np.random.default_rng(seed)
+        params = [{key: np.tile(value, tiles) for key, value in
+                   _TMD_LAW_PARAMS[law](rng, m).items()} for law in laws]
+        system = TmdFrameSystem(TmdFrameModel(), *laws, params_x=params[0],
+                                params_y=params[1], n_models=m * tiles)
+        return system, params
+
+    @pytest.mark.parametrize("laws", _TMD_LAW_PAIRS, ids="-".join)
+    def test_rhs_matches_chain_equations(self, laws):
+        system, params = self._frame_batch(laws, 5, 1)
+        rng = np.random.default_rng(2)
+        state = 0.05 * rng.standard_normal((system.n_states, system.n_models))
+        # the z rows trail each chain's 2 (n_stories + n_tmd) rows; |z| > 1 is clipped
+        ns = system.frame.n_stories
+        if laws[0] == "boucwen":
+            state[2 * (ns + 1)] = rng.uniform(-1.5, 1.5, system.n_models)
+        if laws[1] == "boucwen":
+            state[-2:] = rng.uniform(-1.5, 1.5, (2, system.n_models))
+        for wind in (80.0e3, rng.normal(0.0, 1.0e5, system.n_models)):
+            expected, roofs = _frame_chain_rhs(system.frame, laws, params, state, wind)
+            got = system.rhs(state, wind)
+            assert got.shape == state.shape
+            scale = np.abs(expected).max(axis=1, keepdims=True)
+            assert np.all(np.abs(got - expected) <= 1e-12 * scale)
+            # the outputs are the roof accelerations, with no input feedthrough
+            np.testing.assert_array_equal(expected[system.output_rows], roofs)
+            assert not system.feedthrough.any()
+
+    @pytest.mark.parametrize("per_model", [False, True])
+    @pytest.mark.parametrize("laws", _TMD_LAW_PAIRS, ids="-".join)
+    def test_stepper_matches_rhs_loop(self, laws, per_model):
+        rms = (50.0e3, 100.0e3, 200.0e3) if per_model else (100.0e3,)
+        system, _ = self._frame_batch(laws, 3, 1, tiles=len(rms))
+        winds = [band_limited_record(10.0, 0.1, band=(0.1, 1.0), seed=6 + i, rms=r)
+                 for i, r in enumerate(rms)]
+        record = winds[0]
+        if per_model:   # each wind drives one copy of the three models
+            record = ExcitationRecord(0.1, np.repeat(np.column_stack([w.samples for w in winds]),
+                                                     3, axis=1), per_model=True)
+        got = integrate_rk4(system, record, dt_int=0.025)
+        expected = _rhs_rk4(system, record, 0.025)
+        assert got.shape == expected.shape == (system.n_models, 2 * record.n_steps)
+        rel_rms = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
+        assert rel_rms.max() <= 1e-12
+
+    def test_stepper_diverges_where_rhs_loop_does(self):
+        # a strongly negative TMD damping pumps energy in until the state leaves the guard
+        c1 = np.array([30.0, -6000.0, 40.0, -6000.0])
+        system = TmdFrameSystem(TmdFrameModel(), "linear", "linear", params_x=dict(c1=c1),
+                                params_y=dict(c1=15.0), n_models=4)
+        wind = band_limited_record(10.0, 0.1, band=(0.1, 1.0), seed=6, rms=100.0e3)
+        with pytest.raises(SimulationDivergedError) as expected:
+            _rhs_rk4(system, wind, 0.025)
+        with pytest.raises(SimulationDivergedError) as got:
+            integrate_rk4(system, wind, dt_int=0.025)
+        assert got.value.time == expected.value.time < wind.duration
+        assert list(got.value.indices) == list(expected.value.indices) == [1, 3]
+
     @pytest.mark.parametrize("law,kw", [
         ("linear", dict(c1=3.0)),
         ("cubic", dict(c1=3.0, c3=2.0)),

@@ -5,7 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from falsikit.falsification import (ClassVerdicts, FdrConfig, MeasurementSet,
                                     ResidualNoiseModel, _cached_log_bound,
-                                    bh_error_bounds, bh_levels, bh_quantiles,
+                                    bh_levels, bh_quantiles,
                                     falsify, falsify_classes, likelihood_bound,
                                     log_likelihood, measurement_rejections,
                                     p_values, residuals)
@@ -27,10 +27,6 @@ class TestMeasurementSet:
 
 
 class TestNoiseModel:
-    def test_kinds(self):
-        assert ResidualNoiseModel.iid(0.3).kind == "diagonal_iid"
-        assert ResidualNoiseModel.per_channel((0.3, 0.5)).kind == "diagonal_per_channel"
-
     def test_sigma_vector_tiling(self):
         noise = ResidualNoiseModel.per_channel((1.0, 2.0))
         np.testing.assert_array_equal(noise.sigma_vector(4), [1.0, 2.0, 1.0, 2.0])
@@ -178,17 +174,6 @@ class TestBhBounds:
         np.testing.assert_allclose(bh_quantiles(config, n_obs),
                                    np.sqrt(2.0) * erfcinv(bh_levels(config, n_obs)),
                                    rtol=1e-14, atol=0.0)
-
-    def test_error_bounds_symmetric(self):
-        bounds = bh_error_bounds(ResidualNoiseModel.iid(0.5), FdrConfig(0.05), 10)
-        assert bounds.shape == (10, 2)
-        np.testing.assert_array_equal(bounds[:, 0], -bounds[:, 1])
-        assert bounds[-1, 1] == pytest.approx(0.5 * 1.959964, abs=1e-6)
-
-    def test_error_bounds_need_shared_sigma(self):
-        with pytest.raises(ValueError, match="shared"):
-            bh_error_bounds(ResidualNoiseModel.per_channel((1.0, 2.0)),
-                            FdrConfig(0.05), 10)
 
 
 class TestLikelihoodBound:

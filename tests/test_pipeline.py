@@ -587,6 +587,17 @@ class TestCli:
                          "--seed-override", "8"]) == 0
         assert (out / "verdicts.tsv").read_text() == reused
 
+    def test_new_verdicts_remove_the_last_predictions(self, workspace, capsys):
+        out = workspace.parent / "out"
+        assert cli_main(["run", "--config", str(workspace)]) == 0
+        predicted = {path.name for path in out.glob("*.tsv")}
+        assert {"estimates.tsv", "weights_boucwen.tsv", "prediction_pred_boucwen.tsv"} <= predicted
+        assert "Parameter estimates" in capsys.readouterr().out
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify",
+                         "--seed-override", "99"]) == 0
+        assert "Parameter estimates" not in capsys.readouterr().out
+        assert sorted(path.name for path in out.glob("*.tsv")) == ["verdicts.tsv"]
+
     @pytest.mark.parametrize("cid", ["boucwen", "aashto"])   # a Q_y or an r_d prior alone
     def test_single_free_parameter(self, workspace, cid):
         priors = ("k_post = lognormal 4.5 0.25\nc_b = lognormal 20 4\n"
