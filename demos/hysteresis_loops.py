@@ -26,7 +26,7 @@ def trace_loop(n_pow, *, k_pre, r_k, Qy, amp, n_cycles=2, dt=2e-4):
     zs = [z]
     for k in range(len(t) - 1):
         vm = amp * omega * np.cos(omega * (t[k] + dt / 2))
-        f = lambda zz, vv: float(boucwen_rate(zz, vv, a, 0.5 * a, 0.5 * a, n_pow))
+        f = lambda zz, vv: float(boucwen_rate(zz, vv, a, n_pow))
         k1 = f(z, v[k])
         k2 = f(z + dt / 2 * k1, vm)
         k3 = f(z + dt / 2 * k2, vm)

@@ -17,8 +17,9 @@ substep evaluates only the devices of each stage, in place in buffers
 allocated once per call, and applies one matrix product.  Any other system
 (equivalent-linear isolators) keeps its models first (shape (n_models,
 n_states)) and takes four ``rhs`` calls per substep.  The Bouc-Wen rate
-(``_boucwen``) and the hysteretic isolator force
-(``IsolatedSystem._isolator_force``) are each written once.
+(``_boucwen``) is written once, with the one parameter a = 2 beta = 2 gamma
+of every device here (Wen 1976): loading and unloading stiffnesses match and
+|z| saturates at 1, so no beta, gamma or saturation amplitude is kept.
 """
 
 from __future__ import annotations
@@ -237,23 +238,21 @@ class ShearBuildingModel:
 # ---------------------------------------------------------------------------
 # isolator force laws
 
-def boucwen_rate(z, v, a, beta, gamma, n_pow):
-    """Rate of the hysteretic evolutionary variable.
+def boucwen_rate(z, v, a, n_pow):
+    """Rate of the hysteretic evolutionary variable, Bouc-Wen with a = 2 beta = 2 gamma.
 
-    dz/dt = a*v - beta*v*|z|**n - gamma*z*|v|*|z|**(n-1)
+    dz/dt = a*v - (a/2) * (v*|z|**n + z*|v|*|z|**(n-1))
 
-    With a = 2*beta = 2*gamma the loading and unloading stiffnesses match and
-    |z| saturates at 1.  For numerical robustness |z| is clipped at the
-    saturation amplitude (a / (beta + gamma))**(1/n) before exponentiation,
-    which prevents overflow of |z|**n for large exponents (bilinear limit,
-    n = 100) without altering the in-range dynamics.
+    The loading and unloading stiffnesses match and |z| saturates at 1.  For
+    numerical robustness |z| is clipped at 1 before exponentiation, which
+    prevents overflow of |z|**n for large exponents (bilinear limit, n = 100)
+    without altering the in-range dynamics.
     """
     z = np.asarray(z, dtype=float)
     v = np.asarray(v, dtype=float)
     if not (np.isfinite(z).all() and np.isfinite(v).all()):
         raise ValueError("non-finite hysteretic state or velocity")
-    n = _checked_n_pow(n_pow)
-    return _boucwen(z, v, a, beta, gamma, n - 1.0, _saturation_amplitude(a, beta, gamma, n))[()]
+    return _boucwen(z, v, a, _checked_n_pow(n_pow) - 1.0)[()]
 
 
 def _checked_n_pow(n_pow) -> np.ndarray:
@@ -263,40 +262,33 @@ def _checked_n_pow(n_pow) -> np.ndarray:
     return n
 
 
-def _saturation_amplitude(a, beta, gamma, n):
-    """(a / (beta + gamma))**(1/n), or inf where beta + gamma <= 0."""
-    denom = np.add(beta, gamma)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(denom > 0.0, np.power(a / denom, 1.0 / n), np.inf)
+def _boucwen(z, v, a, n_less_one, out=None, work=None):
+    """The Bouc-Wen rate with n - 1 given; no input checks.
 
-
-def _boucwen(z, v, a, beta, gamma, n_less_one, z_max, out=None, work=None):
-    """The Bouc-Wen rate with n - 1 and the saturation amplitude given; no input checks.
-
-    a v - az**(n-1) (beta v az + gamma z |v|) with az = min(|z|, z_max): the
-    law of ``boucwen_rate`` with one power, since |z|**n = |z|**(n-1) |z|.
-    The result goes into ``out`` and the scratch into ``work``, a pair of
-    arrays of out's shape; either is allocated when not given, except when
-    every input is 0-d: then the steps run on numpy scalars, and each in-place
-    step rebinds its name instead of writing a buffer.  ``out`` must not share
-    memory with ``z`` or ``v``.
+    a v - 0.5 az**(n-1) ((a v) az + (|v| z) a) with az = min(|z|, 1), the law
+    of ``boucwen_rate`` with one power (|z|**n = |z|**(n-1) |z|); halving is
+    exact, so it is the general law at beta = gamma = a/2 to the bit.  The
+    result goes into ``out`` and the scratch into ``work``, three arrays of
+    out's shape; either is allocated when not given, except when every input
+    is 0-d: then the steps run on numpy scalars, each in-place step rebinding
+    its name.  ``out`` must not share memory with ``z`` or ``v``.
     """
     if out is None:
-        shape = np.broadcast(z, v, a, beta, gamma, n_less_one, z_max).shape
+        shape = np.broadcast(z, v, a, n_less_one).shape
         if shape:
             out = np.empty(shape)
     if work is None and out is not None:
-        work = np.empty((2,) + out.shape)
-    az_buf, t_buf = (None, None) if work is None else work
-    az = np.minimum(np.abs(z, out=az_buf), z_max, out=az_buf)
-    t = np.multiply(beta, v, out=t_buf)
-    t *= az                     # beta v az
-    rate = np.abs(v, out=out)
-    rate *= z
-    rate *= gamma               # gamma z |v|
-    t += rate
-    t *= np.power(az, n_less_one, out=az_buf)
+        work = np.empty((3,) + out.shape)
+    az_buf, t_buf, r_buf = (None, None, None) if work is None else work
+    az = np.minimum(np.abs(z, out=az_buf), 1.0, out=az_buf)
     rate = np.multiply(a, v, out=out)
+    t = np.multiply(rate, az, out=t_buf)    # (a v) az
+    r = np.abs(v, out=r_buf)
+    r *= z
+    r *= a                                  # (|v| z) a
+    t += r
+    t *= np.power(az, n_less_one, out=az_buf)
+    t *= 0.5
     rate -= t
     return rate
 
@@ -365,8 +357,7 @@ class IsolatedSystem:
 
     channel_names = ("base_abs_accel",)
     # the per-model rows of a hysteretic batch, concatenated by ``stacked``
-    _PER_MODEL = ("iso_rows", "bw_a", "bw_beta", "bw_gamma", "n_pow", "n_pow_less_one",
-                  "z_max")
+    _PER_MODEL = ("iso_rows", "bw_a", "n_pow_less_one")
     device_reads = None   # the state rows the devices read; None for a linear batch
 
     def __init__(self, building: ShearBuildingModel, variant: str, *,
@@ -430,20 +421,19 @@ class IsolatedSystem:
             self.iso_rows = np.stack([p["k_post"] * MN_PER_M, p["c_b"] * KN,
                                       Qy_si * (1.0 - p["r_k"])]) / masses[-1]
             self.bw_a = k_pre_si / Qy_si             # 1/m
-            self.bw_beta = 0.5 * self.bw_a
-            self.bw_gamma = 0.5 * self.bw_a
-            self.n_pow = _checked_n_pow(p["n_pow"])
-            self.n_pow_less_one = self.n_pow - 1.0
-            self.z_max = _saturation_amplitude(self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow)
+            self.n_pow_less_one = _checked_n_pow(p["n_pow"]) - 1.0
             self.device_reads = np.array([self._xb, self._vb, self.n_states - 1])
             self._E = np.zeros((self.n_states, 2))
             self._E[self._vb, 0], self._E[-1, 1] = -1.0, 1.0
             self.output_rows, self.feedthrough = np.array([self._vb]), np.ones(1)
-            self._work = tuple(np.empty((2, self.n_models)))   # scratch rows of ``_boucwen``
+            self._work = tuple(np.empty((3, self.n_models)))   # scratch rows of ``_boucwen``
         else:
             zeta_eq, k_eq = equivalent_linear_params(variant, p["r_k"], p["r_d"], k_pre_si)
             # c_eq = 2 zeta_eq sqrt(k_eq m) with m the total isolated mass
-            c_eq = p["c_b"] * KN + 2.0 * zeta_eq * np.sqrt(k_eq * building.total_mass)
+            with np.errstate(over="ignore"):
+                c_eq = p["c_b"] * KN + 2.0 * zeta_eq * np.sqrt(k_eq * building.total_mass)
+            if not np.isfinite(c_eq).all():
+                raise ValueError(f"{variant} damping overflows at {building.total_mass:g} kg of mass")
             # one row per model, dotted with the models-first state
             self._iso = np.zeros((self.n_models, self.n_states))
             self._iso[:, self._xb] = k_eq / masses[-1]
@@ -474,7 +464,7 @@ class IsolatedSystem:
             setattr(batch, name, np.concatenate([getattr(system, name) for system in systems],
                                                 axis=-1))
         batch.n_models = batch.bw_a.size
-        batch._work = tuple(np.empty((2, batch.n_models)))
+        batch._work = tuple(np.empty((3, batch.n_models)))
         return batch
 
     def initial_state(self) -> np.ndarray:
@@ -489,18 +479,10 @@ class IsolatedSystem:
         return deriv
 
     def devices(self, rows, out):
-        """The isolator force and the Bouc-Wen rate at the [x_b; v_b; z] ``rows``, into ``out``."""
-        self._isolator_force(rows, out=out[0])
-        _boucwen(rows[2], rows[1], self.bw_a, self.bw_beta, self.bw_gamma, self.n_pow_less_one,
-                 self.z_max, out=out[1], work=self._work)
-
-    def _isolator_force(self, rows, out):
-        """Hysteretic isolator force on the base per unit base mass, one value per model.
-
-        ``rows`` are the [x_b; v_b; z] rows of a models-last state, shape
-        (3, n_models), contracted with ``iso_rows``.
-        """
-        return np.einsum("ij,ij->j", self.iso_rows, rows, out=out)
+        """At the [x_b; v_b; z] ``rows``, into ``out``: the isolator force per unit base
+        mass (``iso_rows`` contracted with the rows) and the Bouc-Wen rate."""
+        np.einsum("ij,ij->j", self.iso_rows, rows, out=out[0])
+        _boucwen(rows[2], rows[1], self.bw_a, self.n_pow_less_one, out=out[1], work=self._work)
 
     def output(self, state: np.ndarray, deriv: np.ndarray, ag) -> np.ndarray:
         """Base absolute acceleration of a models-first batch, shape (n_models, 1)."""
@@ -797,6 +779,9 @@ class TmdFrameSystem:
     """
 
     channel_names = ("roof_accel_x", "roof_accel_y")
+    # the parameters of each law, the damping laws' force coefficients in kN units
+    _LAW_KEYS = {"linear": ("c1",), "cubic": ("c1", "c3"), "boucwen": ("r_k", "Q_y", "k_pre"),
+                 "power_law_truth": ("power_coef", "power_lin")}
 
     def __init__(self, frame: TmdFrameModel, law_x: str, law_y: str, *,
                  params_x: dict, params_y: dict, n_models: int = 1):
@@ -843,8 +828,8 @@ class TmdFrameSystem:
             # the device reads [U; dU; z] at rows r, r + k, r + 2 k of the read rows
             r = sum(rows.size for rows in reads)
             reads.append(np.concatenate([x + tmds, v + tmds, z + np.arange(nz)]))
-            force_kw, bw = self._si_params(law, raw, m_tmd)
-            self._devices.append((law, force_kw, bw, slice(r, r + k), slice(r + k, r + 2 * k),
+            force_kw, bw_a = self._si_params(direction, law, raw, m_tmd, n_models)
+            self._devices.append((law, force_kw, bw_a, slice(r, r + k), slice(r + k, r + 2 * k),
                                   slice(r + 2 * k, r + 2 * k + nz), slice(col, col + k),
                                   slice(col + k, col + k + nz)))
             roofs.append(roof)
@@ -852,27 +837,30 @@ class TmdFrameSystem:
         self.device_reads = np.concatenate(reads)
         self.output_rows, self.feedthrough = np.array(roofs), np.zeros(2)
 
-    @staticmethod
-    def _si_params(law: str, raw: dict, m_tmd: float):
-        """The ``tmd_force`` keywords of a law in SI, and the ``_boucwen`` operands
-        after z and v of a hysteretic one (else None); batch arrays pass through."""
-        a = lambda key, default=0.0: np.asarray(raw.get(key, default), dtype=float)
-        if law == "linear":
-            return {"c1": a("c1") * KN}, None
-        if law == "cubic":
-            return {"c1": a("c1") * KN, "c3": a("c3") * KN}, None
-        if law == "power_law_truth":
-            return {"power_coef": a("power_coef") * KN, "power_lin": a("power_lin") * KN}, None
-        if law == "boucwen":
-            r_k = a("r_k")
-            Q_y = a("Q_y")  # % of TMD weight
-            k_pre = a("k_pre") * KN  # kN/m -> N/m
-            Qy_si = Q_y / 100.0 * m_tmd * GRAVITY
-            bw_a = k_pre / Qy_si
-            z_max = _saturation_amplitude(bw_a, 0.5 * bw_a, 0.5 * bw_a, 1.0)
-            return ({"k_post": r_k * k_pre, "q_y": Qy_si * (1.0 - r_k)},
-                    (bw_a, 0.5 * bw_a, 0.5 * bw_a, 0.0, z_max))
-        raise ValueError(law)
+    @classmethod
+    def _si_params(cls, direction: str, law: str, raw: dict, m_tmd: float, n_models: int):
+        """The ``tmd_force`` keywords of a law in SI and the Bouc-Wen ``a`` of a
+        hysteretic one (else None), batch arrays passed through.  Refuses an unknown law,
+        a key the law does not take or lacks, and an array not one value or one per model."""
+        if law not in cls._LAW_KEYS:
+            raise ValueError(f"{direction} TMD: unknown damping law {law!r}; "
+                             f"the laws are {', '.join(cls._LAW_KEYS)}")
+        keys = cls._LAW_KEYS[law]
+        odd = sorted(set(raw).symmetric_difference(keys))
+        if odd:
+            verb = "does not take" if odd[0] in raw else "needs"
+            raise ValueError(f"{direction} TMD: law {law!r} {verb} {odd[0]!r}; "
+                             f"its keys are {', '.join(keys)}")
+        p = {key: np.asarray(raw[key], dtype=float) for key in keys}
+        for key, value in p.items():
+            if value.ndim > 1 or value.size not in (1, n_models):
+                raise ValueError(f"{direction} TMD: {key} has shape {value.shape}; give one "
+                                 f"value or one per model ({n_models})")
+        if law != "boucwen":   # the other laws take force coefficients in kN units
+            return {key: value * KN for key, value in p.items()}, None
+        k_pre = p["k_pre"] * KN                        # kN/m -> N/m
+        Qy_si = p["Q_y"] / 100.0 * m_tmd * GRAVITY     # Q_y in % of the TMD weight
+        return {"k_post": p["r_k"] * k_pre, "q_y": Qy_si * (1.0 - p["r_k"])}, k_pre / Qy_si
 
     def initial_state(self) -> np.ndarray:
         return np.zeros((self.n_states, self.n_models))
@@ -882,10 +870,10 @@ class TmdFrameSystem:
 
     def devices(self, rows, out):
         """Each TMD's law force, and the z rate of each hysteretic one, into ``out``."""
-        for law, force_kw, bw, u, du, z, f, g in self._devices:
+        for law, force_kw, bw_a, u, du, z, f, g in self._devices:
             out[f] = tmd_force(law, rows[du], rows[u], z=rows[z], **force_kw)
-            if bw is not None:
-                _boucwen(rows[z], rows[du], *bw, out=out[g])
+            if bw_a is not None:
+                _boucwen(rows[z], rows[du], bw_a, 0.0, out=out[g])
 
 
 # ---------------------------------------------------------------------------

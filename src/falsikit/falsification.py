@@ -180,7 +180,10 @@ def log_likelihood(eps, noise: ResidualNoiseModel):
     if not np.all(np.isfinite(eps)):
         raise ValueError("residuals contain non-finite entries")
     sigma = noise.sigma_vector(eps.shape[-1])
-    quad = np.sum((eps / sigma) ** 2, axis=-1)
+    with np.errstate(over="ignore"):
+        quad = np.sum((eps / sigma) ** 2, axis=-1)
+    if not np.all(np.isfinite(quad)):
+        raise ValueError(f"residuals over a sigma of {sigma.min():.3g} overflow the log-likelihood")
     out = _log_normaliser(sigma) - 0.5 * quad
     return float(out) if eps.ndim == 1 else out
 

@@ -46,6 +46,7 @@ __all__ = [
 _FLOAT_FMT = "%.17g"   # round-trips double precision
 STAGES = ("simulate", "falsify", "predict", "all")
 MAX_SUBSTEPS_PER_SAMPLE = 1000   # RK4 substeps per record interval that dt_int may ask for
+_MAX_ENTRY = 1.0e150   # a larger time-series entry squares, in norms and variances, to overflow
 _CLASS_ID = re.compile(r"[A-Za-z0-9_.-]+")   # a class id names its sim_ and prediction_ files
 
 
@@ -396,9 +397,11 @@ def _read_numeric_table(path) -> np.ndarray:
     if len(widths) != 1:
         raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
     table = np.asarray(rows, dtype=float)
-    if not np.all(np.isfinite(table)):
-        bad = int(np.nonzero(~np.all(np.isfinite(table), axis=1))[0][0]) + 1
-        raise ValueError(f"{path}: non-finite entry at data row {bad}")
+    within = np.abs(table) <= _MAX_ENTRY   # false for nan and inf too
+    if not within.all():
+        bad = int(np.nonzero(~within.all(axis=1))[0][0]) + 1
+        raise ValueError(f"{path}: non-finite entry, or one beyond {_MAX_ENTRY:g} in "
+                         f"magnitude, at data row {bad}")
     return table
 
 
@@ -760,7 +763,10 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     t0 = time.perf_counter()
     if ledger is None:
         eps_by_class = {cid: residuals(h_by_class[cid], d) for cid in class_order}
-        verdicts = falsify_classes(eps_by_class, noise, config.fdr, d.n_channels)
+        try:
+            verdicts = falsify_classes(eps_by_class, noise, config.fdr, d.n_channels)
+        except ValueError as err:
+            raise ConfigError(f"[noise] {err}") from None
         del h_by_class, eps_by_class   # the verdicts hold all the later stages need
         with _rewriting(verdict_key_path, verdict_key):
             # what the predict stage wrote from the last ledger is stale now

@@ -271,7 +271,7 @@ def test_criterion_08_bilinear_limit():
     z = 0.0
     zs = [z]
     for k in range(len(t) - 1):
-        f = lambda zz, vv: float(boucwen_rate(zz, vv, a, 0.5 * a, 0.5 * a, 100.0))
+        f = lambda zz, vv: float(boucwen_rate(zz, vv, a, 100.0))
         vm = amp * omega * np.cos(omega * (t[k] + dt / 2))
         k1 = f(z, v[k])
         k2 = f(z + dt / 2 * k1, vm)

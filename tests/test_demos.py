@@ -31,3 +31,12 @@ def test_tmd_frame_wind_runs(capsys):
            for line in lines if line.split()[:1] and line.split()[0] in laws}
     assert set(rms) == set(laws)
     assert len(set(rms.values())) == len(laws)
+
+
+def test_equivalent_linear_comparison_runs(capsys):
+    path = next(p for p in DEMOS if p.stem == "equivalent_linear_comparison")
+    runpy.run_path(str(path), run_name="demo")["main"]()
+    headers = [line.split()[1:] for line in capsys.readouterr().out.splitlines()
+               if line.split()[:1] == ["r_d"]]
+    # one table of zeta_eq and one of k_eq, each with a column per code variant
+    assert headers == [["aashto", "jpwri", "modified_aashto", "caltrans"]] * 2

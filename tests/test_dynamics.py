@@ -77,14 +77,14 @@ def _rhs_rk4(system, record, dt_int):
     return outputs.reshape(system.n_models, -1)
 
 
-def _integrate_z(x_fn, v_fn, t_end, dt, a, beta, gamma, n_pow):
+def _integrate_z(x_fn, v_fn, t_end, dt, a, n_pow):
     """RK4 on the scalar hysteretic ODE under a prescribed displacement history."""
     n = int(round(t_end / dt))
     z = 0.0
     zs = [z]
     for k in range(n):
         t = k * dt
-        f = lambda tt, zz: float(boucwen_rate(zz, v_fn(tt), a, beta, gamma, n_pow))
+        f = lambda tt, zz: float(boucwen_rate(zz, v_fn(tt), a, n_pow))
         k1 = f(t, z)
         k2 = f(t + dt / 2, z + dt / 2 * k1)
         k3 = f(t + dt / 2, z + dt / 2 * k2)
@@ -104,39 +104,37 @@ def _loop_area(x, f):
 
 class TestBoucwen:
     def test_origin_slope(self):
-        assert boucwen_rate(0.0, 2.0, a=3.0, beta=1.5, gamma=1.5, n_pow=1.0) == 6.0
+        assert boucwen_rate(0.0, 2.0, a=3.0, n_pow=1.0) == 6.0
 
     def test_saturation(self):
         # a = 2 beta = 2 gamma, z at 1: loading rate vanishes
-        assert boucwen_rate(1.0, 0.5, a=2.0, beta=1.0, gamma=1.0, n_pow=1.0) \
+        assert boucwen_rate(1.0, 0.5, a=2.0, n_pow=1.0) \
             == pytest.approx(0.0, abs=1e-14)
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
-            boucwen_rate(np.nan, 1.0, 2.0, 1.0, 1.0, 1.0)
+            boucwen_rate(np.nan, 1.0, 2.0, 1.0)
 
     @settings(max_examples=200, deadline=None)
-    @given(a=st.floats(0.1, 100.0), beta_frac=st.floats(0.05, 1.5),
-           gamma_frac=st.floats(0.05, 1.5), n_pow=st.sampled_from([1.0, 1.5, 100.0]),
+    @given(a=st.floats(0.1, 100.0), n_pow=st.sampled_from([1.0, 1.5, 100.0]),
            zv=st.lists(st.tuples(st.floats(-3.0, 3.0, allow_subnormal=False),
                                  st.floats(-10.0, 10.0, allow_subnormal=False)),
                        min_size=1, max_size=12))
-    def test_one_power_matches_two_power_law(self, a, beta_frac, gamma_frac, n_pow, zv):
-        # z in units of the saturation amplitude, so |z| > z_max is drawn too
-        beta, gamma = beta_frac * a, gamma_frac * a
-        z_max = (a / (beta + gamma)) ** (1.0 / n_pow)
-        z = np.array([frac for frac, _ in zv]) * z_max
+    def test_one_power_matches_two_power_law(self, a, n_pow, zv):
+        # the textbook law at beta = gamma = a/2; |z| > 1, the saturation amplitude, is drawn too
+        beta = gamma = 0.5 * a
+        z = np.array([zz for zz, _ in zv])
         v = np.array([vel for _, vel in zv])
-        az = np.minimum(np.abs(z), z_max)
+        az = np.minimum(np.abs(z), 1.0)
         terms = (a * v, beta * v * az**n_pow, gamma * z * np.abs(v) * az**(n_pow - 1.0))
         textbook = terms[0] - terms[1] - terms[2]
         scale = np.max(np.abs(terms), axis=0)
-        got = boucwen_rate(z, v, a, beta, gamma, n_pow)
+        got = boucwen_rate(z, v, a, n_pow)
         assert np.all(np.abs(got - textbook) <= 1e-13 * scale)
         # the in-place path computes the same numbers into the caller's buffers
-        out, work = np.empty_like(z), np.full((2, z.size), np.nan)
-        assert _boucwen(z, v, a, beta, gamma, n_pow - 1.0, z_max, out=out, work=work) is out
-        np.testing.assert_array_equal(out, _boucwen(z, v, a, beta, gamma, n_pow - 1.0, z_max))
+        out, work = np.empty_like(z), np.full((3, z.size), np.nan)
+        assert _boucwen(z, v, a, n_pow - 1.0, out=out, work=work) is out
+        np.testing.assert_array_equal(out, _boucwen(z, v, a, n_pow - 1.0))
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(0.1, 100.0), n_pow=st.sampled_from([1.0, 1.5, 100.0]),
@@ -145,9 +143,9 @@ class TestBoucwen:
     def test_scalar_calls_match_the_batch(self, a, n_pow, zv):
         # 0-d inputs run the law on numpy scalars; the numbers are the buffered path's
         z, v = np.array(zv).T
-        batch = boucwen_rate(z, v, a, 0.5 * a, 0.5 * a, n_pow)
+        batch = boucwen_rate(z, v, a, n_pow)
         for i in range(z.size):
-            single = boucwen_rate(float(z[i]), float(v[i]), a, 0.5 * a, 0.5 * a, n_pow)
+            single = boucwen_rate(float(z[i]), float(v[i]), a, n_pow)
             assert np.ndim(single) == 0 and single == batch[i]
 
     def test_isolated_system_rejects_n_pow_below_one(self, building):
@@ -163,7 +161,7 @@ class TestBoucwen:
         a = 1.0 / x_y
         zs = _integrate_z(lambda t: amp * np.sin(omega * t),
                           lambda t: amp * omega * np.cos(omega * t),
-                          3.0, 1e-3, a, 0.5 * a, 0.5 * a, n_pow)
+                          3.0, 1e-3, a, n_pow)
         assert np.max(np.abs(zs)) <= 1.0 + 1e-3
 
     def test_loop_area_against_fine_reference(self):
@@ -178,7 +176,7 @@ class TestBoucwen:
             x = amp * np.sin(omega * t)
             zs = _integrate_z(lambda tt: amp * np.sin(omega * tt),
                               lambda tt: amp * omega * np.cos(omega * tt),
-                              2.0, dt, a, 0.5 * a, 0.5 * a, 1.0)
+                              2.0, dt, a, 1.0)
             f = k_post * x + q_y * zs
             half = len(t) // 2   # second (steady) cycle
             return _loop_area(x[half:], f[half:])
@@ -201,7 +199,7 @@ class TestBoucwen:
         x = amp * np.sin(omega * t)
         zs = _integrate_z(lambda tt: amp * np.sin(omega * tt),
                           lambda tt: amp * omega * np.cos(omega * tt),
-                          2.0, dt, k_pre / Qy, 0.5 * k_pre / Qy, 0.5 * k_pre / Qy, 100.0)
+                          2.0, dt, k_pre / Qy, 100.0)
         f_bw = k_post * x + q_y * zs
 
         # ideal bilinear: slope k_pre between the bounding lines k_post x +/- q_y
@@ -462,8 +460,8 @@ class TestIsolatedBatch:
         for ag in (0.7, rng.standard_normal(batch.n_models)):
             expected = first @ batch._A.T + np.multiply.outer(ag, batch._B)
             expected[:, vb] -= np.einsum("ij,ij->i", first, iso)
-            expected[:, -1] = boucwen_rate(first[:, -1], first[:, vb], batch.bw_a, batch.bw_beta,
-                                           batch.bw_gamma, batch.n_pow)
+            expected[:, -1] = boucwen_rate(first[:, -1], first[:, vb], batch.bw_a,
+                                           batch.n_pow_less_one + 1.0)
             got = batch.rhs(state, ag)
             assert got.shape == state.shape
             scale = np.abs(expected).max(axis=0)
@@ -542,7 +540,7 @@ class TestIsolatedBatch:
         sys_d = IsolatedSystem(building, "aashto", k_post=4.0, c_b=20.0, r_k=0.1667,
                                r_d=np.array([2.0, 2.5, 3.0, 3.5]))
         assert (sys_q.n_models, sys_n.n_models, sys_d.n_models) == (3, 2, 4)
-        assert sys_q.bw_a.shape == sys_q.n_pow.shape == sys_q.z_max.shape == (3,)
+        assert sys_q.bw_a.shape == sys_q.n_pow_less_one.shape == (3,)
         with pytest.raises(ValueError, match=r"k_post \(3,\).*Q_y \(4,\)"):
             IsolatedSystem(building, "bilinear", k_post=np.full(3, 4.0), c_b=20.0, r_k=0.16,
                            Q_y=np.full(4, 5.0))
@@ -648,8 +646,7 @@ def _frame_chain_rhs(frame, laws, params, state, wind):
             r_k, Qy = np.asarray(raw["r_k"]), raw["Q_y"] / 100.0 * m_tmd * 9.80665
             f_dev = r_k * si["k_pre"] * U + Qy * (1.0 - r_k) * Z
             a = si["k_pre"] / Qy
-            deriv[offset + 2 * n_dof:offset + 2 * n_dof + n_z] = boucwen_rate(
-                Z, dU, a, 0.5 * a, 0.5 * a, 1.0)
+            deriv[offset + 2 * n_dof:offset + 2 * n_dof + n_z] = boucwen_rate(Z, dU, a, 1.0)
         f_tmd = k_tmd * U + f_dev                # what the TMDs apply to the roof
         load = shape[:, None] * (wind * component)
         acc_s = (-chain.damping_matrix() @ Vs - chain.stiffness_matrix() @ Xs + load) \
@@ -726,6 +723,33 @@ class TestTmd:
             integrate_rk4(system, wind, dt_int=0.025)
         assert got.value.time == expected.value.time < wind.duration
         assert list(got.value.indices) == list(expected.value.indices) == [1, 3]
+
+    def test_refuses_unknown_law(self):
+        laws = "linear, cubic, boucwen, power_law_truth"
+        with pytest.raises(ValueError, match=f"y TMD: unknown damping law 'quadratic'; "
+                                             f"the laws are {laws}"):
+            TmdFrameSystem(TmdFrameModel(), "linear", "quadratic", params_x=dict(c1=30.0),
+                           params_y=dict(c1=15.0))
+
+    @pytest.mark.parametrize("law,params,message", [
+        ("linear", dict(C1=30.0), "law 'linear' does not take 'C1'; its keys are c1"),
+        ("cubic", dict(c1=10.0), "law 'cubic' needs 'c3'; its keys are c1, c3"),
+        ("boucwen", dict(r_k=0.2, Q_y=8.0, k_pre=500.0, n_pow=2.0),
+         "law 'boucwen' does not take 'n_pow'; its keys are r_k, Q_y, k_pre"),
+    ], ids=("misspelt", "missing", "general-law"))
+    def test_refuses_keys_the_law_does_not_take_or_lacks(self, law, params, message):
+        with pytest.raises(ValueError, match=f"x TMD: {message}"):
+            TmdFrameSystem(TmdFrameModel(), law, "linear", params_x=params,
+                           params_y=dict(c1=15.0))
+
+    @pytest.mark.parametrize("c1,shape", [(np.full(3, 30.0), r"\(3,\)"),
+                                          (np.full((2, 2), 30.0), r"\(2, 2\)")],
+                             ids=("length-3", "2-d"))
+    def test_refuses_arrays_not_one_per_model(self, c1, shape):
+        with pytest.raises(ValueError, match=f"y TMD: c1 has shape {shape}; give one value "
+                                             r"or one per model \(2\)"):
+            TmdFrameSystem(TmdFrameModel(), "linear", "linear", params_x=dict(c1=[30.0]),
+                           params_y=dict(c1=c1), n_models=2)
 
     @pytest.mark.parametrize("law,kw", [
         ("linear", dict(c1=3.0)),
