@@ -90,7 +90,7 @@ def main():
     pred = predict_response(survivors, integrate_rk4(system, prediction),
                             prediction.dt)
     truth_pred = simulate(truth_sys, prediction)
-    err = relative_rms_error(truth_pred.values, pred.q_hat)
+    err = relative_rms_error(truth_pred.d, pred.q_hat)
     print(f"relative RMS prediction error vs the hidden truth: {100 * err:.2f}%")
 
 

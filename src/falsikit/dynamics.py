@@ -25,7 +25,7 @@ of every device here (Wen 1976): loading and unloading stiffnesses match and
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,7 +33,6 @@ from .falsification import MeasurementSet
 
 __all__ = [
     "ExcitationRecord",
-    "SimulationOutput",
     "ShearBuildingModel",
     "IsolatedSystem",
     "TmdFrameModel",
@@ -80,21 +79,19 @@ class SimulationDivergedError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# excitation and output containers
+# excitation
 
 @dataclass(frozen=True)
 class ExcitationRecord:
     """Sampled excitation: ground acceleration [m/s^2] or force [N].
 
-    ``samples`` has shape (n,).  With ``per_model`` it has shape
-    (n, n_models): one input column per model of a batch (see
-    ``integrate_rk4``).
+    ``samples`` has shape (n,), one input shared by every model of a batch,
+    or (n, n_models), one input column per model (see ``integrate_rk4``).
     """
 
     dt: float
     samples: np.ndarray
     label: str = ""
-    per_model: bool = False
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=float)
@@ -102,10 +99,8 @@ class ExcitationRecord:
             raise ValueError("excitation dt must be > 0")
         if not np.all(np.isfinite(samples)):
             raise ValueError(f"excitation {self.label!r} contains non-finite samples")
-        if self.per_model and samples.ndim != 2:
-            raise ValueError("per-model excitation must have shape (n, n_models)")
-        if not self.per_model and samples.ndim != 1:
-            raise ValueError("excitation must be a 1-d sample array")
+        if samples.ndim not in (1, 2):
+            raise ValueError(f"excitation samples must be 1-d or 2-d, not of shape {samples.shape}")
         if samples.shape[0] == 0:
             raise ValueError(f"excitation {self.label!r} has no samples")
         object.__setattr__(self, "samples", samples)
@@ -117,38 +112,6 @@ class ExcitationRecord:
     @property
     def duration(self) -> float:
         return self.n_steps * self.dt
-
-
-@dataclass(frozen=True)
-class SimulationOutput:
-    """Model outputs stacked time-major: [y(0), y(dt), ...] with channels interleaved."""
-
-    dt: float
-    values: np.ndarray
-    channel_names: tuple[str, ...] = ("output",)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("SimulationOutput values must be a stacked 1-d vector")
-        if values.size % len(self.channel_names) != 0:
-            raise ValueError("stacked length must be a multiple of the channel count")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("simulation output contains non-finite values")
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "channel_names", tuple(self.channel_names))
-
-    @property
-    def n_channels(self) -> int:
-        return len(self.channel_names)
-
-    @property
-    def n_samples(self) -> int:
-        return self.values.size // self.n_channels
-
-    def by_channel(self) -> np.ndarray:
-        """De-interleave into shape (n_samples, n_channels)."""
-        return self.values.reshape(self.n_samples, self.n_channels)
 
 
 # ---------------------------------------------------------------------------
@@ -368,20 +331,12 @@ class IsolatedSystem:
         self.variant = variant
         self.nonlinear = variant in NONLINEAR_VARIANTS
         self.model_axis = 1 if self.nonlinear else 0
-        self.ns = building.n_stories
-        n = self.ns + 1                                  # degrees of freedom
+        n = building.n_stories + 1                       # degrees of freedom
         self.n_states = 2 * n + (1 if self.nonlinear else 0)
         self._xb = n - 1                                 # state index of x_b
         self._vb = 2 * n - 1                             # state index of v_b
-
-        # M q'' + C q' + K q = -M 1 a_g - f_iso e_b for q = [X_s, x_b], with
-        # M = diag(m_s, m_b), K = T^T K_s T, C = T^T C_s T and T = [I | -1]
-        T = np.hstack([np.eye(self.ns), -np.ones((self.ns, 1))])
-        masses = MG * np.append(building.story_masses, building.base_mass)
-        self._A = np.zeros((self.n_states, self.n_states))
-        self._A[:n, n:2 * n] = np.eye(n)
-        self._A[n:2 * n, :n] = -(T.T @ building.stiffness_matrix() @ T) / masses[:, None]
-        self._A[n:2 * n, n:2 * n] = -(T.T @ building.damping_matrix() @ T) / masses[:, None]
+        m_b = MG * building.base_mass
+        self._A = self.shared_operator(building, self.n_states)
         self._B = np.zeros(self.n_states)
         self._B[n:2 * n] = -1.0
 
@@ -419,7 +374,7 @@ class IsolatedSystem:
                 raise ValueError("Q_y must be > 0")
             Qy_si = p["Q_y"] / 100.0 * building.weight    # N
             self.iso_rows = np.stack([p["k_post"] * MN_PER_M, p["c_b"] * KN,
-                                      Qy_si * (1.0 - p["r_k"])]) / masses[-1]
+                                      Qy_si * (1.0 - p["r_k"])]) / m_b
             self.bw_a = k_pre_si / Qy_si             # 1/m
             self.n_pow_less_one = _checked_n_pow(p["n_pow"]) - 1.0
             self.device_reads = np.array([self._xb, self._vb, self.n_states - 1])
@@ -436,8 +391,23 @@ class IsolatedSystem:
                 raise ValueError(f"{variant} damping overflows at {building.total_mass:g} kg of mass")
             # one row per model, dotted with the models-first state
             self._iso = np.zeros((self.n_models, self.n_states))
-            self._iso[:, self._xb] = k_eq / masses[-1]
-            self._iso[:, self._vb] = c_eq / masses[-1]
+            self._iso[:, self._xb] = k_eq / m_b
+            self._iso[:, self._vb] = c_eq / m_b
+
+    @staticmethod
+    def shared_operator(building: ShearBuildingModel, n_states: int | None = None) -> np.ndarray:
+        """The ``A`` of every batch on ``building``: the superstructure on the base mass
+        over [X_s, x_b, V_s, v_b], zero-padded to ``n_states`` (a hysteretic batch's z)."""
+        n = building.n_stories + 1
+        # M q'' + C q' + K q = -M 1 a_g - f_iso e_b for q = [X_s, x_b], with
+        # M = diag(m_s, m_b), K = T^T K_s T, C = T^T C_s T and T = [I | -1]
+        T = np.hstack([np.eye(n - 1), -np.ones((n - 1, 1))])
+        masses = MG * np.append(building.story_masses, building.base_mass)
+        A = np.zeros((n_states or 2 * n,) * 2)
+        A[:n, n:2 * n] = np.eye(n)
+        A[n:2 * n, :n] = -(T.T @ building.stiffness_matrix() @ T) / masses[:, None]
+        A[n:2 * n, n:2 * n] = -(T.T @ building.damping_matrix() @ T) / masses[:, None]
+        return A
 
     @classmethod
     def stacked(cls, systems) -> "IsolatedSystem":
@@ -509,8 +479,8 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     are the rate rows ``output_rows`` of the first RK4 stage plus
     ``feedthrough`` times the input.  ``_device_step`` advances it with the
     linear part of the four stages precomputed; it never calls ``rhs``, and
-    such a system alone takes a ``per_model`` excitation, whose ``u`` is a
-    row of one sample per model.
+    such a system alone takes a 2-d excitation, one column per model, whose
+    ``u`` is a row of one sample per model.
 
     Any other system provides ``initial_state()``, ``rhs(state, u)``
     returning the state rate, and ``output(state, deriv, u)`` returning the
@@ -530,7 +500,7 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     h = dt / n_sub
 
     devices = getattr(system, "device_reads", None) is not None
-    if record.per_model and not (devices and record.samples.shape[1] == system.n_models):
+    if record.samples.ndim == 2 and not (devices and record.samples.shape[1] == system.n_models):
         raise ValueError(f"a per-model excitation of {record.samples.shape[1]} columns needs "
                          f"a models-last system of as many models, not {system.n_models} "
                          f"with model axis {1 if devices else 0}")
@@ -681,15 +651,15 @@ def _device_step(system, h: float, n_sub: int):
     return step
 
 
-def simulate(system, excitation: ExcitationRecord, dt_int: float | None = None) -> SimulationOutput:
-    """Simulate a single-model system and return its stacked output vector."""
+def simulate(system, excitation: ExcitationRecord, dt_int: float | None = None) -> MeasurementSet:
+    """Simulate a single-model system and return its stacked output series."""
     if system.n_models != 1:
         raise ValueError("simulate() expects a batch of one model; use integrate_rk4")
     h = integrate_rk4(system, excitation, dt_int=dt_int)
-    return SimulationOutput(excitation.dt, h[0], tuple(system.channel_names))
+    return MeasurementSet(d=h[0], dt=excitation.dt, channel_names=system.channel_names)
 
 
-def add_measurement_noise(clean: SimulationOutput, noise_fraction: float,
+def add_measurement_noise(clean: MeasurementSet, noise_fraction: float,
                           rng: np.random.Generator) -> MeasurementSet:
     """Add i.i.d. zero-mean Gaussian noise, per channel, scaled to the channel std."""
     if noise_fraction < 0.0:
@@ -697,8 +667,7 @@ def add_measurement_noise(clean: SimulationOutput, noise_fraction: float,
     per_channel = clean.by_channel()
     stds = per_channel.std(axis=0)
     noise = rng.standard_normal(per_channel.shape) * (noise_fraction * stds)
-    noisy = (per_channel + noise).reshape(-1)
-    return MeasurementSet(d=noisy, dt=clean.dt, channel_names=clean.channel_names)
+    return replace(clean, d=(per_channel + noise).reshape(-1))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ __all__ = [
     "bh_levels",
     "bh_quantiles",
     "likelihood_bound",
-    "measurement_rejections",
     "falsify",
     "falsify_classes",
 ]
@@ -45,7 +44,7 @@ _STANDARD_NORMAL = NormalDist()
 
 @dataclass(frozen=True)
 class MeasurementSet:
-    """Stacked observed outputs d (channels interleaved time-major)."""
+    """A measured or simulated response d = [y(0), y(dt), ...], channels interleaved."""
 
     d: np.ndarray
     dt: float
@@ -54,22 +53,22 @@ class MeasurementSet:
     def __post_init__(self):
         d = np.asarray(self.d, dtype=float)
         if d.ndim != 1 or d.size < 1:
-            raise ValueError("measurement vector must be 1-d and non-empty")
+            raise ValueError("response vector must be 1-d and non-empty")
+        if d.size % len(self.channel_names) != 0:
+            raise ValueError(f"response length {d.size} is not a multiple of the "
+                             f"channel count {len(self.channel_names)}")
         if not np.all(np.isfinite(d)):
-            raise ValueError("measurement vector contains non-finite entries")
+            raise ValueError("response vector contains non-finite entries")
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "channel_names", tuple(self.channel_names))
-
-    @property
-    def n_obs(self) -> int:
-        return self.d.size
 
     @property
     def n_channels(self) -> int:
         return len(self.channel_names)
 
     def by_channel(self) -> np.ndarray:
-        return self.d.reshape(self.d.size // self.n_channels, self.n_channels)
+        """De-interleave into shape (time samples, channels)."""
+        return self.d.reshape(-1, self.n_channels)
 
 
 @dataclass(frozen=True)
@@ -152,13 +151,13 @@ def residuals(h, d) -> np.ndarray:
 
     ``h`` may be a single stacked output (1-d) or a batch (n_models, N_o).
     """
-    h_arr = h.values if hasattr(h, "values") else np.asarray(h, dtype=float)
+    h_arr = h.d if isinstance(h, MeasurementSet) else np.asarray(h, dtype=float)
     d_arr = d.d if isinstance(d, MeasurementSet) else np.asarray(d, dtype=float)
     if h_arr.shape[-1] != d_arr.shape[-1]:
         raise ValueError(
             f"output length {h_arr.shape[-1]} does not match measurement length {d_arr.shape[-1]}")
-    if hasattr(h, "channel_names") and isinstance(d, MeasurementSet) \
-            and tuple(h.channel_names) != tuple(d.channel_names):
+    if isinstance(h, MeasurementSet) and isinstance(d, MeasurementSet) \
+            and h.channel_names != d.channel_names:
         raise ValueError("output and measurement channel descriptors differ")
     return h_arr - d_arr
 
@@ -235,19 +234,6 @@ def likelihood_bound(noise: ResidualNoiseModel, config: FdrConfig, n_obs: int) -
     residual vector, so the value is cached per (noise, alpha, N_o).
     """
     return _cached_log_bound(noise.std_devs, config.alpha, int(n_obs))
-
-
-def measurement_rejections(eps, noise: ResidualNoiseModel, config: FdrConfig) -> int:
-    """Number of residual entries outside their rank-assigned BH bounds.
-
-    Diagnostic count N_r: entry at p-value rank i is rejected when its
-    p-value is at most alpha_i = (i / N_o) alpha.  The p-value falls as
-    |eps / sigma| grows, so this counts the ranks i of |eps / sigma|, sorted
-    in descending order, that reach q_i = Phi^{-1}(1 - alpha_i / 2).
-    """
-    eps = np.asarray(eps, dtype=float)
-    z = np.abs(eps) / noise.sigma_vector(eps.size)
-    return int(np.sum(np.sort(z)[::-1] >= bh_quantiles(config, eps.size)))
 
 
 def falsify(class_id: str, eps_matrix, noise: ResidualNoiseModel,

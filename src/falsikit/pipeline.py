@@ -46,6 +46,7 @@ __all__ = [
 _FLOAT_FMT = "%.17g"   # round-trips double precision
 STAGES = ("simulate", "falsify", "predict", "all")
 MAX_SUBSTEPS_PER_SAMPLE = 1000   # RK4 substeps per record interval that dt_int may ask for
+RK4_RADIUS = 2.96   # the largest |z| in RK4's stability region |1 + z + ... + z^4/24| <= 1
 _MAX_ENTRY = 1.0e150   # a larger time-series entry squares, in norms and variances, to overflow
 _CLASS_ID = re.compile(r"[A-Za-z0-9_.-]+")   # a class id names its sim_ and prediction_ files
 
@@ -460,27 +461,26 @@ def write_timeseries(path, dt: float, columns: np.ndarray, header: str | None = 
 
     ``columns`` is one column (1-d) or an (n_samples, n_columns) table.
     """
-    columns = np.asarray(columns, dtype=float)
-    if columns.ndim == 1:
-        columns = columns[:, None]
-    t = np.arange(columns.shape[0]) * dt
-    table = np.column_stack([t, columns])
-    _atomic_savetxt(path, table, header=header)
+    t = np.arange(len(columns)) * dt
+    with _atomic(path) as fh:
+        np.savetxt(fh, np.column_stack([t, columns]), fmt=_FLOAT_FMT, delimiter="\t",
+                   header=header or "")
 
 
-def _atomic_savetxt(path, table, header=None):
+@contextlib.contextmanager
+def _atomic(path):
+    """A binary handle on ``path``.tmp, which replaces ``path`` when the block completes,
+    so ``path`` holds either its old bytes or all of the new ones."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    np.savetxt(tmp, table, fmt=_FLOAT_FMT, delimiter="\t",
-               header=header or "", comments="# " if header else "# ")
+    with open(tmp, "wb") as fh:
+        yield fh
     os.replace(tmp, path)
 
 
 def _atomic_write_text(path, text):
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
+    with _atomic(path) as fh:
+        fh.write(text.encode())
 
 
 # ---------------------------------------------------------------------------
@@ -523,8 +523,7 @@ def _simulate_classes(systems: dict, records: dict, dt_int: float) -> dict:
         if len(labels) > 1:   # a lone record drives every model as it is, with no columns
             per_input = sum(systems[cid].n_models for cid in hysteretic)
             columns = np.column_stack([records[label].samples for label in labels])
-            record = ExcitationRecord(record.dt, np.repeat(columns, per_input, axis=1),
-                                      per_model=True)
+            record = ExcitationRecord(record.dt, np.repeat(columns, per_input, axis=1))
         batch = IsolatedSystem.stacked(system for _, _, system in blocks)
         h = _integrate(batch, record, dt_int, blocks)
         lo = 0
@@ -567,6 +566,29 @@ def _check_dt_int(given: float | None, dt_int: float, records: dict) -> None:
         if n_sub > MAX_SUBSTEPS_PER_SAMPLE:
             raise ConfigError(f"{key} takes {n_sub} RK4 substeps per sample of {path}; "
                               f"at most {MAX_SUBSTEPS_PER_SAMPLE} are allowed")
+
+
+def _check_resolvable(building: ShearBuildingModel, dt_int: float) -> None:
+    """Refuse a building with an operator ``A`` not finite or with dt_int ρ(A) > ``RK4_RADIUS``:
+    then an eigenvalue lies outside RK4's stability region and every candidate
+    diverges.  Only ρ is computed; powers of A overflow at such magnitudes."""
+    with np.errstate(all="ignore"):
+        A = IsolatedSystem.shared_operator(building)
+        reach = dt_int * np.abs(np.linalg.eigvals(A)).max() if np.isfinite(A).all() else math.inf
+    if not reach <= RK4_RADIUS:
+        raise ConfigError(f"[building] is too stiff for [run] dt_int = {dt_int:g} s: dt_int "
+                          f"times its operator's spectral radius is {reach:.3g} > {RK4_RADIUS}")
+
+
+def _check_pair(series: MeasurementSet, name: str, record: ExcitationRecord,
+                record_name: str) -> None:
+    """Refuse a measured ``series`` not sampled as ``record``: at its dt, one row per step."""
+    if abs(series.dt - record.dt) > 1e-6 * record.dt:
+        raise ConfigError(f"{name}: sampled at dt = {series.dt:g} s, {record_name} at "
+                          f"dt = {record.dt:g} s")
+    rows = len(series.by_channel())
+    if rows != record.n_steps:
+        raise ConfigError(f"{name}: {rows} time samples, but {record_name} has {record.n_steps}")
 
 
 def _simulation_key(config: RunConfig, calibration: ExcitationRecord, dt_int: float) -> str:
@@ -684,30 +706,20 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     predicts = stage in ("predict", "all")
     inputs = {p: ingest_timeseries(p) for p in config.prediction_paths} if predicts else {}
     _check_dt_int(config.dt_int, dt_int, {config.calibration_path: calibration, **inputs})
+    _check_resolvable(config.building, dt_int)
     channel_names = tuple(IsolatedSystem.channel_names)
     if stage != "simulate":
         if config.measurement_path is None:
             raise ConfigError("no [measurement] file configured")
         d = ingest_measurement(config.measurement_path, channel_names=channel_names)
-        if abs(d.dt - calibration.dt) > 1e-6 * calibration.dt:
-            raise ConfigError(f"[measurement] {config.measurement_path}: sampled at "
-                              f"dt = {d.dt:g} s, the calibration record at "
-                              f"dt = {calibration.dt:g} s")
-        n_sim = calibration.n_steps * len(channel_names)
-        if d.n_obs != n_sim:
-            raise ConfigError(f"[measurement] {config.measurement_path}: {d.n_obs} samples, "
-                              f"but the calibration record simulates {n_sim}")
+        _check_pair(d, f"[measurement] {config.measurement_path}",
+                    calibration, "the calibration record")
         noise = config.noise_model(d)
         noise_sigma = list(noise.std_devs)
     truth_series = {}
     for (p_path, record), t_path in zip(inputs.items(), config.prediction_truth_paths):
         truth = ingest_measurement(t_path, channel_names=channel_names)
-        if abs(truth.dt - record.dt) > 1e-6 * record.dt:
-            raise ConfigError(f"[excitation] prediction_truth {t_path}: sampled at "
-                              f"dt = {truth.dt:g} s, its input {p_path} at dt = {record.dt:g} s")
-        if truth.n_obs != record.n_steps * len(channel_names):
-            raise ConfigError(f"[excitation] prediction_truth {t_path}: {truth.n_obs} samples, "
-                              f"but its input {p_path} predicts {record.n_steps}")
+        _check_pair(truth, f"[excitation] prediction_truth {t_path}", record, f"its input {p_path}")
         truth_series[p_path.stem] = truth
     records = {p_path.stem: record for p_path, record in inputs.items()}
     if out.exists() and not out.is_dir():
@@ -742,10 +754,8 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
                        for cid in class_order}
             h_by_class = _simulate_classes(systems, {None: calibration}, dt_int)[None]
             for cid in class_order:
-                tmp = sim_paths[cid].with_name(sim_paths[cid].name + ".tmp")
-                with open(tmp, "wb") as fh:   # file handle: np.save must not append .npy
+                with _atomic(sim_paths[cid]) as fh:   # a handle: np.save must not append .npy
                     np.save(fh, h_by_class[cid])
-                os.replace(tmp, sim_paths[cid])
     artifacts["simulations"] = {cid: str(p) for cid, p in sim_paths.items()}
     timings["simulate"] = time.perf_counter() - t0
     substeps = calibration.n_steps * dynamics.substeps_per_sample(calibration.dt, dt_int)

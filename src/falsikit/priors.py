@@ -23,6 +23,7 @@ __all__ = [
     "SamplingError",
     "sample_prior",
     "sample_rng",
+    "draw_sample",
     "generate_ensemble",
 ]
 

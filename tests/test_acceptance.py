@@ -127,7 +127,7 @@ def test_criterion_01_replica_falsification(replica):
 
 def test_criterion_02_prediction_accuracy(scenario, replica, prediction_members):
     theta = replica["thetas"]["boucwen"]
-    truth = scenario["truth_pred"].values
+    truth = scenario["truth_pred"].d
     medians = []
     for fraction in (0.0, 0.10, 0.20):
         errors = []

@@ -102,7 +102,7 @@ def template(tmp_path_factory, building):
     write_timeseries(directory / "cal.tsv", 0.05, cal.samples)
     write_timeseries(directory / "pred.tsv", 0.05, pred.samples)
     write_timeseries(directory / "measured.tsv", 0.05, measured.d)
-    write_timeseries(directory / "pred_truth.tsv", 0.05, simulate(iso, pred).values)
+    write_timeseries(directory / "pred_truth.tsv", 0.05, simulate(iso, pred).d)
     (directory / "run.ini").write_text(CONFIG)
     return directory
 
@@ -127,9 +127,10 @@ def _apply(directory: Path, change) -> None:
     config.write_text("\n".join(text) + "\n")
 
 
-def _run(template: Path, change=None) -> tuple[int, str, str]:
+def _run(template: Path, change=None) -> tuple[int, str, str, bool]:
     """``falsikit run`` on a copy of the workspace with ``change`` applied, warnings
-    raised as errors: the exit code, stderr and the config that ran."""
+    raised as errors: the exit code, stderr, the config that ran and whether the
+    run made its output directory."""
     err = io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         directory = Path(tmp) / "ws"
@@ -140,12 +141,13 @@ def _run(template: Path, change=None) -> tuple[int, str, str]:
                 contextlib.redirect_stderr(err):
             warnings.simplefilter("error")
             code = cli_main(["run", "--config", str(directory / "run.ini")])
-        return code, err.getvalue(), (directory / "run.ini").read_text()
+        return (code, err.getvalue(), (directory / "run.ini").read_text(),
+                (directory / "out").exists())
 
 
 def _check(template: Path, change) -> None:
     """The run with ``change`` succeeds or is refused, naming a section, key or file."""
-    code, err, config = _run(template, change)
+    code, err, config, _ = _run(template, change)
     assert code in (0, 2), err
     if code == 2:
         keys = re.findall(r"^\s*([^\s=\[]+)\s*=", config, re.MULTILINE)
@@ -160,22 +162,34 @@ def _value(key, token):
     return ("value", keys.index(key), token)
 
 
-# inputs that once ended the run with a numpy overflow warning
-@pytest.mark.parametrize("change,message", [
+# a building whose fastest mode lies far outside RK4's stability region at the step
+_TOO_STIFF = (r"\[building\] is too stiff for \[run\] dt_int = 0\.05 s: dt_int times its "
+              r"operator's spectral radius is %s > 2\.96\n")
+
+
+# inputs that once ended the run with a numpy overflow warning, or with every candidate
+# diverging at the first steps; and whether the refusal comes after output_dir is made
+@pytest.mark.parametrize("change,message,made_output", [
     (_value("base_mass", "1e300"),
-     r"\[class:aashto\] aashto damping overflows at 1e\+303 kg of mass"),
+     r"\[class:aashto\] aashto damping overflows at 1e\+303 kg of mass", True),
     (_value("sigma_fraction", "1e-300"),
-     r"\[noise\] residuals over a sigma of [0-9.e+-]+ overflow the log-likelihood"),
+     r"\[noise\] residuals over a sigma of [0-9.e+-]+ overflow the log-likelihood", True),
     (("cell", "measured.tsv", 50, 1, "1e300"),
-     r"measured\.tsv: non-finite entry, or one beyond 1e\+150 in magnitude, at data row 51"),
+     r"measured\.tsv: non-finite entry, or one beyond 1e\+150 in magnitude, at data row 51",
+     False),
     (("cell", "pred_truth.tsv", 0, 1, "1e300"),
      r"pred_truth\.tsv: non-finite entry, or one beyond 1e\+150 in magnitude, at data "
-     r"row 1"),
-], ids=("base_mass", "sigma_fraction", "measured", "pred_truth"))
-def test_overflow_is_refused_by_name(template, change, message):
-    code, err, _ = _run(template, change)
+     r"row 1", False),
+    (_value("story_masses", "1e-300 1e-300 1e-300"), _TOO_STIFF % r"1\.8e\+151", False),
+    (_value("story_stiffnesses", "1e300 1e300 1e300"), _TOO_STIFF % r"1\.67e\+149", False),
+    (_value("base_mass", "1e-300"), _TOO_STIFF % r"1\.64e\+301", False),
+], ids=("base_mass", "sigma_fraction", "measured", "pred_truth", "story_masses-tiny",
+        "story_stiffnesses-huge", "base_mass-tiny"))
+def test_overflow_is_refused_by_name(template, change, message, made_output):
+    code, err, _, made = _run(template, change)
     assert code == 2
     assert re.match(r"error: .*" + message, err)
+    assert made == made_output
 
 
 def test_unchanged_workspace_runs(template):

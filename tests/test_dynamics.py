@@ -3,11 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from falsikit.dynamics import (LINEAR_VARIANTS, ExcitationRecord, IsolatedSystem,
-                               ShearBuildingModel, SimulationDivergedError, SimulationOutput,
+                               ShearBuildingModel, SimulationDivergedError,
                                TmdFrameModel, TmdFrameSystem, add_measurement_noise,
                                band_limited_record, boucwen_rate,
                                equivalent_linear_params, integrate_rk4, simulate,
                                tmd_force, _boucwen)
+from falsikit.falsification import MeasurementSet
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +316,7 @@ class TestIntegrator:
         n = int(round(60.0 / dt))
         rec = ExcitationRecord(dt, np.sin(Omega * np.arange(n) * dt))
         out = simulate(_Sdof(omega, zeta), rec, dt_int=dt)
-        x = out.values
+        x = out.d
         tail = x[int(0.8 * len(x)):]
         amp = 0.5 * (tail.max() - tail.min())
         exact = 1.0 / np.sqrt((omega**2 - Omega**2) ** 2 + (2 * zeta * omega * Omega) ** 2)
@@ -409,7 +410,7 @@ class TestIntegrator:
             iso = IsolatedSystem(building, "boucwen", k_post=kp, c_b=20.0, r_k=0.1667, Q_y=5.0)
             single = simulate(iso, rec, dt_int=0.005)
             # batch and single runs may differ in the last ulp (BLAS kernels)
-            np.testing.assert_allclose(hb[i], single.values, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(hb[i], single.d, rtol=1e-9, atol=1e-12)
 
     def test_divergence_message_names_first_indices(self):
         err = SimulationDivergedError(1.5, np.arange(500), "boucwen")
@@ -421,8 +422,8 @@ class TestIntegrator:
         rec = band_limited_record(5.0, 0.05, seed=3, peak=2.0)
         iso = IsolatedSystem(building, "aashto", k_post=4.0, c_b=20.0, r_k=0.1667, r_d=2.5)
         out = simulate(iso, rec, dt_int=0.005)
-        assert out.n_samples == rec.n_steps
-        assert np.all(np.isfinite(out.values))
+        assert out.by_channel().shape == (rec.n_steps, 1)
+        assert np.all(np.isfinite(out.d))
 
 
 class TestIsolatedBatch:
@@ -474,18 +475,17 @@ class TestIsolatedBatch:
                    for s, p in ((3, 2.0), (4, 3.0), (5, 4.0))]
         batch = IsolatedSystem.stacked(pair * len(records))
         columns = np.repeat(np.column_stack([r.samples for r in records]), 5, axis=1)
-        stacked = integrate_rk4(batch, ExcitationRecord(0.05, columns, per_model=True),
-                                dt_int=0.005)
+        stacked = integrate_rk4(batch, ExcitationRecord(0.05, columns), dt_int=0.005)
         single = np.vstack([integrate_rk4(IsolatedSystem.stacked(pair), r, dt_int=0.005)
                             for r in records])
         rel_rms = np.linalg.norm(stacked - single, axis=1) / np.linalg.norm(single, axis=1)
         assert rel_rms.max() <= 1e-12
         with pytest.raises(ValueError, match="14 columns needs .* not 15 with model axis 1"):
-            integrate_rk4(batch, ExcitationRecord(0.05, columns[:, 1:], per_model=True))
+            integrate_rk4(batch, ExcitationRecord(0.05, columns[:, 1:]))
         linear = IsolatedSystem(building, "aashto", k_post=np.full(15, 4.0), c_b=20.0,
                                 r_k=0.16, r_d=2.5)
         with pytest.raises(ValueError, match="models-last system"):
-            integrate_rk4(linear, ExcitationRecord(0.05, columns, per_model=True))
+            integrate_rk4(linear, ExcitationRecord(0.05, columns))
 
     @pytest.mark.parametrize("n_sub", [1, 10])
     @pytest.mark.parametrize("per_model", [False, True])
@@ -499,8 +499,7 @@ class TestIsolatedBatch:
             blocks = blocks * len(peaks)
             columns = np.column_stack([band_limited_record(5.0, 0.05, seed=s, peak=p).samples
                                        for s, p in zip((3, 4, 5), peaks)])
-            record = ExcitationRecord(0.05, np.repeat(columns, 3 * len(variants), axis=1),
-                                      per_model=True)
+            record = ExcitationRecord(0.05, np.repeat(columns, 3 * len(variants), axis=1))
         batch = IsolatedSystem.stacked(blocks)
         got = integrate_rk4(batch, record, dt_int=0.05 / n_sub)
         expected = _rhs_rk4(batch, record, 0.05 / n_sub)
@@ -555,34 +554,34 @@ class TestContainers:
             ExcitationRecord(0.0, np.zeros(10))
         with pytest.raises(ValueError):
             ExcitationRecord(0.1, np.array([1.0, np.nan]))
-        with pytest.raises(ValueError):
-            ExcitationRecord(0.1, np.zeros((5, 2)))
-        with pytest.raises(ValueError, match="per-model"):
-            ExcitationRecord(0.1, np.zeros(5), per_model=True)
-        assert ExcitationRecord(0.1, np.zeros((5, 3)), per_model=True).n_steps == 5
+        for shape in ((), (5, 3, 2)):
+            with pytest.raises(ValueError, match="1-d or 2-d"):
+                ExcitationRecord(0.1, np.zeros(shape))
+        assert ExcitationRecord(0.1, np.zeros((5, 3))).n_steps == 5
         with pytest.raises(ValueError, match="no samples"):
             ExcitationRecord(0.1, np.zeros(0))
 
     def test_output_round_trip(self):
-        out = SimulationOutput(0.1, np.arange(10.0), ("a", "b"))
-        assert out.n_samples == 5
+        out = MeasurementSet(np.arange(10.0), 0.1, ("a", "b"))
+        assert out.by_channel().shape == (5, 2)
         assert np.array_equal(out.by_channel()[:, 0], [0.0, 2.0, 4.0, 6.0, 8.0])
 
     def test_noise_identity_at_zero(self):
-        out = SimulationOutput(0.1, np.sin(np.arange(100.0)))
+        out = MeasurementSet(np.sin(np.arange(100.0)), 0.1)
         d = add_measurement_noise(out, 0.0, np.random.default_rng(1))
-        assert np.array_equal(d.d, out.values)
+        assert np.array_equal(d.d, out.d)
+        assert (d.dt, d.channel_names) == (out.dt, out.channel_names)
 
     def test_noise_std_calibrated(self):
         rng = np.random.default_rng(8)
-        out = SimulationOutput(0.05, np.sin(0.3 * np.arange(600.0)))
+        out = MeasurementSet(np.sin(0.3 * np.arange(600.0)), 0.05)
         d = add_measurement_noise(out, 0.2, rng)
-        added = d.d - out.values
-        target = 0.2 * out.values.std()
+        added = d.d - out.d
+        target = 0.2 * out.d.std()
         assert abs(added.std() - target) / target < 0.12
 
     def test_noise_deterministic_under_seed(self):
-        out = SimulationOutput(0.05, np.sin(0.3 * np.arange(200.0)))
+        out = MeasurementSet(np.sin(0.3 * np.arange(200.0)), 0.05)
         a = add_measurement_noise(out, 0.2, np.random.default_rng(5))
         b = add_measurement_noise(out, 0.2, np.random.default_rng(5))
         assert np.array_equal(a.d, b.d)
@@ -704,7 +703,7 @@ class TestTmd:
         record = winds[0]
         if per_model:   # each wind drives one copy of the three models
             record = ExcitationRecord(0.1, np.repeat(np.column_stack([w.samples for w in winds]),
-                                                     3, axis=1), per_model=True)
+                                                     3, axis=1))
         got = integrate_rk4(system, record, dt_int=0.025)
         expected = _rhs_rk4(system, record, 0.025)
         assert got.shape == expected.shape == (system.n_models, 2 * record.n_steps)

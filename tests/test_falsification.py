@@ -7,8 +7,7 @@ from falsikit.falsification import (ClassVerdicts, FdrConfig, MeasurementSet,
                                     ResidualNoiseModel, _cached_log_bound,
                                     bh_levels, bh_quantiles,
                                     falsify, falsify_classes, likelihood_bound,
-                                    log_likelihood, measurement_rejections,
-                                    p_values, residuals)
+                                    log_likelihood, p_values, residuals)
 
 _LOG_2PI = np.log(2.0 * np.pi)
 
@@ -17,12 +16,14 @@ class TestMeasurementSet:
     def test_validation(self):
         with pytest.raises(ValueError):
             MeasurementSet(np.array([[1.0, 2.0]]), 0.05)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="non-finite"):
             MeasurementSet(np.array([1.0, np.nan]), 0.05)
+        with pytest.raises(ValueError, match="length 5 is not a multiple of the channel count 2"):
+            MeasurementSet(np.arange(5.0), 0.05, channel_names=("a", "b"))
 
     def test_by_channel(self):
         d = MeasurementSet(np.arange(6.0), 0.05, channel_names=("a", "b"))
-        assert d.n_obs == 6 and d.n_channels == 2
+        assert d.d.size == 6 and d.n_channels == 2
         np.testing.assert_array_equal(d.by_channel()[:, 1], [1.0, 3.0, 5.0])
 
 
@@ -73,8 +74,7 @@ class TestResiduals:
             residuals(np.zeros(5), MeasurementSet(np.ones(4), 0.05))
 
     def test_channel_descriptor_mismatch(self):
-        from falsikit.dynamics import SimulationOutput
-        h = SimulationOutput(0.05, np.zeros(4), ("x",))
+        h = MeasurementSet(np.zeros(4), 0.05, channel_names=("x",))
         d = MeasurementSet(np.ones(4), 0.05, channel_names=("y",))
         with pytest.raises(ValueError, match="channel"):
             residuals(h, d)
@@ -253,32 +253,6 @@ class TestFalsify:
         v = falsify("c", eps, noise, FdrConfig(0.05))
         assert np.all(v.log_likelihood[v.unfalsified] > v.log_bound)
         assert np.all(v.log_likelihood[~v.unfalsified] <= v.log_bound)
-
-    def test_rejection_count(self):
-        noise = ResidualNoiseModel.iid(1.0)
-        config = FdrConfig(0.05)
-        assert measurement_rejections(np.zeros(10), noise, config) == 0
-        eps = np.zeros(10)
-        eps[0] = 8.0   # p ~ 1e-15, far below every BH level
-        assert measurement_rejections(eps, noise, config) == 1
-
-    @settings(max_examples=300, deadline=None)
-    @given(n_obs=st.integers(1, 60), alpha=st.floats(0.001, 0.9),
-           scale=st.integers(-3, 3), data=st.data())
-    def test_rejection_count_matches_p_values(self, n_obs, alpha, scale, data):
-        # ties: some entries sit exactly on a quantile q_j, with either sign
-        config = FdrConfig(alpha)
-        q = bh_quantiles(config, n_obs)
-        entry = st.one_of(st.floats(0.0, 8.0), st.sampled_from(list(q)))
-        z = np.array(data.draw(st.lists(entry, min_size=n_obs, max_size=n_obs)))
-        signs = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
-                                            min_size=n_obs, max_size=n_obs)))
-        sigma = 2.0 ** scale            # a power of two keeps |eps / sigma| == z exact
-        noise = ResidualNoiseModel.iid(sigma)
-        # a tie at q_i rejects in both; erfc(q_i / sqrt 2) meets alpha_i only to rounding
-        p_sorted = np.sort(p_values(signs * z * sigma, noise))
-        expected = int(np.sum(p_sorted <= bh_levels(config, n_obs) * (1.0 + 1e-12)))
-        assert measurement_rejections(signs * z * sigma, noise, config) == expected
 
     def test_matrix_shape_required(self):
         with pytest.raises(ValueError):

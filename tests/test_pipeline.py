@@ -79,7 +79,7 @@ def workspace(tmp_path, building):
     write_timeseries(tmp_path / "cal.tsv", 0.05, cal.samples)
     write_timeseries(tmp_path / "pred.tsv", 0.05, pred.samples)
     write_timeseries(tmp_path / "measured.tsv", 0.05, d.d)
-    write_timeseries(tmp_path / "pred_truth.tsv", 0.05, pred_truth.values)
+    write_timeseries(tmp_path / "pred_truth.tsv", 0.05, pred_truth.d)
     config_path = tmp_path / "run.ini"
     config_path.write_text(CONFIG_TEMPLATE)
     return config_path
@@ -655,6 +655,18 @@ class TestCli:
         assert rc == 2
         assert "error: [excitation] prediction_truth" in capsys.readouterr().err
         assert not (workspace.parent / "out").exists()   # refused before simulating
+
+    @pytest.mark.parametrize("name,rows,message", [
+        ("measured.tsv", 80, r"\[measurement\] \S*measured\.tsv: 80 time samples, but the "
+                             r"calibration record has 100\n"),
+        ("pred_truth.tsv", 40, r"\[excitation\] prediction_truth \S*pred_truth\.tsv: 40 time "
+                               r"samples, but its input \S*pred\.tsv has 100\n"),
+    ])
+    def test_length_mismatch_counts_time_samples(self, workspace, capsys, name, rows, message):
+        path = workspace.parent / name
+        write_timeseries(path, 0.05, ingest_timeseries(path).samples[:rows])
+        assert cli_main(["run", "--config", str(workspace)]) == 2
+        assert re.fullmatch("error: " + message, capsys.readouterr().err)
 
     def test_unsatisfiable_prior_exit_code(self, workspace, capsys):
         text = workspace.read_text()
