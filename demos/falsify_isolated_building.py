@@ -58,7 +58,7 @@ def main():
     print("simulating the (hidden) true system and adding 20% sensor noise ...")
     d = add_measurement_noise(simulate(truth_sys, calibration), 0.20,
                               np.random.default_rng(100))
-    noise = ResidualNoiseModel.per_channel(tuple(0.15 * d.by_channel().std(axis=0)))
+    noise = ResidualNoiseModel(tuple(0.15 * d.by_channel().std(axis=0)))
 
     specs = class_specs()
     thetas = generate_ensemble(EnsembleSpec(tuple(specs), N_SAMPLES, 2024))
@@ -87,8 +87,7 @@ def main():
     spec = next(s for s in specs if s.class_id == "boucwen")
     system = build_system(spec, thetas["boucwen"][np.asarray(survivors.sample_indices)],
                           building)
-    pred = predict_response(survivors, integrate_rk4(system, prediction),
-                            prediction.dt)
+    pred = predict_response(survivors, integrate_rk4(system, prediction))
     truth_pred = simulate(truth_sys, prediction)
     err = relative_rms_error(truth_pred.d, pred.q_hat)
     print(f"relative RMS prediction error vs the hidden truth: {100 * err:.2f}%")

@@ -30,7 +30,7 @@ def main():
 
     sigma_freq = 0.03 * ref.frequencies[0]
     sigma_mac = 0.25
-    noise = ResidualNoiseModel.per_channel((sigma_freq, sigma_mac))
+    noise = ResidualNoiseModel((sigma_freq, sigma_mac))
 
     rng = np.random.default_rng(7)
     n_models = 200

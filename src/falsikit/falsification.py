@@ -75,8 +75,9 @@ class MeasurementSet:
 class ResidualNoiseModel:
     """Diagonal Gaussian residual model: either one shared sigma or one per channel.
 
-    Per-channel sigmas are expanded over the interleaved stacking order, so
-    entry j of a residual vector uses sigma[j mod n_channels].
+    ``ResidualNoiseModel(0.5)`` shares one sigma, ``ResidualNoiseModel((1.0, 2.0))``
+    gives one per channel.  Per-channel sigmas are expanded over the interleaved
+    stacking order, so entry j of a residual vector uses sigma[j mod n_channels].
     """
 
     std_devs: tuple[float, ...]
@@ -86,14 +87,6 @@ class ResidualNoiseModel:
         if any(not np.isfinite(s) or s <= 0.0 for s in stds):
             raise ValueError("all residual std devs must be finite and > 0")
         object.__setattr__(self, "std_devs", stds)
-
-    @classmethod
-    def iid(cls, sigma: float) -> "ResidualNoiseModel":
-        return cls((sigma,))
-
-    @classmethod
-    def per_channel(cls, sigmas) -> "ResidualNoiseModel":
-        return cls(tuple(sigmas))
 
     def check_channels(self, n_channels: int) -> None:
         """Refuse sigmas that are neither one shared value nor one per channel."""
@@ -215,16 +208,6 @@ def bh_quantiles(config: FdrConfig, n_obs: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _cached_log_bound(std_devs: tuple, alpha: float, n_obs: int) -> float:
-    q = bh_quantiles(FdrConfig(alpha), n_obs)
-    sigma = ResidualNoiseModel(std_devs).sigma_vector(n_obs)
-    # min density over [-upper_i, upper_i] is attained at the endpoints:
-    # sigma_j^{-1} phi(q_i).  The 1/sigma_j factors run over all entries and
-    # the phi(q_i) factors over all ranks, so the product is independent of
-    # which entry receives which rank.
-    return float(_log_normaliser(sigma) - 0.5 * np.sum(q**2))
-
-
 def likelihood_bound(noise: ResidualNoiseModel, config: FdrConfig, n_obs: int) -> float:
     """Log of the likelihood lower bound for ensembles of ``n_obs`` residuals.
 
@@ -233,7 +216,13 @@ def likelihood_bound(noise: ResidualNoiseModel, config: FdrConfig, n_obs: int) -
     attained at the endpoint.  The result does not depend on any particular
     residual vector, so the value is cached per (noise, alpha, N_o).
     """
-    return _cached_log_bound(noise.std_devs, config.alpha, int(n_obs))
+    q = bh_quantiles(config, n_obs)
+    sigma = noise.sigma_vector(n_obs)
+    # min density over [-upper_i, upper_i] is attained at the endpoints:
+    # sigma_j^{-1} phi(q_i).  The 1/sigma_j factors run over all entries and
+    # the phi(q_i) factors over all ranks, so the product is independent of
+    # which entry receives which rank.
+    return float(_log_normaliser(sigma) - 0.5 * np.sum(q**2))
 
 
 def falsify(class_id: str, eps_matrix, noise: ResidualNoiseModel,

@@ -133,20 +133,27 @@ class RunConfig:
 
     def noise_model(self, d: MeasurementSet) -> ResidualNoiseModel:
         if self.sigma_absolute is not None:
-            return ResidualNoiseModel.per_channel(self.sigma_absolute)
+            return ResidualNoiseModel(self.sigma_absolute)
         stds = d.by_channel().std(axis=0)
-        return ResidualNoiseModel.per_channel(tuple(self.sigma_fraction * s for s in stds))
+        for name, std in zip(d.channel_names, stds):
+            if not self.sigma_fraction * std > 0.0:
+                raise ConfigError(f"[noise] sigma_fraction: channel {name!r} of "
+                                  f"{self.measurement_path} has a spread of {std:g}, which gives "
+                                  f"a sigma of {self.sigma_fraction * std:g}, not > 0")
+        return ResidualNoiseModel(tuple(self.sigma_fraction * s for s in stds))
 
 
 @dataclass
 class RunManifest:
+    """What a run did; each stage fills in its fields, and a stage not run leaves the defaults."""
+
     config_hash: str
-    counts: dict                     # class_id -> {"n_s", "n_u", "n_f"}
-    savings_ratio: float
-    prediction_simulations: int
-    prediction_inputs: int
-    stage_seconds: dict
-    artifacts: dict
+    stage_seconds: dict = field(default_factory=dict)
+    artifacts: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)   # class_id -> {"n_s", "n_u", "n_f"}
+    savings_ratio: float = 0.0
+    prediction_simulations: int = 0
+    prediction_inputs: int = 0
     prediction_errors: dict = field(default_factory=dict)
     noise_sigma: list = field(default_factory=list)   # residual sigma of each channel
     # class_id -> {"log_bound", "margin_min", "margin_median", "margin_max"} of
@@ -251,9 +258,10 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"[run] samples_per_class must be >= 1, got {samples_per_class}")
     output_dir = Path(get("run", "output_dir", required=True))
     alpha = number("run", "alpha", "0.05")
-    if not (0.0 < alpha < 1.0):
-        raise ConfigError(f"[run] alpha must lie in (0, 1), got {alpha}")
-    fdr = FdrConfig(alpha=alpha)
+    try:
+        fdr = FdrConfig(alpha=alpha)
+    except ValueError as err:
+        raise ConfigError(f"[run] {err}") from None
     dt_int = number("run", "dt_int")
     if dt_int is not None and dt_int <= 0.0:
         raise ConfigError(f"[run] dt_int must be > 0, got {dt_int}")
@@ -278,6 +286,8 @@ def parse_config(path) -> RunConfig:
         raise ConfigError(f"[building]: {err}")
 
     # [noise]
+    if cp.has_option("noise", "sigma_fraction") and cp.has_option("noise", "sigma"):
+        raise ConfigError("[noise] sigma_fraction and sigma: give one of them, not both")
     sigma_absolute = None
     sigma_fraction = number("noise", "sigma_fraction")
     if sigma_fraction is not None and sigma_fraction <= 0.0:
@@ -345,6 +355,15 @@ def parse_config(path) -> RunConfig:
             physics_binding=binding, fixed_constants=fixed))
     if not class_specs:
         raise ConfigError("no [class:...] sections defined")
+    written = {}   # prediction file name -> (input, class id) of the prediction it holds
+    for p in prediction_paths:
+        for spec in class_specs:
+            name = f"prediction_{p.stem}_{spec.class_id}.tsv"
+            if name in written:
+                q, other = written[name]
+                raise ConfigError(f"[excitation] prediction: input {q} with class {other!r} and "
+                                  f"input {p} with class {spec.class_id!r} both write {name}")
+            written[name] = (p, spec.class_id)
 
     ensemble = EnsembleSpec(class_specs=tuple(class_specs),
                             samples_per_class=samples_per_class, master_seed=master_seed)
@@ -481,6 +500,11 @@ def _atomic(path):
 def _atomic_write_text(path, text):
     with _atomic(path) as fh:
         fh.write(text.encode())
+
+
+def _write_manifest(out: Path, manifest: RunManifest) -> RunManifest:
+    _atomic_write_text(out / "manifest.json", manifest.to_json())
+    return manifest
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +717,10 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     if stage not in STAGES:
         raise ValueError(f"stage must be one of {STAGES}")
     out = Path(config.output_dir)
-    timings = {}
-    artifacts = {}
-
     config_hash = ""
     if config.config_path is not None and Path(config.config_path).is_file():
         config_hash = hashlib.sha256(Path(config.config_path).read_bytes()).hexdigest()
+    manifest = RunManifest(config_hash=config_hash)
 
     # --- inputs, all checked before anything is simulated or written --------
     calibration = ingest_timeseries(config.calibration_path)
@@ -715,7 +737,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         _check_pair(d, f"[measurement] {config.measurement_path}",
                     calibration, "the calibration record")
         noise = config.noise_model(d)
-        noise_sigma = list(noise.std_devs)
+        manifest.noise_sigma = list(noise.std_devs)
     truth_series = {}
     for (p_path, record), t_path in zip(inputs.items(), config.prediction_truth_paths):
         truth = ingest_measurement(t_path, channel_names=channel_names)
@@ -756,18 +778,13 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
             for cid in class_order:
                 with _atomic(sim_paths[cid]) as fh:   # a handle: np.save must not append .npy
                     np.save(fh, h_by_class[cid])
-    artifacts["simulations"] = {cid: str(p) for cid, p in sim_paths.items()}
-    timings["simulate"] = time.perf_counter() - t0
+    manifest.artifacts["simulations"] = {cid: str(p) for cid, p in sim_paths.items()}
+    manifest.stage_seconds["simulate"] = time.perf_counter() - t0
     substeps = calibration.n_steps * dynamics.substeps_per_sample(calibration.dt, dt_int)
-    model_substeps = {"simulate": {cid: 0 if reuse else len(thetas[cid]) * substeps
-                                   for cid in class_order}}
+    manifest.model_substeps["simulate"] = {cid: 0 if reuse else len(thetas[cid]) * substeps
+                                           for cid in class_order}
     if stage == "simulate":
-        manifest = RunManifest(config_hash=config_hash, counts={}, savings_ratio=0.0,
-                               prediction_simulations=0, prediction_inputs=0,
-                               stage_seconds=timings, artifacts=artifacts,
-                               model_substeps=model_substeps)
-        _atomic_write_text(out / "manifest.json", manifest.to_json())
-        return manifest
+        return _write_manifest(out, manifest)
 
     # --- falsify stage ------------------------------------------------------
     t0 = time.perf_counter()
@@ -784,32 +801,23 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
                          *out.glob("prediction_*.tsv")):
                 path.unlink(missing_ok=True)
             _atomic_write_text(ledger_path, _ledger_text(thetas, verdicts))
-    counts = {}
-    class_stats = {}
     for cid in class_order:
         v = verdicts[cid]
         margin = v.log_likelihood - v.log_bound
         # statistics.median gives np.median's value without importing numpy.ma
-        class_stats[cid] = {"log_bound": float(v.log_bound), "margin_min": float(margin.min()),
-                            "margin_median": statistics.median(margin.tolist()),
-                            "margin_max": float(margin.max())}
+        manifest.class_stats[cid] = {
+            "log_bound": float(v.log_bound), "margin_min": float(margin.min()),
+            "margin_median": statistics.median(margin.tolist()), "margin_max": float(margin.max())}
         n_s, n_u = v.unfalsified.size, int(v.unfalsified.sum())
-        counts[cid] = {"n_s": n_s, "n_u": n_u, "n_f": n_s - n_u}
-    artifacts["verdict_ledger"] = str(ledger_path)
-    timings["falsify"] = time.perf_counter() - t0
+        manifest.counts[cid] = {"n_s": n_s, "n_u": n_u, "n_f": n_s - n_u}
+    manifest.artifacts["verdict_ledger"] = str(ledger_path)
+    manifest.stage_seconds["falsify"] = time.perf_counter() - t0
 
-    total_s = sum(c["n_s"] for c in counts.values())
-    total_f = sum(c["n_f"] for c in counts.values())
-    savings = total_f / total_s if total_s else 0.0
-
+    total_s = sum(c["n_s"] for c in manifest.counts.values())
+    total_f = sum(c["n_f"] for c in manifest.counts.values())
+    manifest.savings_ratio = total_f / total_s if total_s else 0.0
     if stage == "falsify":
-        manifest = RunManifest(config_hash=config_hash, counts=counts, savings_ratio=savings,
-                               prediction_simulations=0, prediction_inputs=0,
-                               stage_seconds=timings, artifacts=artifacts,
-                               noise_sigma=noise_sigma, class_stats=class_stats,
-                               model_substeps=model_substeps)
-        _atomic_write_text(out / "manifest.json", manifest.to_json())
-        return manifest
+        return _write_manifest(out, manifest)
 
     # --- predict stage ------------------------------------------------------
     t0 = time.perf_counter()
@@ -820,35 +828,32 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
             continue
         we = post_falsification_weights(verdicts[cid])
         ensembles[cid] = we
-        class_stats[cid]["effective_sample_size"] = we.effective_sample_size
+        manifest.class_stats[cid]["effective_sample_size"] = we.effective_sample_size
         estimates[cid] = estimate_parameters(we, thetas[cid])
         lines = ["sample_index\tweight"]
         lines += [f"{i}\t{_FLOAT_FMT % w}" for i, w in zip(we.sample_indices, we.weights)]
         _atomic_write_text(out / f"weights_{cid}.tsv", "\n".join(lines) + "\n")
-    artifacts["weights"] = {cid: str(out / f"weights_{cid}.tsv") for cid in ensembles}
+    manifest.artifacts["weights"] = {cid: str(out / f"weights_{cid}.tsv") for cid in ensembles}
 
     est_lines = ["class_id\tparameter\testimate"]
     for cid, est in estimates.items():
         for name, value in zip(class_specs[cid].parameter_names, est):
             est_lines.append(f"{cid}\t{name}\t{_FLOAT_FMT % value}")
     _atomic_write_text(out / "estimates.tsv", "\n".join(est_lines) + "\n")
-    artifacts["estimates"] = str(out / "estimates.tsv")
+    manifest.artifacts["estimates"] = str(out / "estimates.tsv")
 
-    prediction_sims = 0
-    prediction_errors = {}
     survivors = {cid: _build_system(class_specs[cid], thetas[cid][np.asarray(we.sample_indices)],
                                     config.building)
                  for cid, we in ensembles.items()}
     outputs = _simulate_classes(survivors, records, dt_int)
     substeps = sum(record.n_steps * dynamics.substeps_per_sample(record.dt, dt_int)
                    for record in records.values())
-    model_substeps["predict"] = {cid: ensembles[cid].n_models * substeps if cid in ensembles
-                                 else 0 for cid in class_order}
+    manifest.model_substeps["predict"] = {
+        cid: ensembles[cid].n_models * substeps if cid in ensembles else 0 for cid in class_order}
     for label, record in records.items():
         for cid, we in ensembles.items():
-            prediction_sims += we.n_models
-            pred = predict_response(we, outputs[label][cid], record.dt,
-                                    channel_names=channel_names, input_label=label)
+            manifest.prediction_simulations += we.n_models
+            pred = predict_response(we, outputs[label][cid])
             nch = len(channel_names)
             cols = np.column_stack([pred.q_hat.reshape(-1, nch),
                                     pred.spread.reshape(-1, nch)])
@@ -856,21 +861,13 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
             write_timeseries(out_path, record.dt, cols,
                              header="time\t" + "\t".join(channel_names)
                                     + "\t" + "\t".join(f"spread_{c}" for c in channel_names))
-            artifacts.setdefault("predictions", {})[f"{label}/{cid}"] = str(out_path)
+            manifest.artifacts.setdefault("predictions", {})[f"{label}/{cid}"] = str(out_path)
             if label in truth_series:
-                prediction_errors[f"{label}/{cid}"] = relative_rms_error(
+                manifest.prediction_errors[f"{label}/{cid}"] = relative_rms_error(
                     truth_series[label].d, pred.q_hat)
-    timings["predict"] = time.perf_counter() - t0
-
-    manifest = RunManifest(
-        config_hash=config_hash, counts=counts, savings_ratio=savings,
-        prediction_simulations=prediction_sims,
-        prediction_inputs=len(config.prediction_paths),
-        stage_seconds=timings, artifacts=artifacts,
-        prediction_errors=prediction_errors, noise_sigma=noise_sigma, class_stats=class_stats,
-        model_substeps=model_substeps)
-    _atomic_write_text(out / "manifest.json", manifest.to_json())
-    return manifest
+    manifest.prediction_inputs = len(config.prediction_paths)
+    manifest.stage_seconds["predict"] = time.perf_counter() - t0
+    return _write_manifest(out, manifest)
 
 
 # ---------------------------------------------------------------------------

@@ -72,11 +72,8 @@ class WeightedEnsemble:
 class PredictionResult:
     """Weighted ensemble prediction with a pointwise spread diagnostic."""
 
-    dt: float
     q_hat: np.ndarray
     spread: np.ndarray
-    channel_names: tuple[str, ...]
-    input_label: str = ""
 
     def __post_init__(self):
         q = np.asarray(self.q_hat, dtype=float)
@@ -85,7 +82,6 @@ class PredictionResult:
             raise ValueError("prediction and spread must be matching 1-d stacked vectors")
         object.__setattr__(self, "q_hat", q)
         object.__setattr__(self, "spread", s)
-        object.__setattr__(self, "channel_names", tuple(self.channel_names))
 
 
 def post_falsification_weights(verdicts: ClassVerdicts) -> WeightedEnsemble:
@@ -116,8 +112,7 @@ def estimate_parameters(ensemble: WeightedEnsemble, theta_matrix) -> np.ndarray:
     return ensemble.weights @ theta_matrix[idx]
 
 
-def predict_response(ensemble: WeightedEnsemble, member_outputs, dt: float,
-                     channel_names=("output",), input_label: str = "") -> PredictionResult:
+def predict_response(ensemble: WeightedEnsemble, member_outputs) -> PredictionResult:
     """Weighted prediction over the unfalsified members.
 
     ``member_outputs`` is a matrix whose rows align with
@@ -135,8 +130,7 @@ def predict_response(ensemble: WeightedEnsemble, member_outputs, dt: float,
     w = ensemble.weights
     q_hat = w @ q
     spread = np.sqrt(np.clip(w @ (q - q_hat) ** 2, 0.0, None))
-    return PredictionResult(dt=dt, q_hat=q_hat, spread=spread,
-                            channel_names=tuple(channel_names), input_label=input_label)
+    return PredictionResult(q_hat=q_hat, spread=spread)
 
 
 def relative_rms_error(u_true, u_est) -> float:

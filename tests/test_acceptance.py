@@ -91,7 +91,7 @@ def replica(scenario):
                   for s in specs}
     d = add_measurement_noise(scenario["truth_cal"], NOISE_FRACTION,
                               np.random.default_rng(NOISE_SEEDS[0]))
-    noise = ResidualNoiseModel.per_channel(
+    noise = ResidualNoiseModel(
         tuple(SIGMA_FRACTION * d.by_channel().std(axis=0)))
     verdicts = falsify_classes({cid: residuals(h, d) for cid, h in h_by_class.items()},
                                noise, FdrConfig(ALPHA))
@@ -134,14 +134,14 @@ def test_criterion_02_prediction_accuracy(scenario, replica, prediction_members)
         for seed in NOISE_SEEDS:
             d = add_measurement_noise(scenario["truth_cal"], fraction,
                                       np.random.default_rng(seed))
-            noise = ResidualNoiseModel.per_channel(
+            noise = ResidualNoiseModel(
                 tuple(SIGMA_FRACTION * d.by_channel().std(axis=0)))
             verdicts = falsify("boucwen",
                                residuals(replica["h_by_class"]["boucwen"], d),
                                noise, FdrConfig(ALPHA))
             ensemble = post_falsification_weights(verdicts)
             members = prediction_members[np.asarray(ensemble.sample_indices)]
-            pred = predict_response(ensemble, members, DT)
+            pred = predict_response(ensemble, members)
             errors.append(relative_rms_error(truth, pred.q_hat))
         medians.append(float(np.median(errors)))
     assert all(m <= 0.03 for m in medians)
@@ -165,7 +165,7 @@ def test_criterion_04_fdr_control():
     levels = np.arange(1, n_obs + 1) / n_obs * config.alpha
     rng = np.random.default_rng(2026)
     eps = rng.standard_normal((trials, n_obs))
-    noise = ResidualNoiseModel.iid(1.0)
+    noise = ResidualNoiseModel(1.0)
     p_sorted = np.sort(p_values(eps, noise), axis=1)
     rejections = np.sum(p_sorted <= levels, axis=1)
     # the simulated model is correct, so every rejection is a false discovery
@@ -189,7 +189,7 @@ def _bisect_two_sided_quantile(level):
 def test_criterion_05_bound_oracle():
     worst = 0.0
     for sigma in (1.0, 0.37):
-        noise = ResidualNoiseModel.iid(sigma)
+        noise = ResidualNoiseModel(sigma)
         for n_obs in (1, 2, 3, 10):
             oracle = 0.0
             for i in range(1, n_obs + 1):
@@ -206,13 +206,13 @@ def test_criterion_06_degenerate_equivalence():
     rng = np.random.default_rng(66)
     n_models, n_obs = 20, 600
     eps = rng.standard_normal((n_models, n_obs)) * 3.0   # mediocre but finite fits
-    noise = ResidualNoiseModel.iid(1.0)
+    noise = ResidualNoiseModel(1.0)
     outputs = rng.standard_normal((n_models, 50))
 
     verdicts = falsify("c", eps, noise, FdrConfig(1e-300))
     assert verdicts.unfalsified.all()
     ensemble = post_falsification_weights(verdicts)
-    pred = predict_response(ensemble, outputs, DT)
+    pred = predict_response(ensemble, outputs)
     # oracle: plain Bayesian average over every model, no falsification step
     log_l = log_likelihood(eps, noise)
     weights = np.exp(log_l - logsumexp(log_l))
@@ -224,7 +224,7 @@ def test_criterion_06_degenerate_equivalence():
     verdicts = falsify("c", eps_single, noise, FdrConfig(ALPHA))
     assert verdicts.unfalsified.tolist() == [True, False, False]
     ensemble = post_falsification_weights(verdicts)
-    pred = predict_response(ensemble, outputs[:1], DT)
+    pred = predict_response(ensemble, outputs[:1])
     assert np.array_equal(pred.q_hat, outputs[0])
     print("criterion 6: PASS - degenerate alpha matches the all-model average "
           "bit-for-bit; a lone survivor is reproduced exactly")
@@ -352,7 +352,7 @@ def test_criterion_10_modal_path():
     # perturbed-stiffness ensemble: residual = interleaved (freq error, 1 - MAC)
     sigma_freq = 0.03 * ref.frequencies[0]
     sigma_mac = 0.25
-    noise = ResidualNoiseModel.per_channel((sigma_freq, sigma_mac))
+    noise = ResidualNoiseModel((sigma_freq, sigma_mac))
     rng = np.random.default_rng(10)
     n_models = 300
     ks = rng.lognormal(np.log(40.0e6), 0.3, size=(n_models, 3))

@@ -3,8 +3,8 @@
 Each example copies a small workspace (two classes of 8 candidates, 5 s
 records), changes one thing in it and runs ``cli.main`` with warnings raised
 as errors.  The run either succeeds (exit 0) or is refused (exit 2) with a
-message that names a section, a key or a file; anything else, a traceback or
-a numpy warning included, fails the test.
+message that names a section header or a class of the config, a key or a file;
+anything else, a traceback or a numpy warning included, fails the test.
 """
 
 import contextlib
@@ -145,15 +145,31 @@ def _run(template: Path, change=None) -> tuple[int, str, str, bool]:
                 (directory / "out").exists())
 
 
+def _names_a_cause(err: str, config: str) -> bool:
+    """Whether ``err`` names a section header or a class of ``config``, one of its keys
+    or a file of the workspace."""
+    headers = re.findall(r"^\s*(\[[^\]\n]*\])", config, re.MULTILINE)
+    classes = [f"class '{h[len('[class:'):-1]}'" for h in headers if h.startswith("[class:")]
+    keys = re.findall(r"^\s*([^\s=\[]+)\s*=", config, re.MULTILINE)
+    names = ("run.ini",) + SERIES + tuple(keys) + tuple(headers) + tuple(classes)
+    return any(name in err for name in names)
+
+
+def test_a_bracket_alone_names_no_cause():
+    # a model index list is no section, and only a class of the config names one
+    assert not _names_a_cause("error: simulation diverged at t = 0.1 s (models [0, 1])\n", CONFIG)
+    assert not _names_a_cause("error: class 'x': simulation diverged at t = 0.1 s\n", CONFIG)
+    assert _names_a_cause("error: class 'aashto': simulation diverged at t = 0.1 s\n", CONFIG)
+    assert _names_a_cause("error: [noise] residuals overflow\n", CONFIG)
+
+
 def _check(template: Path, change) -> None:
     """The run with ``change`` succeeds or is refused, naming a section, key or file."""
     code, err, config, _ = _run(template, change)
     assert code in (0, 2), err
     if code == 2:
-        keys = re.findall(r"^\s*([^\s=\[]+)\s*=", config, re.MULTILINE)
-        names = ("run.ini",) + SERIES + tuple(keys)
         assert err.startswith("error: ") and "Traceback" not in err, err
-        assert re.search(r"\[[^\]\n]*\]", err) or any(name in err for name in names), err
+        assert _names_a_cause(err, config), err
 
 
 def _value(key, token):

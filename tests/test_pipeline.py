@@ -285,17 +285,60 @@ class TestRunPipeline:
             assert payload == first.setdefault("manifest", payload)
 
     def test_stage_resume(self, workspace):
+        # each stage's manifest holds what the stages it ran did, and the defaults otherwise
         config = parse_config(workspace)
-        manifest = run_pipeline(config, stage="simulate")
-        assert manifest.counts == {}
-        sim_path = config.output_dir / "sim_boucwen.npy"
+        out = config.output_dir
+
+        def written(manifest):
+            on_disk = json.loads((out / "manifest.json").read_text())
+            assert on_disk == json.loads(manifest.to_json())
+            return on_disk
+
+        manifests = {"simulate": written(run_pipeline(config, stage="simulate"))}
+        sim_path = out / "sim_boucwen.npy"
         assert sim_path.is_file()
         stamp = sim_path.stat().st_mtime_ns
-        manifest = run_pipeline(config, stage="falsify")
+        manifests["falsify"] = written(run_pipeline(config, stage="falsify"))
         assert sim_path.stat().st_mtime_ns == stamp   # reused, not recomputed
-        assert set(manifest.counts) == {"boucwen", "aashto"}
-        manifest = run_pipeline(config, stage="predict")
-        assert manifest.prediction_inputs == 1
+        manifests["predict"] = written(run_pipeline(config, stage="predict"))
+
+        classes = ("boucwen", "aashto")
+        rows = [line.split("\t") for line in (out / "verdicts.tsv").read_text().splitlines()[1:]]
+        n_u = {cid: sum(int(row[-1]) for row in rows if row[0] == cid) for cid in classes}
+        survivors = [cid for cid in classes if n_u[cid]]
+        assert survivors
+        counts = {cid: {"n_s": 8, "n_u": n_u[cid], "n_f": 8 - n_u[cid]} for cid in classes}
+        savings = sum(8 - n for n in n_u.values()) / 16
+        sigma = [0.15 * ingest_measurement(config.measurement_path).d.std()]
+        cached = {"simulate": dict.fromkeys(classes, 0)}
+        margins = {"log_bound", "margin_min", "margin_median", "margin_max"}
+        expected = {
+            "simulate": dict(counts={}, savings_ratio=0.0, prediction_simulations=0,
+                             prediction_inputs=0, noise_sigma=[],
+                             model_substeps={"simulate": dict.fromkeys(classes, 8 * 100 * 10)}),
+            "falsify": dict(counts=counts, savings_ratio=savings, prediction_simulations=0,
+                            prediction_inputs=0, noise_sigma=sigma, model_substeps=cached),
+            "predict": dict(counts=counts, savings_ratio=savings,
+                            prediction_simulations=sum(n_u.values()), prediction_inputs=1,
+                            noise_sigma=sigma, model_substeps=dict(cached, predict={
+                                cid: n_u[cid] * 100 * 10 for cid in classes})),
+        }
+        stats = {"simulate": {}, "falsify": dict.fromkeys(classes, margins),
+                 "predict": {cid: margins | ({"effective_sample_size"} if n_u[cid] else set())
+                             for cid in classes}}
+        errors = {"simulate": set(), "falsify": set(),
+                  "predict": {f"pred/{cid}" for cid in survivors}}
+        stages = {"simulate": ["simulate"], "falsify": ["falsify", "simulate"],
+                  "predict": ["falsify", "predict", "simulate"]}
+        artifacts = {"simulate": ["simulations"], "falsify": ["simulations", "verdict_ledger"],
+                     "predict": ["estimates", "predictions", "simulations", "verdict_ledger",
+                                 "weights"]}
+        for stage, manifest in manifests.items():
+            assert {key: manifest[key] for key in expected[stage]} == expected[stage], stage
+            assert {cid: set(c) for cid, c in manifest["class_stats"].items()} == stats[stage]
+            assert set(manifest["prediction_errors"]) == errors[stage]
+            assert sorted(manifest["stage_seconds"]) == stages[stage]
+            assert sorted(manifest["artifacts"]) == artifacts[stage]
 
     def test_predict_reads_the_ledger(self, workspace, monkeypatch):
         # falsify then predict: predict draws, loads and scores nothing and keeps the ledger
@@ -777,6 +820,11 @@ class TestCli:
         ("samples_per_class = 8", "samples_per_class = 0",
          r"\[run\] samples_per_class must be >= 1, got 0"),
         ("sigma_fraction = 0.15", "sigma = -1", r"\[noise\] sigma must be > 0"),
+        ("sigma_fraction = 0.15", "sigma_fraction = 0.15\nsigma = 0.5",
+         r"\[noise\] sigma_fraction and sigma: give one of them, not both$"),
+        ("file = measured.tsv", "file = flat.tsv",
+         r"\[noise\] sigma_fraction: channel 'base_abs_accel' of \S*flat\.tsv has a spread of "
+         r"0, which gives a sigma of 0, not > 0$"),
         ("base_mass = 500", "base_mass = 500\ndamping_ratio = -0.5",
          r"\[building\]: damping_ratio must be >= 0, got -0.5"),
         ("output_dir = out", "output_dir = cal.tsv",
@@ -790,6 +838,8 @@ class TestCli:
          r"at most 1000 are allowed$"),
     ])
     def test_refused_before_output_exit_code(self, workspace, capsys, old, new, message):
+        # a measurement that does not vary, for [measurement] file = flat.tsv
+        write_timeseries(workspace.parent / "flat.tsv", 0.05, np.zeros(100))
         text = workspace.read_text()
         assert old in text
         workspace.write_text(text.replace(old, new, 1))
@@ -797,6 +847,20 @@ class TestCli:
         err = capsys.readouterr().err
         assert rc == 2
         assert re.search(r"^error: " + message, err, re.MULTILINE)
+        assert not (workspace.parent / "out").exists()
+
+    def test_prediction_file_names_must_differ(self, workspace, capsys):
+        # input q_a with class b and input q with class a_b would both write prediction_q_a_b.tsv
+        for stem in ("q_a", "q"):
+            shutil.copy(workspace.parent / "pred.tsv", workspace.parent / f"{stem}.tsv")
+        workspace.write_text(workspace.read_text().replace(
+            "prediction = pred.tsv", "prediction = q_a.tsv q.tsv").replace(
+            "prediction_truth = pred_truth.tsv", "").replace(
+            "[class:boucwen]", "[class:b]").replace("[class:aashto]", "[class:a_b]"))
+        assert cli_main(["run", "--config", str(workspace)]) == 2
+        assert capsys.readouterr().err == (
+            "error: [excitation] prediction: input q_a.tsv with class 'b' and input q.tsv with "
+            "class 'a_b' both write prediction_q_a_b.tsv\n")
         assert not (workspace.parent / "out").exists()
 
     def test_prediction_input_dt_int_exit_code(self, workspace, capsys):

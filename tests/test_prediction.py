@@ -68,32 +68,32 @@ class TestPredict:
     def test_single_model_exact(self):
         we = WeightedEnsemble("c", (4,), np.array([1.0]))
         q = np.sin(np.arange(50.0))[None, :]
-        pred = predict_response(we, q, 0.05)
+        pred = predict_response(we, q)
         assert np.array_equal(pred.q_hat, q[0])
         assert np.array_equal(pred.spread, np.zeros(50))
 
     def test_matrix_rows_weighted(self):
         we = WeightedEnsemble("c", (0, 1), np.array([0.3, 0.7]))
         q = np.vstack([np.ones(10), 3.0 * np.ones(10)])
-        a = predict_response(we, q, 0.05)
+        a = predict_response(we, q)
         assert a.q_hat[0] == pytest.approx(0.3 + 2.1)
 
     def test_spread_diagnostic(self):
         we = WeightedEnsemble("c", (0, 1), np.array([0.5, 0.5]))
         q = np.vstack([np.zeros(4), 2.0 * np.ones(4)])
-        pred = predict_response(we, q, 0.05)
+        pred = predict_response(we, q)
         np.testing.assert_allclose(pred.spread, 1.0)
 
     def test_divergent_member_reported(self):
         we = WeightedEnsemble("c", (3, 9), np.array([0.5, 0.5]))
         q = np.vstack([np.zeros(4), np.full(4, np.nan)])
         with pytest.raises(ValueError, match=r"\[9\]"):
-            predict_response(we, q, 0.05)
+            predict_response(we, q)
 
     def test_row_count_mismatch(self):
         we = WeightedEnsemble("c", (0, 1), np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="member outputs"):
-            predict_response(we, np.zeros((3, 4)), 0.05)
+            predict_response(we, np.zeros((3, 4)))
 
 
 class TestRelativeRms:
