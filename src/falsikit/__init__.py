@@ -11,7 +11,7 @@ from .priors import (PriorSpec, ModelClassSpec, EnsembleSpec, SamplingError,
 from .dynamics import (ExcitationRecord, ShearBuildingModel,
                        IsolatedSystem, SimulationDivergedError,
                        boucwen_rate, equivalent_linear_params,
-                       integrate_rk4, substeps_per_sample, simulate,
+                       integrate_rk4, simulate_classes, substeps_per_sample, simulate,
                        add_measurement_noise, band_limited_record,
                        TmdFrameModel, TmdFrameSystem, tmd_force)
 from .falsification import (MeasurementSet, ResidualNoiseModel, FdrConfig,
@@ -21,7 +21,7 @@ from .falsification import (MeasurementSet, ResidualNoiseModel, FdrConfig,
 from .modal import ModalResult, solve_modes, mac, modal_residual
 from .prediction import (WeightedEnsemble, PredictionResult,
                          AllModelsFalsifiedError, post_falsification_weights,
-                         estimate_parameters, predict_response,
+                         falsified_log_mass, estimate_parameters, predict_response,
                          relative_rms_error)
 from .pipeline import (ConfigError, RunConfig, RunManifest, BINDINGS, parse_config,
                        ingest_timeseries, ingest_measurement, run_pipeline,

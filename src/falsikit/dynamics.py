@@ -16,7 +16,8 @@ device stepper precomputes the linear part of all four RK4 stages, so a
 substep evaluates only the devices of each stage, in place in buffers
 allocated once per call, and applies one matrix product.  Any other system
 (equivalent-linear isolators) keeps its models first (shape (n_models,
-n_states)) and takes four ``rhs`` calls per substep.  The Bouc-Wen rate
+n_states)) and takes four ``rhs`` calls per substep.  ``simulate_classes``
+groups candidate classes into these batches.  The Bouc-Wen rate
 (``_boucwen``) is written once, with the one parameter a = 2 beta = 2 gamma
 of every device here (Wen 1976): loading and unloading stiffnesses match and
 |z| saturates at 1, so no beta, gamma or saturation amplitude is kept.
@@ -42,6 +43,7 @@ __all__ = [
     "equivalent_linear_params",
     "tmd_force",
     "integrate_rk4",
+    "simulate_classes",
     "substeps_per_sample",
     "simulate",
     "add_measurement_noise",
@@ -319,7 +321,7 @@ class IsolatedSystem:
     """
 
     channel_names = ("base_abs_accel",)
-    # the per-model rows of a hysteretic batch, concatenated by ``stacked``
+    # the per-model rows of a hysteretic batch, concatenated by ``_stacked``
     _PER_MODEL = ("iso_rows", "bw_a", "n_pow_less_one")
     device_reads = None   # the state rows the devices read; None for a linear batch
 
@@ -409,34 +411,6 @@ class IsolatedSystem:
         A[n:2 * n, n:2 * n] = -(T.T @ building.damping_matrix() @ T) / masses[:, None]
         return A
 
-    @classmethod
-    def stacked(cls, systems) -> "IsolatedSystem":
-        """One batch of hysteretic ``systems`` on one building, their rows in order.
-
-        Such systems share the operator and the state layout and differ only
-        in the per-model rows, so the batch integrates each model exactly as
-        its own system does, with one evaluation of each rate per stage for
-        all of them.
-        """
-        systems = list(systems)
-        if not systems:
-            raise ValueError("stacked() needs at least one system")
-        first = systems[0]
-        for system in systems:
-            if not system.nonlinear:
-                raise ValueError(f"cannot stack the linear variant {system.variant!r}; "
-                                 "only hysteretic systems share a batch")
-            if system.building != first.building:
-                raise ValueError("cannot stack systems on different buildings")
-        batch = copy.copy(first)
-        batch.variant = "+".join(dict.fromkeys(system.variant for system in systems))
-        for name in cls._PER_MODEL:
-            setattr(batch, name, np.concatenate([getattr(system, name) for system in systems],
-                                                axis=-1))
-        batch.n_models = batch.bw_a.size
-        batch._work = tuple(np.empty((3, batch.n_models)))
-        return batch
-
     def initial_state(self) -> np.ndarray:
         shape = (self.n_models, self.n_states)
         return np.zeros(shape[::-1] if self.model_axis else shape)
@@ -521,13 +495,94 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     return outputs.reshape(outputs.shape[0], -1)
 
 
+def simulate_classes(systems: dict, records: dict, dt_int: float | None = None) -> dict:
+    """Outputs of each class's batch on each record: ``{label: {class_id: h}}``.
+
+    ``systems`` maps a class id to its batch and ``records`` an input label
+    to its record.  The hysteretic ``IsolatedSystem`` classes run as one
+    stacked batch for all records of equal dt and length, with one input
+    column per model, so each RK4 substep of that batch advances every model
+    on every such record; each class and record gets its rows back.  Every
+    other class runs one batch per record.  A divergence names the class of
+    the first diverging model, that class's own model indices and, unless
+    its label is None, the record.
+
+    A stacked batch holds its (label, class id) blocks in sorted order, so
+    the order of ``systems`` and ``records`` moves no bit: the matrix
+    products round the models of their last, partial block of columns
+    differently from the rest.
+    """
+    stack = sorted(cid for cid, system in systems.items()
+                   if isinstance(system, IsolatedSystem) and system.nonlinear)
+    batches = []   # (system, record, its rows as (label, class_id, system) blocks)
+    groups = {}
+    for label, record in records.items():
+        if stack:
+            groups.setdefault((record.dt, record.n_steps), []).append(label)
+        batches += [(system, record, [(label, cid, system)])
+                    for cid, system in systems.items() if cid not in stack]
+    for labels in groups.values():
+        labels.sort(key=str)   # the calibration record's label is None
+        blocks = [(label, cid, systems[cid]) for label in labels for cid in stack]
+        record = records[labels[0]]
+        if len(labels) > 1:   # a lone record drives every model as it is, with no columns
+            per_input = sum(systems[cid].n_models for cid in stack)
+            columns = np.column_stack([records[label].samples for label in labels])
+            record = ExcitationRecord(record.dt, np.repeat(columns, per_input, axis=1))
+        batches.append((_stacked([system for _, _, system in blocks]), record, blocks))
+    outputs = {label: {} for label in records}
+    for batch, record, blocks in batches:
+        bounds = np.cumsum([0] + [system.n_models for _, _, system in blocks])
+        try:
+            h = integrate_rk4(batch, record, dt_int=dt_int)
+        except SimulationDivergedError as err:
+            at = int(np.searchsorted(bounds, err.indices[0], side="right")) - 1
+            local = [i - bounds[at] for i in err.indices if bounds[at] <= i < bounds[at + 1]]
+            label, cid, _ = blocks[at]
+            raise SimulationDivergedError(err.time, local, cid, label) from None
+        for (label, cid, _), lo, hi in zip(blocks, bounds, bounds[1:]):
+            outputs[label][cid] = h[lo:hi]
+    return outputs
+
+
+def _stacked(systems: list) -> IsolatedSystem:
+    """One batch of hysteretic ``systems`` on one building, their rows in order.
+
+    Such systems share the operator and the state layout and differ only in
+    the per-model rows, so the batch integrates each model exactly as its own
+    system does, with one evaluation of each rate per stage for all of them.
+    """
+    first = systems[0]
+    if any(system.building != first.building for system in systems):
+        raise ValueError("cannot stack systems on different buildings")
+    batch = copy.copy(first)
+    batch.variant = "+".join(dict.fromkeys(system.variant for system in systems))
+    for name in IsolatedSystem._PER_MODEL:
+        setattr(batch, name, np.concatenate([getattr(system, name) for system in systems],
+                                            axis=-1))
+    batch.n_models = batch.bw_a.size
+    batch._work = tuple(np.empty((3, batch.n_models)))
+    return batch
+
+
 def substeps_per_sample(dt: float, dt_int: float | None = None) -> int:
-    """RK4 substeps per record interval ``dt`` at step ``dt_int`` (default dt / 10)."""
+    """RK4 substeps per record interval ``dt`` at step ``dt_int`` (default dt / 10).
+
+    Refuses a ``dt_int`` that exceeds ``dt`` or does not split it into whole
+    substeps, both within 1e-6 relative.
+    """
     if dt_int is None:
         dt_int = dt / 10.0
-    if dt_int <= 0.0:
+    if not dt_int > 0.0:
         raise ValueError("dt_int must be > 0")
-    return max(1, int(round(dt / dt_int)))
+    ratio = dt / dt_int
+    n_sub = round(ratio)
+    if ratio < 1.0 - 1e-6:
+        raise ValueError(f"dt_int = {dt_int:g} s exceeds the sampling interval dt = {dt:g} s")
+    if abs(ratio - n_sub) > 1e-6 * ratio:
+        raise ValueError(f"dt_int = {dt_int:g} s does not divide the sampling interval "
+                         f"dt = {dt:g} s")
+    return n_sub
 
 
 def _rhs_step(system, h: float, n_sub: int):

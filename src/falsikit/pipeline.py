@@ -26,7 +26,7 @@ from . import dynamics
 from .dynamics import ExcitationRecord, IsolatedSystem, ShearBuildingModel
 from .falsification import (ClassVerdicts, FdrConfig, MeasurementSet, ResidualNoiseModel,
                             falsify_classes, residuals)
-from .prediction import (estimate_parameters, post_falsification_weights,
+from .prediction import (estimate_parameters, falsified_log_mass, post_falsification_weights,
                          predict_response, relative_rms_error)
 from .priors import EnsembleSpec, ModelClassSpec, PriorSpec, generate_ensemble
 
@@ -157,11 +157,14 @@ class RunManifest:
     prediction_errors: dict = field(default_factory=dict)
     noise_sigma: list = field(default_factory=list)   # residual sigma of each channel
     # class_id -> {"log_bound", "margin_min", "margin_median", "margin_max"} of
-    # log L - log B, plus "effective_sample_size" 1 / sum w^2 once weighted
+    # log L - log B, "falsified_log_mass" (``falsified_log_mass``), plus
+    # "effective_sample_size" 1 / sum w^2 once weighted
     class_stats: dict = field(default_factory=dict)
     # stage ("simulate", "predict") -> {class_id: models x record steps x RK4
     # substeps simulated by this run}; a reused calibration cache counts 0
     model_substeps: dict = field(default_factory=dict)
+    dt_int: float | None = None   # the RK4 step [s]
+    substeps_per_sample: dict = field(default_factory=dict)   # record path -> RK4 substeps
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
@@ -519,77 +522,28 @@ def _build_system(class_spec: ModelClassSpec, theta: np.ndarray,
         raise ConfigError(f"[class:{class_spec.class_id}] {err}") from None
 
 
-def _simulate_classes(systems: dict, records: dict, dt_int: float) -> dict:
-    """Outputs of each class's batch on each record: ``{label: {class_id: h}}``.
-
-    ``records`` maps an input label to its record.  The hysteretic classes
-    run as one stacked batch for all records of equal dt and length, with one
-    input column per model, so each RK4 substep of that batch advances every
-    model on every such record; each class and record gets its rows back.
-    Linear classes run one batch per record.  A divergence names the class of
-    the first diverging model, that class's own model indices and, unless its
-    label is None, the record.
-    """
-    hysteretic = [cid for cid, system in systems.items()
-                  if isinstance(system, IsolatedSystem) and system.nonlinear]
-    linear = [cid for cid in systems if cid not in hysteretic]
-    outputs = {label: {} for label in records}
-    groups = {}
-    for label, record in records.items():
-        if hysteretic:
-            groups.setdefault((record.dt, record.n_steps), []).append(label)
-        for cid in linear:
-            outputs[label][cid] = _integrate(systems[cid], record, dt_int,
-                                             [(label, cid, systems[cid])])
-    for labels in groups.values():
-        blocks = [(label, cid, systems[cid]) for label in labels for cid in hysteretic]
-        record = records[labels[0]]
-        if len(labels) > 1:   # a lone record drives every model as it is, with no columns
-            per_input = sum(systems[cid].n_models for cid in hysteretic)
-            columns = np.column_stack([records[label].samples for label in labels])
-            record = ExcitationRecord(record.dt, np.repeat(columns, per_input, axis=1))
-        batch = IsolatedSystem.stacked(system for _, _, system in blocks)
-        h = _integrate(batch, record, dt_int, blocks)
-        lo = 0
-        for label, cid, system in blocks:
-            outputs[label][cid] = h[lo:lo + system.n_models]
-            lo += system.n_models
-    return outputs
-
-
-def _integrate(batch, record: ExcitationRecord, dt_int: float, blocks) -> np.ndarray:
-    """``integrate_rk4`` on a batch whose rows are the (label, class_id, system) ``blocks``."""
-    try:
-        return dynamics.integrate_rk4(batch, record, dt_int=dt_int)
-    except dynamics.SimulationDivergedError as err:
-        bounds = np.cumsum([0] + [system.n_models for _, _, system in blocks])
-        at = int(np.searchsorted(bounds, err.indices[0], side="right")) - 1
-        local = [i - bounds[at] for i in err.indices if bounds[at] <= i < bounds[at + 1]]
-        label, cid, _ = blocks[at]
-        raise dynamics.SimulationDivergedError(err.time, local, cid, label) from None
-
-
-def _check_dt_int(given: float | None, dt_int: float, records: dict) -> None:
-    """Refuse an RK4 step that does not split each record's dt into whole substeps.
+def _check_dt_int(given: float | None, dt_int: float, records: dict) -> dict:
+    """Each record's RK4 substeps per sample, refusing a ``dt_int`` that does not
+    split its dt into whole substeps.
 
     ``given`` is the configured ``dt_int`` (None for the default ``dt_int``,
     calibration dt / 10) and ``records`` maps each record's path to the
     record.  One sample may take at most ``MAX_SUBSTEPS_PER_SAMPLE`` substeps.
     """
-    key = f"[run] dt_int = {dt_int:g} s" + ("" if given is not None
-                                            else " (the default, calibration dt / 10)")
+    stated = f"dt_int = {dt_int:g} s"
+    key = f"[run] {stated}" + ("" if given is not None
+                               else " (the default, calibration dt / 10)")
+    substeps = {}
     for path, record in records.items():
-        ratio = record.dt / dt_int
-        n_sub = round(ratio)
-        if ratio < 1.0 - 1e-6:
-            raise ConfigError(f"{key} exceeds the sampling interval dt = {record.dt:g} s "
-                              f"of {path}")
-        if abs(ratio - n_sub) > 1e-6 * ratio:
-            raise ConfigError(f"{key} does not divide the sampling interval dt = {record.dt:g} s "
-                              f"of {path}")
+        try:
+            n_sub = dynamics.substeps_per_sample(record.dt, dt_int)
+        except ValueError as err:   # the message restates dt_int; the key replaces it
+            raise ConfigError(f"{key}{str(err).removeprefix(stated)} of {path}") from None
         if n_sub > MAX_SUBSTEPS_PER_SAMPLE:
             raise ConfigError(f"{key} takes {n_sub} RK4 substeps per sample of {path}; "
                               f"at most {MAX_SUBSTEPS_PER_SAMPLE} are allowed")
+        substeps[str(path)] = n_sub
+    return substeps
 
 
 def _check_resolvable(building: ShearBuildingModel, dt_int: float) -> None:
@@ -727,7 +681,9 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     dt_int = config.dt_int if config.dt_int is not None else calibration.dt / 10.0
     predicts = stage in ("predict", "all")
     inputs = {p: ingest_timeseries(p) for p in config.prediction_paths} if predicts else {}
-    _check_dt_int(config.dt_int, dt_int, {config.calibration_path: calibration, **inputs})
+    manifest.dt_int = dt_int
+    manifest.substeps_per_sample = _check_dt_int(config.dt_int, dt_int,
+                                                 {config.calibration_path: calibration, **inputs})
     _check_resolvable(config.building, dt_int)
     channel_names = tuple(IsolatedSystem.channel_names)
     if stage != "simulate":
@@ -774,13 +730,13 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         with _rewriting(key_path, sim_key):
             systems = {cid: _build_system(class_specs[cid], thetas[cid], config.building)
                        for cid in class_order}
-            h_by_class = _simulate_classes(systems, {None: calibration}, dt_int)[None]
+            h_by_class = dynamics.simulate_classes(systems, {None: calibration}, dt_int)[None]
             for cid in class_order:
                 with _atomic(sim_paths[cid]) as fh:   # a handle: np.save must not append .npy
                     np.save(fh, h_by_class[cid])
     manifest.artifacts["simulations"] = {cid: str(p) for cid, p in sim_paths.items()}
     manifest.stage_seconds["simulate"] = time.perf_counter() - t0
-    substeps = calibration.n_steps * dynamics.substeps_per_sample(calibration.dt, dt_int)
+    substeps = calibration.n_steps * manifest.substeps_per_sample[str(config.calibration_path)]
     manifest.model_substeps["simulate"] = {cid: 0 if reuse else len(thetas[cid]) * substeps
                                            for cid in class_order}
     if stage == "simulate":
@@ -807,7 +763,8 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         # statistics.median gives np.median's value without importing numpy.ma
         manifest.class_stats[cid] = {
             "log_bound": float(v.log_bound), "margin_min": float(margin.min()),
-            "margin_median": statistics.median(margin.tolist()), "margin_max": float(margin.max())}
+            "margin_median": statistics.median(margin.tolist()),
+            "margin_max": float(margin.max()), "falsified_log_mass": falsified_log_mass(v)}
         n_s, n_u = v.unfalsified.size, int(v.unfalsified.sum())
         manifest.counts[cid] = {"n_s": n_s, "n_u": n_u, "n_f": n_s - n_u}
     manifest.artifacts["verdict_ledger"] = str(ledger_path)
@@ -845,9 +802,9 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     survivors = {cid: _build_system(class_specs[cid], thetas[cid][np.asarray(we.sample_indices)],
                                     config.building)
                  for cid, we in ensembles.items()}
-    outputs = _simulate_classes(survivors, records, dt_int)
-    substeps = sum(record.n_steps * dynamics.substeps_per_sample(record.dt, dt_int)
-                   for record in records.values())
+    outputs = dynamics.simulate_classes(survivors, records, dt_int)
+    substeps = sum(record.n_steps * manifest.substeps_per_sample[str(path)]
+                   for path, record in inputs.items())
     manifest.model_substeps["predict"] = {
         cid: ensembles[cid].n_models * substeps if cid in ensembles else 0 for cid in class_order}
     for label, record in records.items():
@@ -891,13 +848,21 @@ def emit_report(manifest: RunManifest, output_dir) -> Path:
         sigmas = ", ".join(f"{sigma:.6g}" for sigma in manifest.noise_sigma)
         lines += ["", f"Log-likelihood margins log L - log B (noise sigma {sigmas})", "-" * 60]
         lines.append(f"{'Model class':<24}{'log B':>12}{'min':>12}{'median':>12}{'max':>12}"
-                     f"{'ESS':>10}")
+                     f"{'log m_F':>12}{'ESS':>10}")
         for cid, c in manifest.class_stats.items():
-            ess = c.get("effective_sample_size")
+            ess, mass = c.get("effective_sample_size"), c.get("falsified_log_mass")
             lines.append(f"{cid:<24}{c['log_bound']:>12.6g}{c['margin_min']:>12.6g}"
                          f"{c['margin_median']:>12.6g}{c['margin_max']:>12.6g}"
+                         + (f"{mass:>12.6g}" if mass is not None else f"{'-':>12}")
                          + (f"{ess:>10.2f}" if ess is not None else f"{'-':>10}"))
+        lines.append("log m_F: log of the share of the class's likelihood mass on its "
+                     "falsified models")
 
+    if manifest.dt_int is not None:
+        per_sample = ", ".join(f"{Path(path).name} {n}"
+                               for path, n in manifest.substeps_per_sample.items())
+        lines += ["", f"RK4 step dt_int = {manifest.dt_int:g} s; substeps per sample: "
+                  f"{per_sample}"]
     if manifest.model_substeps:
         stages = [name for name in STAGES if name in manifest.model_substeps]
         lines += ["", "Simulated model-substeps (models x record steps x RK4 substeps; "

@@ -20,6 +20,7 @@ __all__ = [
     "PredictionResult",
     "AllModelsFalsifiedError",
     "post_falsification_weights",
+    "falsified_log_mass",
     "estimate_parameters",
     "predict_response",
     "relative_rms_error",
@@ -90,15 +91,32 @@ def post_falsification_weights(verdicts: ClassVerdicts) -> WeightedEnsemble:
     if kept.size == 0:
         raise AllModelsFalsifiedError(verdicts.class_id)
     log_w = verdicts.log_likelihood[kept]
-    # log-sum-exp shifted by the largest term, which is taken out of the sum so that
-    # log1p keeps the others' share exact to rounding (Blanchard, Higham & Higham 2021)
-    top = np.argmax(log_w)
-    rest = np.exp(log_w - log_w[top])
-    rest[top] = 0.0
-    weights = np.exp(log_w - (np.log1p(rest.sum()) + log_w[top]))
+    weights = np.exp(log_w - _log_sum_exp(log_w))
     weights = weights / weights.sum()   # remove residual rounding so the sum is exact
     return WeightedEnsemble(class_id=verdicts.class_id, sample_indices=tuple(kept),
                             weights=weights)
+
+
+def falsified_log_mass(verdicts: ClassVerdicts) -> float | None:
+    """log of the share of one class's likelihood mass that its falsified models carry.
+
+    The weights leave that share out, so it says how far they are from the
+    likelihoods of the whole class; None when no model is falsified.
+    """
+    falsified = ~verdicts.unfalsified
+    if not falsified.any():
+        return None
+    log_l = verdicts.log_likelihood
+    return float(_log_sum_exp(log_l[falsified]) - _log_sum_exp(log_l))
+
+
+def _log_sum_exp(log_x: np.ndarray) -> float:
+    """log sum exp(log_x), shifted by the largest term, which is taken out of the sum so
+    that log1p keeps the others' share exact to rounding (Blanchard, Higham & Higham 2021)."""
+    top = np.argmax(log_x)
+    rest = np.exp(log_x - log_x[top])
+    rest[top] = 0.0
+    return np.log1p(rest.sum()) + log_x[top]
 
 
 def estimate_parameters(ensemble: WeightedEnsemble, theta_matrix) -> np.ndarray:

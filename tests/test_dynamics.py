@@ -7,7 +7,8 @@ from falsikit.dynamics import (LINEAR_VARIANTS, ExcitationRecord, IsolatedSystem
                                TmdFrameModel, TmdFrameSystem, add_measurement_noise,
                                band_limited_record, boucwen_rate,
                                equivalent_linear_params, integrate_rk4, simulate,
-                               tmd_force, _boucwen)
+                               simulate_classes, substeps_per_sample, tmd_force,
+                               _boucwen, _stacked)
 from falsikit.falsification import MeasurementSet
 
 
@@ -335,6 +336,16 @@ class TestIntegrator:
         ratio = err(0.02) / err(0.01)
         assert 14.0 <= ratio <= 18.0
 
+    @pytest.mark.parametrize("dt_int,problem", [(0.03, "does not divide"), (0.08, "exceeds")])
+    def test_dt_int_splits_the_record_dt_into_whole_substeps(self, dt_int, problem):
+        # such a step is refused, not rounded to dt / round(dt / dt_int) (0.025 s, 0.05 s)
+        rec = ExcitationRecord(0.05, np.zeros(10))
+        with pytest.raises(ValueError, match=rf"^dt_int = {dt_int:g} s {problem} the sampling "
+                                             r"interval dt = 0.05 s$"):
+            integrate_rk4(_Sdof(2.0, x0=1.0), rec, dt_int=dt_int)
+        assert [substeps_per_sample(0.05, step) for step in (None, 0.05 / 3, 0.05 * (1 + 1e-7))] \
+            == [10, 3, 1]
+
     def test_free_vibration_energy_nonincreasing(self):
         omega, zeta = 2.0 * np.pi, 0.02
         rec = ExcitationRecord(0.01, np.zeros(2000))
@@ -439,16 +450,16 @@ class TestIsolatedBatch:
         systems = [self._hysteretic(building, "boucwen", 3, 1),
                    self._hysteretic(building, "bilinear", 4, 2),
                    self._hysteretic(building, "boucwen", 2, 3, n_pow=2.0)]
-        batch = IsolatedSystem.stacked(systems)
-        assert batch.n_models == 9
-        stacked = integrate_rk4(batch, rec, dt_int=0.005)
+        h = simulate_classes(dict(zip("abc", systems)), {None: rec}, dt_int=0.005)[None]
+        stacked = np.vstack([h[cid] for cid in "abc"])
         separate = np.vstack([integrate_rk4(s, rec, dt_int=0.005) for s in systems])
+        assert stacked.shape == separate.shape == (9, rec.n_steps)
         rel_rms = np.linalg.norm(stacked - separate, axis=1) / np.linalg.norm(separate, axis=1)
         assert rel_rms.max() <= 1e-12
 
     def test_models_last_rhs_matches_models_first_kernel(self, building):
-        batch = IsolatedSystem.stacked([self._hysteretic(building, "boucwen", 4, 1),
-                                        self._hysteretic(building, "bilinear", 3, 2)])
+        batch = _stacked([self._hysteretic(building, "boucwen", 4, 1),
+                          self._hysteretic(building, "bilinear", 3, 2)])
         assert batch.model_axis == 1
         rng = np.random.default_rng(7)
         state = 0.05 * rng.standard_normal((batch.n_states, batch.n_models))
@@ -473,11 +484,10 @@ class TestIsolatedBatch:
                 self._hysteretic(building, "bilinear", 2, 2)]
         records = [band_limited_record(5.0, 0.05, seed=s, peak=p)
                    for s, p in ((3, 2.0), (4, 3.0), (5, 4.0))]
-        batch = IsolatedSystem.stacked(pair * len(records))
+        batch = _stacked(pair * len(records))
         columns = np.repeat(np.column_stack([r.samples for r in records]), 5, axis=1)
         stacked = integrate_rk4(batch, ExcitationRecord(0.05, columns), dt_int=0.005)
-        single = np.vstack([integrate_rk4(IsolatedSystem.stacked(pair), r, dt_int=0.005)
-                            for r in records])
+        single = np.vstack([integrate_rk4(_stacked(pair), r, dt_int=0.005) for r in records])
         rel_rms = np.linalg.norm(stacked - single, axis=1) / np.linalg.norm(single, axis=1)
         assert rel_rms.max() <= 1e-12
         with pytest.raises(ValueError, match="14 columns needs .* not 15 with model axis 1"):
@@ -500,7 +510,7 @@ class TestIsolatedBatch:
             columns = np.column_stack([band_limited_record(5.0, 0.05, seed=s, peak=p).samples
                                        for s, p in zip((3, 4, 5), peaks)])
             record = ExcitationRecord(0.05, np.repeat(columns, 3 * len(variants), axis=1))
-        batch = IsolatedSystem.stacked(blocks)
+        batch = _stacked(blocks)
         got = integrate_rk4(batch, record, dt_int=0.05 / n_sub)
         expected = _rhs_rk4(batch, record, 0.05 / n_sub)
         rel_rms = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
@@ -512,7 +522,7 @@ class TestIsolatedBatch:
         bilinear = self._hysteretic(building, "bilinear", 3, 2)
         unstable = IsolatedSystem(building, "bilinear", k_post=np.array([4.0, 5.0e4]), c_b=20.0,
                                   r_k=0.16, Q_y=5.0)
-        batch = IsolatedSystem.stacked([boucwen, unstable, bilinear, unstable])
+        batch = _stacked([boucwen, unstable, bilinear, unstable])
         record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
         with pytest.raises(SimulationDivergedError) as expected:
             _rhs_rk4(batch, record, 0.005)
@@ -521,15 +531,19 @@ class TestIsolatedBatch:
         assert got.value.time == expected.value.time < record.duration
         assert list(got.value.indices) == list(expected.value.indices) == [4, 9]
 
-    def test_stacked_refuses_linear_and_other_building(self, building):
-        boucwen = self._hysteretic(building, "boucwen", 2, 1)
-        aashto = IsolatedSystem(building, "aashto", k_post=4.0, c_b=20.0, r_k=0.16, r_d=2.5)
-        with pytest.raises(ValueError, match="linear variant 'aashto'"):
-            IsolatedSystem.stacked([boucwen, aashto])
+    def test_stacking_refuses_other_building(self, building):
+        # a linear class runs alone, on any building; the stacked classes share one
+        record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
         taller = ShearBuildingModel(story_masses=(300.0,) * 4, story_stiffnesses=(40.0,) * 4,
                                     base_mass=500.0)
+        boucwen = self._hysteretic(building, "boucwen", 2, 1)
+        aashto = IsolatedSystem(taller, "aashto", k_post=4.0, c_b=20.0, r_k=0.16, r_d=2.5)
+        h = simulate_classes({"boucwen": boucwen, "aashto": aashto}, {None: record}, 0.005)
+        assert {cid: y.shape for cid, y in h[None].items()} \
+            == {"boucwen": (2, record.n_steps), "aashto": (1, record.n_steps)}
+        bilinear = self._hysteretic(taller, "bilinear", 2, 2)
         with pytest.raises(ValueError, match="different buildings"):
-            IsolatedSystem.stacked([boucwen, self._hysteretic(taller, "bilinear", 2, 2)])
+            simulate_classes({"boucwen": boucwen, "bilinear": bilinear}, {None: record}, 0.005)
 
     def test_batch_size_from_every_parameter(self, building):
         sys_q = IsolatedSystem(building, "boucwen", k_post=4.0, c_b=20.0, r_k=0.1667,

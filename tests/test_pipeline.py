@@ -8,16 +8,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 import falsikit
 from falsikit import dynamics, pipeline
 from falsikit.cli import main as cli_main
 from falsikit.dynamics import (IsolatedSystem, SimulationDivergedError, add_measurement_noise,
                                band_limited_record, simulate)
-from falsikit.pipeline import (BINDINGS, ConfigError, RunManifest, _read_ledger,
-                               _simulate_classes, emit_report, ingest_measurement,
-                               ingest_timeseries, parse_config, resolve_binding, run_pipeline,
-                               write_timeseries)
+from falsikit.pipeline import (BINDINGS, ConfigError, RunManifest, _read_ledger, emit_report,
+                               ingest_measurement, ingest_timeseries, parse_config,
+                               resolve_binding, run_pipeline, write_timeseries)
 from falsikit.priors import generate_ensemble
 
 CONFIG_TEMPLATE = """\
@@ -311,17 +311,22 @@ class TestRunPipeline:
         savings = sum(8 - n for n in n_u.values()) / 16
         sigma = [0.15 * ingest_measurement(config.measurement_path).d.std()]
         cached = {"simulate": dict.fromkeys(classes, 0)}
-        margins = {"log_bound", "margin_min", "margin_median", "margin_max"}
+        margins = {"log_bound", "margin_min", "margin_median", "margin_max", "falsified_log_mass"}
+        calibration = {str(config.calibration_path): 10}
         expected = {
             "simulate": dict(counts={}, savings_ratio=0.0, prediction_simulations=0,
                              prediction_inputs=0, noise_sigma=[],
-                             model_substeps={"simulate": dict.fromkeys(classes, 8 * 100 * 10)}),
+                             model_substeps={"simulate": dict.fromkeys(classes, 8 * 100 * 10)},
+                             dt_int=0.005, substeps_per_sample=calibration),
             "falsify": dict(counts=counts, savings_ratio=savings, prediction_simulations=0,
-                            prediction_inputs=0, noise_sigma=sigma, model_substeps=cached),
+                            prediction_inputs=0, noise_sigma=sigma, model_substeps=cached,
+                            dt_int=0.005, substeps_per_sample=calibration),
             "predict": dict(counts=counts, savings_ratio=savings,
                             prediction_simulations=sum(n_u.values()), prediction_inputs=1,
                             noise_sigma=sigma, model_substeps=dict(cached, predict={
-                                cid: n_u[cid] * 100 * 10 for cid in classes})),
+                                cid: n_u[cid] * 100 * 10 for cid in classes}),
+                            dt_int=0.005, substeps_per_sample=dict(
+                                calibration, **{str(config.prediction_paths[0]): 10})),
         }
         stats = {"simulate": {}, "falsify": dict.fromkeys(classes, margins),
                  "predict": {cid: margins | ({"effective_sample_size"} if n_u[cid] else set())
@@ -434,6 +439,35 @@ class TestRunPipeline:
         assert runs[0] == runs[1]
         assert "verdict_key.txt" in runs[0][1]
 
+    def test_class_and_input_order_move_no_bit(self, workspace):
+        # 7 models a class: the stacked batches are not a whole number of 8 models wide
+        write_timeseries(workspace.parent / "pred2.tsv", 0.05,
+                         band_limited_record(5.0, 0.05, seed=5, peak=3.0).samples)
+        text = workspace.read_text().replace("samples_per_class = 8", "samples_per_class = 7")
+        text = text.replace("prediction_truth = pred_truth.tsv", "") + BILINEAR_CLASS
+        head, *classes = text.split("[class:")
+        texts = [head.replace("prediction = pred.tsv", "prediction = pred.tsv pred2.tsv")
+                 + "[class:" + "[class:".join(classes),
+                 head.replace("prediction = pred.tsv", "prediction = pred2.tsv pred.tsv")
+                 .replace("output_dir = out", "output_dir = reordered")
+                 + "[class:" + "[class:".join(classes[::-1])]
+        runs = []
+        for i, config_text in enumerate(texts):
+            path = workspace.parent / f"run{i}.ini"
+            path.write_text(config_text)
+            config = parse_config(path)
+            run_pipeline(config)
+            runs.append({p.name: p.read_bytes() for p in config.output_dir.iterdir()})
+        per_class = [name for name in runs[0]
+                     if name.endswith(".npy") or name.startswith(("weights_", "prediction_"))]
+        assert {"sim_boucwen.npy", "sim_bilinear.npy", "prediction_pred2_boucwen.tsv",
+                "prediction_pred_boucwen.tsv"} <= set(per_class)
+        for name in per_class:
+            assert runs[0][name] == runs[1][name], name
+        for name in ("verdicts.tsv", "estimates.tsv"):
+            lines = [run[name].decode().splitlines() for run in runs]
+            assert lines[0][0] == lines[1][0] and sorted(lines[0]) == sorted(lines[1]), name
+
     def test_one_batch_for_hysteretic_classes(self, workspace, monkeypatch):
         # two prediction inputs: one hysteretic batch covers both
         shutil.copy(workspace.parent / "pred.tsv", workspace.parent / "pred2.tsv")
@@ -450,8 +484,8 @@ class TestRunPipeline:
         monkeypatch.setattr(dynamics, "integrate_rk4", counting)
         manifest = run_pipeline(parse_config(workspace), stage="all")
         n_u = {cid: c["n_u"] for cid, c in manifest.counts.items()}
-        expected = [("boucwen+bilinear", 16), ("aashto", 8)]
-        hysteretic = [cid for cid in ("boucwen", "bilinear") if n_u[cid]]
+        expected = [("bilinear+boucwen", 16), ("aashto", 8)]   # stacked in class id order
+        hysteretic = [cid for cid in ("bilinear", "boucwen") if n_u[cid]]
         if hysteretic:
             expected.append(("+".join(hysteretic), 2 * sum(n_u[cid] for cid in hysteretic)))
         if n_u["aashto"]:
@@ -474,7 +508,7 @@ class TestRunPipeline:
         }
         with pytest.raises(SimulationDivergedError,
                            match=r"^class 'bilinear': simulation diverged .*\(models \[1\]\)$"):
-            _simulate_classes(systems, {None: rec}, 0.005)
+            dynamics.simulate_classes(systems, {None: rec}, 0.005)
 
     def test_stacked_inputs_match_single_record_runs(self, building):
         rng = np.random.default_rng(3)
@@ -487,9 +521,9 @@ class TestRunPipeline:
         records = {"a": band_limited_record(5.0, 0.05, seed=3, peak=2.0),
                    "b": band_limited_record(5.0, 0.05, seed=4, peak=3.0),
                    "short": band_limited_record(4.0, 0.05, seed=5, peak=4.0)}
-        together = _simulate_classes(systems, records, 0.005)
+        together = dynamics.simulate_classes(systems, records, 0.005)
         for label, record in records.items():
-            alone = _simulate_classes(systems, {None: record}, 0.005)[None]
+            alone = dynamics.simulate_classes(systems, {None: record}, 0.005)[None]
             for cid, h in alone.items():
                 got = together[label][cid]
                 assert got.shape == h.shape
@@ -506,7 +540,7 @@ class TestRunPipeline:
         }
         expected = r"^class 'bilinear', input 'strong': simulation diverged .*\(models \[1\]\)$"
         with pytest.raises(SimulationDivergedError, match=expected):
-            _simulate_classes(systems, {"quiet": quiet, "strong": rec}, 0.005)
+            dynamics.simulate_classes(systems, {"quiet": quiet, "strong": rec}, 0.005)
 
     def test_bad_stage_rejected(self, workspace):
         with pytest.raises(ValueError, match="stage"):
@@ -526,6 +560,10 @@ class TestRunPipeline:
                        if line.startswith(cid) and f"{stats['log_bound']:.6g}" in line)
             ess = stats.get("effective_sample_size")
             assert row.endswith(f"{ess:.2f}" if ess is not None else "-")
+            mass = stats["falsified_log_mass"]
+            assert row.split()[-2] == (f"{mass:.6g}" if mass is not None else "-")
+        assert re.search(r"^RK4 step dt_int = 0.005 s; substeps per sample: cal\.tsv 10, "
+                         r"pred\.tsv 10$", report, re.MULTILINE)
 
     def test_manifest_explains_verdicts(self, workspace):
         config = parse_config(workspace)
@@ -535,7 +573,7 @@ class TestRunPipeline:
                                usecols=(-3, -2), dtype=float)
         measured = ingest_measurement(config.measurement_path)
         assert manifest.noise_sigma == [0.15 * measured.d.std()]
-        lo = 0
+        lo, masses = 0, []
         for cid, c in manifest.counts.items():
             log_l, log_b = ledger[lo:lo + c["n_s"]].T
             lo += c["n_s"]
@@ -544,6 +582,12 @@ class TestRunPipeline:
             margin = log_l - log_b
             assert [stats["margin_min"], stats["margin_median"], stats["margin_max"]] \
                 == pytest.approx([margin.min(), np.median(margin), margin.max()], rel=1e-12)
+            dropped = log_l[log_l <= log_b]
+            if dropped.size:
+                masses.append(logsumexp(dropped) - logsumexp(log_l))
+                assert stats["falsified_log_mass"] == pytest.approx(masses[-1], rel=1e-12)
+            else:
+                assert stats["falsified_log_mass"] is None
             assert "effective_sample_size" not in falsified.class_stats[cid]
             if c["n_u"]:
                 weights = np.loadtxt(config.output_dir / f"weights_{cid}.tsv", skiprows=1)[:, 1]
@@ -552,13 +596,16 @@ class TestRunPipeline:
                 assert 1.0 <= ess <= c["n_u"]
             else:
                 assert "effective_sample_size" not in stats
+        assert min(masses) < 0.0 == max(masses)   # one class partly, one wholly falsified
         round_trip = RunManifest.from_json((config.output_dir / "manifest.json").read_text())
         assert round_trip.class_stats == manifest.class_stats
         assert round_trip.noise_sigma == manifest.noise_sigma
-        # a manifest written before these fields existed still reads
+        # a manifest written before these fields existed still reads, and reports
         old = json.loads(manifest.to_json())
-        del old["class_stats"], old["noise_sigma"]
+        del old["class_stats"], old["noise_sigma"], old["dt_int"], old["substeps_per_sample"]
         assert RunManifest.from_json(json.dumps(old)).class_stats == {}
+        assert "RK4 step" not in emit_report(RunManifest.from_json(json.dumps(old)),
+                                             config.output_dir).read_text()
 
     def test_manifest_counts_model_substeps(self, workspace, monkeypatch):
         # the counts equal the work integrate_rk4 is asked for, stage by stage
