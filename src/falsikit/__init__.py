@@ -23,8 +23,7 @@ from .prediction import (WeightedEnsemble, PredictionResult,
                          AllModelsFalsifiedError, post_falsification_weights,
                          falsified_log_mass, estimate_parameters, predict_response,
                          relative_rms_error)
-from .pipeline import (ConfigError, RunConfig, RunManifest, BINDINGS, parse_config,
-                       ingest_timeseries, ingest_measurement, run_pipeline,
-                       emit_report, resolve_binding)
+from .pipeline import (ConfigError, RunConfig, RunManifest, parse_config,
+                       ingest_timeseries, ingest_measurement, run_pipeline, emit_report)
 
 __version__ = "0.1.0"

@@ -296,13 +296,24 @@ def equivalent_linear_params(variant: str, r_k: float, r_d, k_pre):
 # ---------------------------------------------------------------------------
 # coupled isolated system (batched over candidate models)
 
+def _check_keys(what: str, given, keys) -> None:
+    """Refuse a name of ``given`` that is not one of ``keys``, or a key it lacks,
+    naming the first such name in sorted order."""
+    odd = sorted(set(given).symmetric_difference(keys))
+    if odd:
+        verb = "does not take" if odd[0] in given else "needs"
+        raise ValueError(f"{what} {verb} {odd[0]!r}; its keys are {', '.join(keys)}")
+
+
 class IsolatedSystem:
     """Shear building on an isolation layer, batched over candidate models.
 
-    Isolator parameters: k_post in MN/m, c_b in kN.s/m, Q_y as a percentage
-    of the structure weight W (nonlinear variants, with n_pow defaulting to 1
-    for boucwen and 100 for bilinear), r_d the shear ductility ratio (linear
-    variants).  k_pre = k_post / r_k; yield displacement x_y = Q_y / k_pre.
+    Isolator parameters, the names ``PARAMETERS`` lists for each variant:
+    k_post in MN/m, c_b in kN.s/m, Q_y as a percentage of the structure
+    weight W and the Bouc-Wen exponent n_pow (nonlinear variants; n_pow
+    takes its ``DEFAULTS`` value when not given), r_d the shear ductility
+    ratio (linear variants).  Any other name, or a missing one, is refused.
+    k_pre = k_post / r_k; yield displacement x_y = Q_y / k_pre.
 
     State layout per model: [X_s (ns), x_b, V_s (ns), v_b] plus a trailing
     z for hysteretic variants.  All isolator parameter arrays broadcast over
@@ -321,14 +332,19 @@ class IsolatedSystem:
     """
 
     channel_names = ("base_abs_accel",)
+    # the isolator parameters each variant takes, in order, and those it may leave out
+    PARAMETERS = {**dict.fromkeys(NONLINEAR_VARIANTS, ("k_post", "c_b", "r_k", "Q_y", "n_pow")),
+                  **dict.fromkeys(LINEAR_VARIANTS, ("k_post", "c_b", "r_k", "r_d"))}
+    DEFAULTS = {"boucwen": {"n_pow": 1.0}, "bilinear": {"n_pow": 100.0}}
     # the per-model rows of a hysteretic batch, concatenated by ``_stacked``
     _PER_MODEL = ("iso_rows", "bw_a", "n_pow_less_one")
     device_reads = None   # the state rows the devices read; None for a linear batch
 
-    def __init__(self, building: ShearBuildingModel, variant: str, *,
-                 k_post, c_b, r_k, Q_y=None, r_d=None, n_pow=None):
-        if variant not in NONLINEAR_VARIANTS + LINEAR_VARIANTS:
+    def __init__(self, building: ShearBuildingModel, variant: str, **params):
+        if variant not in self.PARAMETERS:
             raise ValueError(f"unknown isolator variant {variant!r}")
+        params = {**self.DEFAULTS.get(variant, {}), **params}
+        _check_keys(f"isolator variant {variant!r}", params, self.PARAMETERS[variant])
         self.building = building
         self.variant = variant
         self.nonlinear = variant in NONLINEAR_VARIANTS
@@ -342,24 +358,17 @@ class IsolatedSystem:
         self._B = np.zeros(self.n_states)
         self._B[n:2 * n] = -1.0
 
-        if self.nonlinear:
-            if Q_y is None:
-                raise ValueError("nonlinear variant requires Q_y [%W]")
-            if n_pow is None:
-                n_pow = 1.0 if variant == "boucwen" else 100.0
-            per_model = dict(k_post=k_post, c_b=c_b, r_k=r_k, Q_y=Q_y, n_pow=n_pow)
-        else:
-            if r_d is None:
-                raise ValueError("linear variant requires r_d")
-            per_model = dict(k_post=k_post, c_b=c_b, r_k=r_k, r_d=r_d)
-        per_model = {key: np.atleast_1d(np.asarray(value, dtype=float))
-                     for key, value in per_model.items()}
+        per_model = {key: np.atleast_1d(np.asarray(params[key], dtype=float))
+                     for key in self.PARAMETERS[variant]}
         try:
             shape = np.broadcast_shapes(*(value.shape for value in per_model.values()))
         except ValueError:
             shapes = ", ".join(f"{key} {value.shape}" for key, value in per_model.items())
             raise ValueError(f"isolator parameters do not broadcast to one batch: {shapes}") from None
         p = {key: np.broadcast_to(value, shape) for key, value in per_model.items()}
+        for key, value in p.items():   # NaN passes every bound below
+            if not np.isfinite(value).all():
+                raise ValueError(f"{key} must be a finite number")
         if np.any((p["r_k"] <= 0.0) | (p["r_k"] >= 1.0)):
             raise ValueError("r_k must lie in (0, 1)")
         if np.any(p["k_post"] <= 0.0):
@@ -870,11 +879,7 @@ class TmdFrameSystem:
             raise ValueError(f"{direction} TMD: unknown damping law {law!r}; "
                              f"the laws are {', '.join(cls._LAW_KEYS)}")
         keys = cls._LAW_KEYS[law]
-        odd = sorted(set(raw).symmetric_difference(keys))
-        if odd:
-            verb = "does not take" if odd[0] in raw else "needs"
-            raise ValueError(f"{direction} TMD: law {law!r} {verb} {odd[0]!r}; "
-                             f"its keys are {', '.join(keys)}")
+        _check_keys(f"{direction} TMD: law {law!r}", raw, keys)
         p = {key: np.asarray(raw[key], dtype=float) for key in keys}
         for key, value in p.items():
             if value.ndim > 1 or value.size not in (1, n_models):

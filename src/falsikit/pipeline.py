@@ -34,8 +34,6 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "RunManifest",
-    "BINDINGS",
-    "resolve_binding",
     "parse_config",
     "ingest_timeseries",
     "ingest_measurement",
@@ -64,53 +62,6 @@ _SECTION_KEYS = {
     "measurement": ("file",),
     "excitation": ("calibration", "prediction", "prediction_truth"),
 }
-
-
-# ---------------------------------------------------------------------------
-# physics bindings
-
-def resolve_binding(name: str):
-    try:
-        return BINDINGS[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown physics binding {name!r}; registered bindings: "
-            f"{sorted(BINDINGS)}") from None
-
-
-def _theta_column(theta, names, key, fixed):
-    if key in names:
-        return theta[:, names.index(key)]
-    if key in fixed:
-        return float(fixed[key])
-    return None
-
-
-class _IsolatorBinding:
-    """Builds the ``IsolatedSystem`` batch of one variant from a class's θ matrix.
-
-    ``parameter_names`` are the names the variant takes, as priors or as
-    ``fixed_`` constants; all but ``n_pow`` are required.
-    """
-
-    def __init__(self, variant: str):
-        self.variant = variant
-        self.parameter_names = (("k_post", "c_b", "r_k", "Q_y", "n_pow")
-                                if variant in dynamics.NONLINEAR_VARIANTS
-                                else ("k_post", "c_b", "r_k", "r_d"))
-
-    def __call__(self, theta, parameter_names, building, fixed_constants):
-        names = list(parameter_names)
-        kwargs = {}
-        for key in self.parameter_names:
-            kwargs[key] = _theta_column(theta, names, key, fixed_constants)
-            if kwargs[key] is None and key != "n_pow":
-                raise ConfigError(f"{self.variant} binding requires parameter {key!r}")
-        return IsolatedSystem(building, self.variant, **kwargs)
-
-
-BINDINGS = {variant: _IsolatorBinding(variant)
-            for variant in dynamics.NONLINEAR_VARIANTS + dynamics.LINEAR_VARIANTS}
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +99,7 @@ class RunManifest:
     """What a run did; each stage fills in its fields, and a stage not run leaves the defaults."""
 
     config_hash: str
+    master_seed: int | None = None   # the seed the candidates were drawn with
     stage_seconds: dict = field(default_factory=dict)
     artifacts: dict = field(default_factory=dict)
     counts: dict = field(default_factory=dict)   # class_id -> {"n_s", "n_u", "n_f"}
@@ -336,7 +288,10 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"[{section}] class id must be one or more of the characters "
                               "A-Z a-z 0-9 _ . -, as it names the class's files")
         binding = get(section, "binding", required=True)
-        takes = resolve_binding(binding).parameter_names
+        if binding not in IsolatedSystem.PARAMETERS:
+            raise ConfigError(f"unknown physics binding {binding!r}; registered bindings: "
+                              f"{sorted(IsolatedSystem.PARAMETERS)}")
+        takes = IsolatedSystem.PARAMETERS[binding]
         names, priors = [], []
         fixed = {}
         for key, value in cp.items(section):
@@ -353,6 +308,14 @@ def parse_config(path) -> RunConfig:
                                   f"{name!r}; it takes {', '.join(takes)}")
         if not names:
             raise ConfigError(f"[{section}] declares no parameters")
+        for name in names:
+            if name in fixed:
+                raise ConfigError(f"[{section}] fixed_{name}: {name} already has a prior")
+        given = {*names, *fixed, *IsolatedSystem.DEFAULTS.get(binding, ())}
+        missing = [name for name in takes if name not in given]
+        if missing:
+            raise ConfigError(f"[{section}] the {binding} binding needs {missing[0]!r}, as a "
+                              f"prior or a fixed_ value; it takes {', '.join(takes)}")
         class_specs.append(ModelClassSpec(
             class_id=class_id, parameter_names=tuple(names), priors=tuple(priors),
             physics_binding=binding, fixed_constants=fixed))
@@ -514,10 +477,10 @@ def _write_manifest(out: Path, manifest: RunManifest) -> RunManifest:
 # pipeline
 
 def _build_system(class_spec: ModelClassSpec, theta: np.ndarray,
-                  building: ShearBuildingModel):
-    factory = resolve_binding(class_spec.physics_binding)
+                  building: ShearBuildingModel) -> IsolatedSystem:
     try:
-        return factory(theta, class_spec.parameter_names, building, class_spec.fixed_constants)
+        return IsolatedSystem(building, class_spec.physics_binding, **class_spec.fixed_constants,
+                              **dict(zip(class_spec.parameter_names, theta.T)))
     except ValueError as err:
         raise ConfigError(f"[class:{class_spec.class_id}] {err}") from None
 
@@ -674,7 +637,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     config_hash = ""
     if config.config_path is not None and Path(config.config_path).is_file():
         config_hash = hashlib.sha256(Path(config.config_path).read_bytes()).hexdigest()
-    manifest = RunManifest(config_hash=config_hash)
+    manifest = RunManifest(config_hash=config_hash, master_seed=config.ensemble.master_seed)
 
     # --- inputs, all checked before anything is simulated or written --------
     calibration = ingest_timeseries(config.calibration_path)
@@ -702,7 +665,6 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     records = {p_path.stem: record for p_path, record in inputs.items()}
     if out.exists() and not out.is_dir():
         raise ConfigError(f"[run] output_dir {out} exists and is not a directory")
-    out.mkdir(parents=True, exist_ok=True)
 
     class_specs = {c.class_id: c for c in config.ensemble.class_specs}
     class_order = [c.class_id for c in config.ensemble.class_specs]
@@ -724,12 +686,14 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     else:
         thetas, verdicts = ledger
     t0 = time.perf_counter()
+    if not reuse:   # a candidate no isolator takes is refused before anything is written
+        systems = {cid: _build_system(class_specs[cid], thetas[cid], config.building)
+                   for cid in class_order}
+    out.mkdir(parents=True, exist_ok=True)
     if reuse and ledger is None:
         h_by_class = {cid: np.load(p) for cid, p in sim_paths.items()}
     elif not reuse:
         with _rewriting(key_path, sim_key):
-            systems = {cid: _build_system(class_specs[cid], thetas[cid], config.building)
-                       for cid in class_order}
             h_by_class = dynamics.simulate_classes(systems, {None: calibration}, dt_int)[None]
             for cid in class_order:
                 with _atomic(sim_paths[cid]) as fh:   # a handle: np.save must not append .npy
@@ -843,6 +807,8 @@ def emit_report(manifest: RunManifest, output_dir) -> Path:
                  f"(falsified / total candidates)")
     lines.append(f"Prediction-stage simulations: {manifest.prediction_simulations} "
                  f"over {manifest.prediction_inputs} input(s)")
+    if manifest.master_seed is not None:
+        lines.append(f"Candidates drawn with master seed {manifest.master_seed}")
 
     if manifest.class_stats:
         sigmas = ", ".join(f"{sigma:.6g}" for sigma in manifest.noise_sigma)

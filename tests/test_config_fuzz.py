@@ -187,7 +187,7 @@ _TOO_STIFF = (r"\[building\] is too stiff for \[run\] dt_int = 0\.05 s: dt_int t
 # diverging at the first steps; and whether the refusal comes after output_dir is made
 @pytest.mark.parametrize("change,message,made_output", [
     (_value("base_mass", "1e300"),
-     r"\[class:aashto\] aashto damping overflows at 1e\+303 kg of mass", True),
+     r"\[class:aashto\] aashto damping overflows at 1e\+303 kg of mass", False),
     (_value("sigma_fraction", "1e-300"),
      r"\[noise\] residuals over a sigma of [0-9.e+-]+ overflow the log-likelihood", True),
     (("cell", "measured.tsv", 50, 1, "1e300"),

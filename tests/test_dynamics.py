@@ -558,6 +558,29 @@ class TestIsolatedBatch:
             IsolatedSystem(building, "bilinear", k_post=np.full(3, 4.0), c_b=20.0, r_k=0.16,
                            Q_y=np.full(4, 5.0))
 
+    @pytest.mark.parametrize("variant,extra,message", [
+        ("aashto", dict(r_d=2.5, Q_y=5.0), "does not take 'Q_y'; its keys are k_post, c_b, "
+                                           "r_k, r_d$"),
+        ("boucwen", dict(Q_y=5.0, r_d=2.5), "does not take 'r_d'; its keys are k_post, c_b, "
+                                            "r_k, Q_y, n_pow$"),
+    ])
+    def test_refuses_a_parameter_its_variant_does_not_take(self, building, variant, extra,
+                                                           message):
+        assert set(extra) - set(IsolatedSystem.PARAMETERS[variant])
+        with pytest.raises(ValueError, match=f"^isolator variant '{variant}' {message}"):
+            IsolatedSystem(building, variant, k_post=4.0, c_b=20.0, r_k=0.16, **extra)
+
+    def test_refuses_a_batch_without_a_required_parameter(self, building):
+        with pytest.raises(ValueError, match="^isolator variant 'boucwen' needs 'k_post'"):
+            IsolatedSystem(building, "boucwen", c_b=20.0, r_k=0.16, Q_y=np.full(3, 5.0))
+
+    # an explicit None is not the default n_pow: it converts to NaN
+    @pytest.mark.parametrize("key,value", [("k_post", np.array([4.0, np.nan])), ("n_pow", None)])
+    def test_refuses_a_parameter_not_finite(self, building, key, value):
+        params = dict(k_post=4.0, c_b=20.0, r_k=0.16, Q_y=5.0)
+        with pytest.raises(ValueError, match=f"^{key} must be a finite number$"):
+            IsolatedSystem(building, "boucwen", **dict(params, **{key: value}))
+
 
 # ---------------------------------------------------------------------------
 # containers, noise, records

@@ -15,9 +15,9 @@ from falsikit import dynamics, pipeline
 from falsikit.cli import main as cli_main
 from falsikit.dynamics import (IsolatedSystem, SimulationDivergedError, add_measurement_noise,
                                band_limited_record, simulate)
-from falsikit.pipeline import (BINDINGS, ConfigError, RunManifest, _read_ledger, emit_report,
+from falsikit.pipeline import (ConfigError, RunManifest, _read_ledger, emit_report,
                                ingest_measurement, ingest_timeseries, parse_config,
-                               resolve_binding, run_pipeline, write_timeseries)
+                               run_pipeline, write_timeseries)
 from falsikit.priors import generate_ensemble
 
 CONFIG_TEMPLATE = """\
@@ -243,13 +243,19 @@ class TestParseConfig:
         config = parse_config(tmp_path / "run.ini")
         assert [c.class_id for c in config.ensemble.class_specs] == ["boucwen"]
 
-    def test_resolve_binding_registry(self):
-        for name in ("boucwen", "bilinear", "aashto", "jpwri", "modified_aashto",
-                     "caltrans"):
-            assert name in BINDINGS
-            assert callable(resolve_binding(name))
-        with pytest.raises(ConfigError):
-            resolve_binding("nope")
+    def test_binding_registry(self, workspace):
+        # each binding is an isolator variant, and the config takes its PARAMETERS
+        assert sorted(IsolatedSystem.PARAMETERS) == sorted(
+            ("boucwen", "bilinear", "aashto", "jpwri", "modified_aashto", "caltrans"))
+        text = workspace.read_text()
+        aashto = text[text.index("binding = aashto"):]
+        for variant, names in IsolatedSystem.PARAMETERS.items():
+            fixed = "".join(f"fixed_{name} = 0.5\n" for name in names[1:])
+            workspace.write_text(text.replace(
+                aashto, f"binding = {variant}\n{names[0]} = lognormal 4.5 0.25\n{fixed}"))
+            spec = parse_config(workspace).ensemble.class_specs[1]
+            assert (spec.physics_binding, spec.parameter_names) == (variant, names[:1])
+            assert tuple(spec.fixed_constants) == names[1:]
 
 
 class TestRunPipeline:
@@ -314,14 +320,16 @@ class TestRunPipeline:
         margins = {"log_bound", "margin_min", "margin_median", "margin_max", "falsified_log_mass"}
         calibration = {str(config.calibration_path): 10}
         expected = {
-            "simulate": dict(counts={}, savings_ratio=0.0, prediction_simulations=0,
+            "simulate": dict(master_seed=11, counts={}, savings_ratio=0.0,
+                             prediction_simulations=0,
                              prediction_inputs=0, noise_sigma=[],
                              model_substeps={"simulate": dict.fromkeys(classes, 8 * 100 * 10)},
                              dt_int=0.005, substeps_per_sample=calibration),
-            "falsify": dict(counts=counts, savings_ratio=savings, prediction_simulations=0,
+            "falsify": dict(master_seed=11, counts=counts, savings_ratio=savings,
+                            prediction_simulations=0,
                             prediction_inputs=0, noise_sigma=sigma, model_substeps=cached,
                             dt_int=0.005, substeps_per_sample=calibration),
-            "predict": dict(counts=counts, savings_ratio=savings,
+            "predict": dict(master_seed=11, counts=counts, savings_ratio=savings,
                             prediction_simulations=sum(n_u.values()), prediction_inputs=1,
                             noise_sigma=sigma, model_substeps=dict(cached, predict={
                                 cid: n_u[cid] * 100 * 10 for cid in classes}),
@@ -660,11 +668,16 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_seed_override_changes_ensemble(self, workspace):
+    def test_seed_override_changes_ensemble(self, workspace, capsys):
+        out = workspace.parent / "out"
         cli_main(["run", "--config", str(workspace)])
-        base = (workspace.parent / "out" / "verdicts.tsv").read_text()
+        base = (out / "verdicts.tsv").read_text()
+        capsys.readouterr()
         cli_main(["run", "--config", str(workspace), "--seed-override", "99"])
-        assert (workspace.parent / "out" / "verdicts.tsv").read_text() != base
+        assert (out / "verdicts.tsv").read_text() != base
+        # the run names the seed it drew with, which the config hash cannot
+        assert json.loads((out / "manifest.json").read_text())["master_seed"] == 99
+        assert "Candidates drawn with master seed 99\n" in capsys.readouterr().out
 
     def test_falsify_after_seed_override_resimulates(self, workspace):
         out = workspace.parent / "out"
@@ -857,6 +870,20 @@ class TestCli:
          r"it takes k_post, c_b, r_k, Q_y, n_pow$"),
         ("binding = aashto\n", "binding = aashto\nfixed_n_pow = 2\n",
          r"\[class:aashto\] fixed_n_pow: the aashto binding takes no parameter 'n_pow'"),
+        ("Q_y = uniform 4.75 0.2887\n", "",
+         r"\[class:boucwen\] the boucwen binding needs 'Q_y', as a prior or a fixed_ value; "
+         r"it takes k_post, c_b, r_k, Q_y, n_pow$"),
+        ("r_d = uniform 2.5 0.2887\n", "",
+         r"\[class:aashto\] the aashto binding needs 'r_d', as a prior or a fixed_ value; "
+         r"it takes k_post, c_b, r_k, r_d$"),
+        ("Q_y = uniform 4.75 0.2887\n", "fixed_Q_y = 50\nQ_y = uniform 4.75 0.2887\n",
+         r"\[class:boucwen\] fixed_Q_y: Q_y already has a prior$"),
+        ("binding = aashto\n", "binding = nope\n",
+         r"unknown physics binding 'nope'; registered bindings: \['aashto', 'bilinear', "
+         r"'boucwen', 'caltrans', 'jpwri', 'modified_aashto'\]$"),
+        # a refusal that depends on the drawn candidates comes before the output too
+        ("r_k = uniform 0.16 0.0058", "r_k = uniform 0.9 0.2",
+         r"\[class:boucwen\] r_k must lie in \(0, 1\)$"),
         ("output_dir = out", "output_dir = out\ndt_int = nan",
          r"\[run\] dt_int: expected a finite number, got 'nan'"),
         ("base_mass = 500", "base_mass = nan",
@@ -895,6 +922,22 @@ class TestCli:
         assert rc == 2
         assert re.search(r"^error: " + message, err, re.MULTILINE)
         assert not (workspace.parent / "out").exists()
+
+    def test_refused_draw_keeps_the_cache(self, workspace, capsys):
+        # a run refused on its candidates leaves the last run's cache and its key as they were
+        out = workspace.parent / "out"
+        assert cli_main(["run", "--config", str(workspace), "--stage", "simulate"]) == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert "sim_key.txt" in before
+        text = workspace.read_text()
+        workspace.write_text(text.replace("r_k = uniform 0.16 0.0058", "r_k = uniform 0.9 0.2", 1))
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify"]) == 2
+        assert "[class:boucwen] r_k must lie in (0, 1)" in capsys.readouterr().err
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+        workspace.write_text(text)
+        stamp = (out / "sim_boucwen.npy").stat().st_mtime_ns
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify"]) == 0
+        assert (out / "sim_boucwen.npy").stat().st_mtime_ns == stamp   # still reused
 
     def test_prediction_file_names_must_differ(self, workspace, capsys):
         # input q_a with class b and input q with class a_b would both write prediction_q_a_b.tsv
