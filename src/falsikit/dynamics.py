@@ -7,17 +7,16 @@ weight).
 
 Simulation is fixed-step explicit RK4 for bit-reproducibility, vectorized
 over a batch of candidate models, and all parameter arrays broadcast over the
-batch.  ``integrate_rk4`` has two steppers.  A system made of one linear
-operator shared by the batch plus a few per-model devices (the hysteretic
-isolated building, the TMD frame) keeps its models last (state shape
+batch.  Every system here is one linear operator shared by the batch plus
+a few per-model devices (each isolated building, whose isolator is one
+device, and the TMD frame): it keeps its models last (state shape
 (n_states, n_models)) and describes itself by A, B, the state rows its
-devices read, the rate rows their outputs enter (E) and ``devices``; the
-device stepper precomputes the linear part of all four RK4 stages, so a
+devices read, the rate rows their outputs enter (E) and ``devices``.
+``integrate_rk4`` precomputes the linear part of all four RK4 stages, so a
 substep evaluates only the devices of each stage, in place in buffers
-allocated once per call, and applies one matrix product.  Any other system
-(equivalent-linear isolators) keeps its models first (shape (n_models,
-n_states)) and takes four ``rhs`` calls per substep.  ``simulate_classes``
-groups candidate classes into these batches.  The Bouc-Wen rate
+allocated once per call, and applies one matrix product.  A system without
+devices, which gives only ``rhs``, takes four ``rhs`` calls per substep.
+``simulate_classes`` groups candidate classes into batches.  The Bouc-Wen rate
 (``_boucwen``) is written once, with the one parameter a = 2 beta = 2 gamma
 of every device here (Wen 1976): loading and unloading stiffnesses match and
 |z| saturates at 1, so no beta, gamma or saturation amplitude is kept.
@@ -321,14 +320,16 @@ class IsolatedSystem:
 
     The state rate is ``A x + B a_g`` with one operator ``A`` for the whole
     batch (superstructure on the base mass), minus each model's isolator
-    force on the base row, plus the Bouc-Wen rate of z.  The hysteretic
-    isolator force contracts the per-model rows ``iso_rows`` = [k_iso; c_iso;
-    q_iso] with the state rows [x_b; v_b; z].  Hysteretic batches are device
-    systems (see ``integrate_rk4``): models last (state shape (n_states,
-    n_models)), their one device reads [x_b; v_b; z] and writes the isolator
-    force, which leaves the v_b rate, and the Bouc-Wen rate, which is the z
-    rate, and their output is k_1[v_b] + a_g.  They accept one input per
-    model (a per-model excitation).  Linear batches keep their models first.
+    force on the base row, plus the Bouc-Wen rate of z.  Every batch is a
+    device system (see ``integrate_rk4``), models last (state shape
+    (n_states, n_models)), whose one device is the isolator: it contracts
+    the per-model rows ``iso_rows`` with the state rows it reads and writes
+    the isolator force per unit base mass, which leaves the v_b rate.  A
+    hysteretic isolator reads [x_b; v_b; z] with ``iso_rows`` = [k_iso;
+    c_iso; q_iso] and also writes the Bouc-Wen rate, which is the z rate;
+    an equivalent-linear one reads [x_b; v_b] with ``iso_rows`` = [k_eq;
+    c_eq] / m_b.  The output is k_1[v_b] + a_g.  A batch accepts one input
+    per model (a per-model excitation).
     """
 
     channel_names = ("base_abs_accel",)
@@ -336,9 +337,9 @@ class IsolatedSystem:
     PARAMETERS = {**dict.fromkeys(NONLINEAR_VARIANTS, ("k_post", "c_b", "r_k", "Q_y", "n_pow")),
                   **dict.fromkeys(LINEAR_VARIANTS, ("k_post", "c_b", "r_k", "r_d"))}
     DEFAULTS = {"boucwen": {"n_pow": 1.0}, "bilinear": {"n_pow": 100.0}}
-    # the per-model rows of a hysteretic batch, concatenated by ``_stacked``
+    # the per-model rows of a hysteretic batch, concatenated by ``_stacked``;
+    # a linear batch has only the first
     _PER_MODEL = ("iso_rows", "bw_a", "n_pow_less_one")
-    device_reads = None   # the state rows the devices read; None for a linear batch
 
     def __init__(self, building: ShearBuildingModel, variant: str, **params):
         if variant not in self.PARAMETERS:
@@ -348,7 +349,6 @@ class IsolatedSystem:
         self.building = building
         self.variant = variant
         self.nonlinear = variant in NONLINEAR_VARIANTS
-        self.model_axis = 1 if self.nonlinear else 0
         n = building.n_stories + 1                       # degrees of freedom
         self.n_states = 2 * n + (1 if self.nonlinear else 0)
         self._xb = n - 1                                 # state index of x_b
@@ -388,10 +388,6 @@ class IsolatedSystem:
                                       Qy_si * (1.0 - p["r_k"])]) / m_b
             self.bw_a = k_pre_si / Qy_si             # 1/m
             self.n_pow_less_one = _checked_n_pow(p["n_pow"]) - 1.0
-            self.device_reads = np.array([self._xb, self._vb, self.n_states - 1])
-            self._E = np.zeros((self.n_states, 2))
-            self._E[self._vb, 0], self._E[-1, 1] = -1.0, 1.0
-            self.output_rows, self.feedthrough = np.array([self._vb]), np.ones(1)
             self._work = tuple(np.empty((3, self.n_models)))   # scratch rows of ``_boucwen``
         else:
             zeta_eq, k_eq = equivalent_linear_params(variant, p["r_k"], p["r_d"], k_pre_si)
@@ -400,10 +396,13 @@ class IsolatedSystem:
                 c_eq = p["c_b"] * KN + 2.0 * zeta_eq * np.sqrt(k_eq * building.total_mass)
             if not np.isfinite(c_eq).all():
                 raise ValueError(f"{variant} damping overflows at {building.total_mass:g} kg of mass")
-            # one row per model, dotted with the models-first state
-            self._iso = np.zeros((self.n_models, self.n_states))
-            self._iso[:, self._xb] = k_eq / m_b
-            self._iso[:, self._vb] = c_eq / m_b
+            self.iso_rows = np.stack([k_eq, c_eq]) / m_b
+        # the isolator device reads [x_b; v_b] (and z) and writes the force,
+        # which leaves the v_b rate (and the Bouc-Wen rate, which is the z rate)
+        self.device_reads = np.array([self._xb, self._vb, self.n_states - 1][:2 + self.nonlinear])
+        self._E = np.zeros((self.n_states, 1 + self.nonlinear))
+        self._E[self._vb, 0], self._E[-1, 1:] = -1.0, 1.0
+        self.output_rows, self.feedthrough = np.array([self._vb]), np.ones(1)
 
     @staticmethod
     def shared_operator(building: ShearBuildingModel, n_states: int | None = None) -> np.ndarray:
@@ -421,25 +420,18 @@ class IsolatedSystem:
         return A
 
     def initial_state(self) -> np.ndarray:
-        shape = (self.n_models, self.n_states)
-        return np.zeros(shape[::-1] if self.model_axis else shape)
+        return np.zeros((self.n_states, self.n_models))
 
     def rhs(self, state: np.ndarray, ag) -> np.ndarray:
-        if self.nonlinear:
-            return _device_rhs(self, state, ag)
-        deriv = state @ self._A.T + ag * self._B
-        deriv[:, self._vb] -= np.einsum("ij,ij->i", state, self._iso)
-        return deriv
+        return _device_rhs(self, state, ag)
 
     def devices(self, rows, out):
-        """At the [x_b; v_b; z] ``rows``, into ``out``: the isolator force per unit base
-        mass (``iso_rows`` contracted with the rows) and the Bouc-Wen rate."""
+        """At the [x_b; v_b] (and z) ``rows``, into ``out``: the isolator force per unit
+        base mass (``iso_rows`` contracted with the rows) and the Bouc-Wen rate."""
         np.einsum("ij,ij->j", self.iso_rows, rows, out=out[0])
-        _boucwen(rows[2], rows[1], self.bw_a, self.n_pow_less_one, out=out[1], work=self._work)
-
-    def output(self, state: np.ndarray, deriv: np.ndarray, ag) -> np.ndarray:
-        """Base absolute acceleration of a models-first batch, shape (n_models, 1)."""
-        return (deriv[:, self._vb] + ag)[:, None]
+        if self.nonlinear:
+            _boucwen(rows[2], rows[1], self.bw_a, self.n_pow_less_one, out=out[1],
+                     work=self._work)
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +445,9 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     dt, at times 0, dt, ..., (n-1) dt.  Returns an array of shape
     (n_models, n_samples * n_channels) with channels interleaved time-major.
 
-    A device system (one whose ``device_reads`` is not None: hysteretic
-    ``IsolatedSystem`` batches and ``TmdFrameSystem``) keeps its models last
-    (``initial_state()`` has shape (n_states, n_models)) and has the rate
+    A device system (one with ``device_reads``: every ``IsolatedSystem``
+    batch and ``TmdFrameSystem``) keeps its models last (``initial_state()``
+    has shape (n_states, n_models)) and has the rate
     ``A x + B u + E devices(x[device_reads])``: ``_A``,
     ``_B`` and ``_E`` are shared by the batch, and ``devices(rows, out)``
     writes the per-model device outputs into ``out`` in place.  Its outputs
@@ -465,7 +457,7 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     such a system alone takes a 2-d excitation, one column per model, whose
     ``u`` is a row of one sample per model.
 
-    Any other system provides ``initial_state()``, ``rhs(state, u)``
+    A system without devices provides ``initial_state()``, ``rhs(state, u)``
     returning the state rate, and ``output(state, deriv, u)`` returning the
     outputs, where ``deriv`` is ``rhs(state, u)`` at the same state and
     input; it is the first RK4 stage, so an output that needs the rate costs
@@ -482,11 +474,11 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     n_sub = substeps_per_sample(dt, dt_int)
     h = dt / n_sub
 
-    devices = getattr(system, "device_reads", None) is not None
+    devices = hasattr(system, "device_reads")
     if record.samples.ndim == 2 and not (devices and record.samples.shape[1] == system.n_models):
         raise ValueError(f"a per-model excitation of {record.samples.shape[1]} columns needs "
-                         f"a models-last system of as many models, not {system.n_models} "
-                         f"with model axis {1 if devices else 0}")
+                         f"a device system of as many models, not "
+                         f"{'a device' if devices else 'an rhs'} system of {system.n_models}")
     step = (_device_step if devices else _rhs_step)(system, h, n_sub)
     n_steps = record.n_steps
     outputs = None   # (n_models, n_steps, n_channels)
@@ -507,38 +499,38 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
 def simulate_classes(systems: dict, records: dict, dt_int: float | None = None) -> dict:
     """Outputs of each class's batch on each record: ``{label: {class_id: h}}``.
 
-    ``systems`` maps a class id to its batch and ``records`` an input label
-    to its record.  The hysteretic ``IsolatedSystem`` classes run as one
-    stacked batch for all records of equal dt and length, with one input
-    column per model, so each RK4 substep of that batch advances every model
-    on every such record; each class and record gets its rows back.  Every
-    other class runs one batch per record.  A divergence names the class of
-    the first diverging model, that class's own model indices and, unless
-    its label is None, the record.
+    ``systems`` maps a class id to its ``IsolatedSystem`` batch and
+    ``records`` an input label to its record.  The equivalent-linear classes
+    run as one stacked batch for all records of equal dt and length, and so
+    do the hysteretic ones, with one input column per model, so each RK4
+    substep of a batch advances every model of its kind on every such
+    record; each class and record gets its rows back.  The two kinds do not
+    share a batch: a linear model in the hysteretic state layout would carry
+    a z row and a Bouc-Wen rate it does not need.  A divergence names the
+    class of the first diverging model, that class's own model indices and,
+    unless its label is None, the record.
 
     A stacked batch holds its (label, class id) blocks in sorted order, so
     the order of ``systems`` and ``records`` moves no bit: the matrix
     products round the models of their last, partial block of columns
     differently from the rest.
     """
-    stack = sorted(cid for cid, system in systems.items()
-                   if isinstance(system, IsolatedSystem) and system.nonlinear)
-    batches = []   # (system, record, its rows as (label, class_id, system) blocks)
     groups = {}
     for label, record in records.items():
-        if stack:
-            groups.setdefault((record.dt, record.n_steps), []).append(label)
-        batches += [(system, record, [(label, cid, system)])
-                    for cid, system in systems.items() if cid not in stack]
+        groups.setdefault((record.dt, record.n_steps), []).append(label)
+    kinds = [[cid for cid in sorted(systems) if systems[cid].nonlinear == nonlinear]
+             for nonlinear in (False, True)]
+    batches = []   # (system, record, its rows as (label, class_id, system) blocks)
     for labels in groups.values():
         labels.sort(key=str)   # the calibration record's label is None
-        blocks = [(label, cid, systems[cid]) for label in labels for cid in stack]
-        record = records[labels[0]]
-        if len(labels) > 1:   # a lone record drives every model as it is, with no columns
-            per_input = sum(systems[cid].n_models for cid in stack)
-            columns = np.column_stack([records[label].samples for label in labels])
-            record = ExcitationRecord(record.dt, np.repeat(columns, per_input, axis=1))
-        batches.append((_stacked([system for _, _, system in blocks]), record, blocks))
+        for stack in filter(None, kinds):
+            blocks = [(label, cid, systems[cid]) for label in labels for cid in stack]
+            record = records[labels[0]]
+            if len(labels) > 1:   # a lone record drives every model as it is, with no columns
+                per_input = sum(systems[cid].n_models for cid in stack)
+                columns = np.column_stack([records[label].samples for label in labels])
+                record = ExcitationRecord(record.dt, np.repeat(columns, per_input, axis=1))
+            batches.append((_stacked([system for _, _, system in blocks]), record, blocks))
     outputs = {label: {} for label in records}
     for batch, record, blocks in batches:
         bounds = np.cumsum([0] + [system.n_models for _, _, system in blocks])
@@ -555,7 +547,8 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None) 
 
 
 def _stacked(systems: list) -> IsolatedSystem:
-    """One batch of hysteretic ``systems`` on one building, their rows in order.
+    """One batch of ``systems`` of one kind, linear or hysteretic, on one building,
+    their rows in order.
 
     Such systems share the operator and the state layout and differ only in
     the per-model rows, so the batch integrates each model exactly as its own
@@ -566,11 +559,12 @@ def _stacked(systems: list) -> IsolatedSystem:
         raise ValueError("cannot stack systems on different buildings")
     batch = copy.copy(first)
     batch.variant = "+".join(dict.fromkeys(system.variant for system in systems))
-    for name in IsolatedSystem._PER_MODEL:
+    for name in IsolatedSystem._PER_MODEL if first.nonlinear else ("iso_rows",):
         setattr(batch, name, np.concatenate([getattr(system, name) for system in systems],
                                             axis=-1))
-    batch.n_models = batch.bw_a.size
-    batch._work = tuple(np.empty((3, batch.n_models)))
+    batch.n_models = batch.iso_rows.shape[1]
+    if first.nonlinear:
+        batch._work = tuple(np.empty((3, batch.n_models)))
     return batch
 
 

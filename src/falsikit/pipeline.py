@@ -45,6 +45,7 @@ _FLOAT_FMT = "%.17g"   # round-trips double precision
 STAGES = ("simulate", "falsify", "predict", "all")
 MAX_SUBSTEPS_PER_SAMPLE = 1000   # RK4 substeps per record interval that dt_int may ask for
 RK4_RADIUS = 2.96   # the largest |z| in RK4's stability region |1 + z + ... + z^4/24| <= 1
+SIMULATION_REVISION = 2   # raised whenever simulated outputs move: older caches are not reused
 _MAX_ENTRY = 1.0e150   # a larger time-series entry squares, in norms and variances, to overflow
 _CLASS_ID = re.compile(r"[A-Za-z0-9_.-]+")   # a class id names its sim_ and prediction_ files
 
@@ -533,8 +534,9 @@ def _check_pair(series: MeasurementSet, name: str, record: ExcitationRecord,
 
 
 def _simulation_key(config: RunConfig, calibration: ExcitationRecord, dt_int: float) -> str:
-    """sha256 of everything the calibration simulations depend on."""
+    """sha256 of everything the calibration simulations depend on, code revision included."""
     inputs = {
+        "revision": SIMULATION_REVISION,
         "master_seed": config.ensemble.master_seed,
         "samples_per_class": config.ensemble.samples_per_class,
         "classes": [repr(spec) for spec in config.ensemble.class_specs],
@@ -693,8 +695,9 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     if reuse and ledger is None:
         h_by_class = {cid: np.load(p) for cid, p in sim_paths.items()}
     elif not reuse:
+        # simulated first: a divergence leaves the last cache and its key as they are
+        h_by_class = dynamics.simulate_classes(systems, {None: calibration}, dt_int)[None]
         with _rewriting(key_path, sim_key):
-            h_by_class = dynamics.simulate_classes(systems, {None: calibration}, dt_int)[None]
             for cid in class_order:
                 with _atomic(sim_paths[cid]) as fh:   # a handle: np.save must not append .npy
                     np.save(fh, h_by_class[cid])

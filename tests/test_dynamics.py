@@ -79,6 +79,41 @@ def _rhs_rk4(system, record, dt_int):
     return outputs.reshape(system.n_models, -1)
 
 
+class _ModelsFirstLinear:
+    """The equivalent-linear isolated building written models first, as a system without
+    devices that ``integrate_rk4`` steps by four ``rhs`` calls per substep.
+
+    Per model the rate is state @ A.T + a_g B - (k_eq x_b + c_eq v_b) e_vb / m_b, with
+    k_eq and c_eq = c_b + 2 zeta_eq sqrt(k_eq m_total) from the code formulas, and the
+    output is the v_b rate plus a_g: the reference for equivalent-linear device batches.
+    """
+
+    channel_names = ("base_abs_accel",)
+
+    def __init__(self, building, variant, k_post, c_b, r_k, r_d):
+        n = building.n_stories + 1
+        self.xb, self.vb = n - 1, 2 * n - 1
+        zeta, k_eq = equivalent_linear_params(variant, r_k, r_d, k_post * 1.0e6 / r_k)
+        c_eq = c_b * 1.0e3 + 2.0 * zeta * np.sqrt(k_eq * building.total_mass)
+        m_b = 1.0e3 * building.base_mass
+        self.k, self.c = k_eq / m_b, c_eq / m_b
+        self.A = IsolatedSystem.shared_operator(building)
+        self.B = np.zeros(2 * n)
+        self.B[n:] = -1.0
+        self.n_models = self.k.size
+
+    def initial_state(self):
+        return np.zeros((self.n_models, self.B.size))
+
+    def rhs(self, state, ag):
+        deriv = state @ self.A.T + ag * self.B
+        deriv[:, self.vb] -= self.k * state[:, self.xb] + self.c * state[:, self.vb]
+        return deriv
+
+    def output(self, state, deriv, ag):
+        return (deriv[:, self.vb] + ag)[:, None]
+
+
 def _integrate_z(x_fn, v_fn, t_end, dt, a, n_pow):
     """RK4 on the scalar hysteretic ODE under a prescribed displacement history."""
     n = int(round(t_end / dt))
@@ -439,17 +474,24 @@ class TestIntegrator:
 
 class TestIsolatedBatch:
     @staticmethod
-    def _hysteretic(building, variant, n, seed, **kw):
+    def _params(variant, n, seed):
+        """``n`` draws of the isolator parameters ``variant`` takes."""
         rng = np.random.default_rng(seed)
-        return IsolatedSystem(building, variant, k_post=rng.uniform(3.5, 5.0, n),
-                              c_b=rng.uniform(15.0, 25.0, n), r_k=rng.uniform(0.155, 0.165, n),
-                              Q_y=rng.uniform(4.3, 5.2, n), **kw)
+        params = dict(k_post=rng.uniform(3.5, 5.0, n), c_b=rng.uniform(15.0, 25.0, n),
+                      r_k=rng.uniform(0.155, 0.165, n))
+        if variant in LINEAR_VARIANTS:
+            return dict(params, r_d=rng.uniform(2.0, 3.0, n))
+        return dict(params, Q_y=rng.uniform(4.3, 5.2, n))
+
+    @classmethod
+    def _batch(cls, building, variant, n, seed, **kw):
+        return IsolatedSystem(building, variant, **cls._params(variant, n, seed), **kw)
 
     def test_stacked_matches_class_batches(self, building):
         rec = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
-        systems = [self._hysteretic(building, "boucwen", 3, 1),
-                   self._hysteretic(building, "bilinear", 4, 2),
-                   self._hysteretic(building, "boucwen", 2, 3, n_pow=2.0)]
+        systems = [self._batch(building, "boucwen", 3, 1),
+                   self._batch(building, "bilinear", 4, 2),
+                   self._batch(building, "boucwen", 2, 3, n_pow=2.0)]
         h = simulate_classes(dict(zip("abc", systems)), {None: rec}, dt_int=0.005)[None]
         stacked = np.vstack([h[cid] for cid in "abc"])
         separate = np.vstack([integrate_rk4(s, rec, dt_int=0.005) for s in systems])
@@ -457,10 +499,24 @@ class TestIsolatedBatch:
         rel_rms = np.linalg.norm(stacked - separate, axis=1) / np.linalg.norm(separate, axis=1)
         assert rel_rms.max() <= 1e-12
 
+    def test_linear_batch_matches_models_first_formula(self, building):
+        # all four equivalent-linear classes in one device batch, against the rate written
+        # models first and stepped by four rhs calls a substep
+        record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
+        params = {variant: self._params(variant, 3, seed)
+                  for seed, variant in enumerate(LINEAR_VARIANTS)}
+        batch = _stacked([IsolatedSystem(building, variant, **p) for variant, p in params.items()])
+        assert batch.variant == "+".join(LINEAR_VARIANTS) and batch.n_models == 12
+        got = integrate_rk4(batch, record, dt_int=0.005)
+        expected = np.vstack([integrate_rk4(_ModelsFirstLinear(building, variant, **p), record,
+                                            dt_int=0.005) for variant, p in params.items()])
+        assert got.shape == expected.shape == (12, record.n_steps)
+        rel_rms = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
+        assert rel_rms.max() <= 1e-12
+
     def test_models_last_rhs_matches_models_first_kernel(self, building):
-        batch = _stacked([self._hysteretic(building, "boucwen", 4, 1),
-                          self._hysteretic(building, "bilinear", 3, 2)])
-        assert batch.model_axis == 1
+        batch = _stacked([self._batch(building, "boucwen", 4, 1),
+                          self._batch(building, "bilinear", 3, 2)])
         rng = np.random.default_rng(7)
         state = 0.05 * rng.standard_normal((batch.n_states, batch.n_models))
         state[-1] = rng.uniform(-1.0, 1.0, batch.n_models)
@@ -480,28 +536,30 @@ class TestIsolatedBatch:
             assert np.all(np.abs(got.T - expected).max(axis=0) <= 1e-12 * scale)
 
     def test_per_model_inputs_match_single_input_runs(self, building):
-        pair = [self._hysteretic(building, "boucwen", 3, 1),
-                self._hysteretic(building, "bilinear", 2, 2)]
         records = [band_limited_record(5.0, 0.05, seed=s, peak=p)
                    for s, p in ((3, 2.0), (4, 3.0), (5, 4.0))]
-        batch = _stacked(pair * len(records))
         columns = np.repeat(np.column_stack([r.samples for r in records]), 5, axis=1)
-        stacked = integrate_rk4(batch, ExcitationRecord(0.05, columns), dt_int=0.005)
-        single = np.vstack([integrate_rk4(_stacked(pair), r, dt_int=0.005) for r in records])
-        rel_rms = np.linalg.norm(stacked - single, axis=1) / np.linalg.norm(single, axis=1)
-        assert rel_rms.max() <= 1e-12
-        with pytest.raises(ValueError, match="14 columns needs .* not 15 with model axis 1"):
-            integrate_rk4(batch, ExcitationRecord(0.05, columns[:, 1:]))
-        linear = IsolatedSystem(building, "aashto", k_post=np.full(15, 4.0), c_b=20.0,
-                                r_k=0.16, r_d=2.5)
-        with pytest.raises(ValueError, match="models-last system"):
-            integrate_rk4(linear, ExcitationRecord(0.05, columns))
+        for variants in (("boucwen", "bilinear"), ("aashto", "caltrans")):
+            pair = [self._batch(building, variants[0], 3, 1),
+                    self._batch(building, variants[1], 2, 2)]
+            batch = _stacked(pair * len(records))
+            stacked = integrate_rk4(batch, ExcitationRecord(0.05, columns), dt_int=0.005)
+            single = np.vstack([integrate_rk4(_stacked(pair), r, dt_int=0.005)
+                                for r in records])
+            rel_rms = np.linalg.norm(stacked - single, axis=1) / np.linalg.norm(single, axis=1)
+            assert rel_rms.max() <= 1e-12, variants
+            with pytest.raises(ValueError,
+                               match="14 columns needs .* not a device system of 15$"):
+                integrate_rk4(batch, ExcitationRecord(0.05, columns[:, 1:]))
+        with pytest.raises(ValueError, match="not an rhs system of 15$"):
+            integrate_rk4(_Sdof(2.0, n_models=15), ExcitationRecord(0.05, columns))
 
     @pytest.mark.parametrize("n_sub", [1, 10])
     @pytest.mark.parametrize("per_model", [False, True])
-    @pytest.mark.parametrize("variants", [("boucwen",), ("bilinear",), ("boucwen", "bilinear")])
+    @pytest.mark.parametrize("variants", [("boucwen",), ("bilinear",), ("boucwen", "bilinear"),
+                                          *((variant,) for variant in LINEAR_VARIANTS)])
     def test_stepper_matches_rhs_loop(self, building, variants, per_model, n_sub):
-        blocks = [self._hysteretic(building, variant, 3, seed)
+        blocks = [self._batch(building, variant, 3, seed)
                   for seed, variant in enumerate(variants)]
         record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
         if per_model:   # three inputs, each driving a copy of every block
@@ -518,8 +576,8 @@ class TestIsolatedBatch:
         assert rel_rms.max() <= 1e-12
 
     def test_stepper_diverges_where_rhs_loop_does(self, building):
-        boucwen = self._hysteretic(building, "boucwen", 3, 1)
-        bilinear = self._hysteretic(building, "bilinear", 3, 2)
+        boucwen = self._batch(building, "boucwen", 3, 1)
+        bilinear = self._batch(building, "bilinear", 3, 2)
         unstable = IsolatedSystem(building, "bilinear", k_post=np.array([4.0, 5.0e4]), c_b=20.0,
                                   r_k=0.16, Q_y=5.0)
         batch = _stacked([boucwen, unstable, bilinear, unstable])
@@ -532,18 +590,20 @@ class TestIsolatedBatch:
         assert list(got.value.indices) == list(expected.value.indices) == [4, 9]
 
     def test_stacking_refuses_other_building(self, building):
-        # a linear class runs alone, on any building; the stacked classes share one
+        # the linear and the hysteretic classes run in separate batches, each on one building
         record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
         taller = ShearBuildingModel(story_masses=(300.0,) * 4, story_stiffnesses=(40.0,) * 4,
                                     base_mass=500.0)
-        boucwen = self._hysteretic(building, "boucwen", 2, 1)
+        boucwen = self._batch(building, "boucwen", 2, 1)
         aashto = IsolatedSystem(taller, "aashto", k_post=4.0, c_b=20.0, r_k=0.16, r_d=2.5)
         h = simulate_classes({"boucwen": boucwen, "aashto": aashto}, {None: record}, 0.005)
         assert {cid: y.shape for cid, y in h[None].items()} \
             == {"boucwen": (2, record.n_steps), "aashto": (1, record.n_steps)}
-        bilinear = self._hysteretic(taller, "bilinear", 2, 2)
-        with pytest.raises(ValueError, match="different buildings"):
-            simulate_classes({"boucwen": boucwen, "bilinear": bilinear}, {None: record}, 0.005)
+        for cid, other in (("bilinear", self._batch(taller, "bilinear", 2, 2)),
+                           ("caltrans", self._batch(building, "caltrans", 2, 2))):
+            with pytest.raises(ValueError, match="different buildings"):
+                simulate_classes({"boucwen": boucwen, "aashto": aashto, cid: other},
+                                 {None: record}, 0.005)
 
     def test_batch_size_from_every_parameter(self, building):
         sys_q = IsolatedSystem(building, "boucwen", k_post=4.0, c_b=20.0, r_k=0.1667,

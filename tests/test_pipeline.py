@@ -66,6 +66,15 @@ r_k = uniform 0.16 0.0058
 Q_y = uniform 4.75 0.2887
 """
 
+JPWRI_CLASS = """
+[class:jpwri]
+binding = jpwri
+k_post = lognormal 4.5 0.25
+c_b = lognormal 20 4
+r_k = uniform 0.16 0.0058
+r_d = uniform 2.5 0.2887
+"""
+
 
 @pytest.fixture
 def workspace(tmp_path, building):
@@ -448,11 +457,14 @@ class TestRunPipeline:
         assert "verdict_key.txt" in runs[0][1]
 
     def test_class_and_input_order_move_no_bit(self, workspace):
-        # 7 models a class: the stacked batches are not a whole number of 8 models wide
+        # 7 models a class: the stacked batches are not a whole number of 8 models wide;
+        # at sigma 0.5 every class keeps survivors, so both kinds run on both inputs
         write_timeseries(workspace.parent / "pred2.tsv", 0.05,
                          band_limited_record(5.0, 0.05, seed=5, peak=3.0).samples)
         text = workspace.read_text().replace("samples_per_class = 8", "samples_per_class = 7")
-        text = text.replace("prediction_truth = pred_truth.tsv", "") + BILINEAR_CLASS
+        text = text.replace("sigma_fraction = 0.15", "sigma_fraction = 0.5")
+        text = (text.replace("prediction_truth = pred_truth.tsv", "") + BILINEAR_CLASS
+                + JPWRI_CLASS)
         head, *classes = text.split("[class:")
         texts = [head.replace("prediction = pred.tsv", "prediction = pred.tsv pred2.tsv")
                  + "[class:" + "[class:".join(classes),
@@ -468,8 +480,9 @@ class TestRunPipeline:
             runs.append({p.name: p.read_bytes() for p in config.output_dir.iterdir()})
         per_class = [name for name in runs[0]
                      if name.endswith(".npy") or name.startswith(("weights_", "prediction_"))]
-        assert {"sim_boucwen.npy", "sim_bilinear.npy", "prediction_pred2_boucwen.tsv",
-                "prediction_pred_boucwen.tsv"} <= set(per_class)
+        assert {f"{kind}_{cid}{ext}" for cid in ("boucwen", "bilinear", "aashto", "jpwri")
+                for kind, ext in (("sim", ".npy"), ("prediction_pred2", ".tsv"),
+                                  ("prediction_pred", ".tsv"))} <= set(per_class)
         for name in per_class:
             assert runs[0][name] == runs[1][name], name
         for name in ("verdicts.tsv", "estimates.tsv"):
@@ -477,11 +490,13 @@ class TestRunPipeline:
             assert lines[0][0] == lines[1][0] and sorted(lines[0]) == sorted(lines[1]), name
 
     def test_one_batch_for_hysteretic_classes(self, workspace, monkeypatch):
-        # two prediction inputs: one hysteretic batch covers both
+        # two prediction inputs: one hysteretic and one linear batch cover both;
+        # at sigma 0.5 every class keeps survivors
         shutil.copy(workspace.parent / "pred.tsv", workspace.parent / "pred2.tsv")
         workspace.write_text(workspace.read_text().replace(
             "prediction = pred.tsv", "prediction = pred.tsv pred2.tsv").replace(
-            "prediction_truth = pred_truth.tsv", "") + BILINEAR_CLASS)
+            "prediction_truth = pred_truth.tsv", "").replace(
+            "sigma_fraction = 0.15", "sigma_fraction = 0.5") + BILINEAR_CLASS + JPWRI_CLASS)
         calls = []
         integrate = dynamics.integrate_rk4
 
@@ -492,16 +507,14 @@ class TestRunPipeline:
         monkeypatch.setattr(dynamics, "integrate_rk4", counting)
         manifest = run_pipeline(parse_config(workspace), stage="all")
         n_u = {cid: c["n_u"] for cid, c in manifest.counts.items()}
-        expected = [("bilinear+boucwen", 16), ("aashto", 8)]   # stacked in class id order
-        hysteretic = [cid for cid in ("bilinear", "boucwen") if n_u[cid]]
-        if hysteretic:
-            expected.append(("+".join(hysteretic), 2 * sum(n_u[cid] for cid in hysteretic)))
-        if n_u["aashto"]:
-            expected += [("aashto", n_u["aashto"])] * 2
+        assert all(n_u.values())
+        expected = [("bilinear+boucwen", 16), ("aashto+jpwri", 16),   # in class id order
+                    ("bilinear+boucwen", 2 * (n_u["bilinear"] + n_u["boucwen"])),
+                    ("aashto+jpwri", 2 * (n_u["aashto"] + n_u["jpwri"]))]
         assert sorted(calls) == sorted(expected)
         out = workspace.parent / "out"
         for label in ("pred", "pred2"):   # the same input twice predicts the same
-            for cid in hysteretic:
+            for cid in n_u:
                 assert ((out / f"prediction_{label}_{cid}.tsv").read_bytes()
                         == (out / f"prediction_pred_{cid}.tsv").read_bytes())
 
@@ -525,6 +538,7 @@ class TestRunPipeline:
             "boucwen": IsolatedSystem(building, "boucwen", Q_y=[4.5, 5.0, 5.5], **common),
             "aashto": IsolatedSystem(building, "aashto", r_d=2.5, **common),
             "bilinear": IsolatedSystem(building, "bilinear", Q_y=5.0, **common),
+            "caltrans": IsolatedSystem(building, "caltrans", r_d=[2.2, 2.6, 3.0], **common),
         }
         records = {"a": band_limited_record(5.0, 0.05, seed=3, peak=2.0),
                    "b": band_limited_record(5.0, 0.05, seed=4, peak=3.0),
@@ -938,6 +952,39 @@ class TestCli:
         stamp = (out / "sim_boucwen.npy").stat().st_mtime_ns
         assert cli_main(["run", "--config", str(workspace), "--stage", "falsify"]) == 0
         assert (out / "sim_boucwen.npy").stat().st_mtime_ns == stamp   # still reused
+
+    def test_diverging_run_keeps_the_cache(self, workspace, capsys):
+        # a candidate that diverges on the calibration record leaves the last cache and its key
+        out = workspace.parent / "out"
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify"]) == 0
+        ledger = (out / "verdicts.tsv").read_bytes()
+        text = workspace.read_text()
+        prior = "binding = boucwen\nk_post = lognormal"
+        assert prior + " 4.5 0.25" in text
+        workspace.write_text(text.replace(prior + " 4.5 0.25", prior + " 50000 1000"))
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify"]) == 2
+        assert "error: class 'boucwen': simulation diverged" in capsys.readouterr().err
+        workspace.write_text(text)
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["model_substeps"]["simulate"] == {"boucwen": 0, "aashto": 0}
+        assert (out / "verdicts.tsv").read_bytes() == ledger
+
+    def test_cache_of_another_revision_is_simulated_again(self, workspace, monkeypatch):
+        # sim_*.npy written under another SIMULATION_REVISION are not reused, however they differ
+        config = parse_config(workspace)
+        out = config.output_dir
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "SIMULATION_REVISION", pipeline.SIMULATION_REVISION - 1)
+            run_pipeline(config, stage="simulate")
+        for path in out.glob("sim_*.npy"):   # as other simulation code may have written them
+            np.save(path, 1.001 * np.load(path))
+        manifest = run_pipeline(config, stage="predict")
+        assert all(manifest.model_substeps["simulate"].values())
+        rerun = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+        shutil.rmtree(out)
+        run_pipeline(config, stage="all")
+        assert rerun == {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
 
     def test_prediction_file_names_must_differ(self, workspace, capsys):
         # input q_a with class b and input q with class a_b would both write prediction_q_a_b.tsv
