@@ -7,15 +7,14 @@ weight).
 
 Simulation is fixed-step explicit RK4 for bit-reproducibility, vectorized
 over a batch of candidate models, and all parameter arrays broadcast over the
-batch.  Every system here is one linear operator shared by the batch plus
-a few per-model devices (each isolated building, whose isolator is one
-device, and the TMD frame): it keeps its models last (state shape
+batch.  Every system is one linear operator shared by the batch plus
+a few per-model devices, or none (each isolated building, whose isolator is
+one device, and the TMD frame): it keeps its models last (state shape
 (n_states, n_models)) and describes itself by A, B, the state rows its
 devices read, the rate rows their outputs enter (E) and ``devices``.
 ``integrate_rk4`` precomputes the linear part of all four RK4 stages, so a
 substep evaluates only the devices of each stage, in place in buffers
-allocated once per call, and applies one matrix product.  A system without
-devices, which gives only ``rhs``, takes four ``rhs`` calls per substep.
+allocated once per call, and applies one matrix product.
 ``simulate_classes`` groups candidate classes into batches.  The Bouc-Wen rate
 (``_boucwen``) is written once, with the one parameter a = 2 beta = 2 gamma
 of every device here (Wen 1976): loading and unloading stiffnesses match and
@@ -422,9 +421,6 @@ class IsolatedSystem:
     def initial_state(self) -> np.ndarray:
         return np.zeros((self.n_states, self.n_models))
 
-    def rhs(self, state: np.ndarray, ag) -> np.ndarray:
-        return _device_rhs(self, state, ag)
-
     def devices(self, rows, out):
         """At the [x_b; v_b] (and z) ``rows``, into ``out``: the isolator force per unit
         base mass (``iso_rows`` contracted with the rows) and the Bouc-Wen rate."""
@@ -445,27 +441,20 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     dt, at times 0, dt, ..., (n-1) dt.  Returns an array of shape
     (n_models, n_samples * n_channels) with channels interleaved time-major.
 
-    A device system (one with ``device_reads``: every ``IsolatedSystem``
-    batch and ``TmdFrameSystem``) keeps its models last (``initial_state()``
-    has shape (n_states, n_models)) and has the rate
-    ``A x + B u + E devices(x[device_reads])``: ``_A``,
-    ``_B`` and ``_E`` are shared by the batch, and ``devices(rows, out)``
-    writes the per-model device outputs into ``out`` in place.  Its outputs
-    are the rate rows ``output_rows`` of the first RK4 stage plus
-    ``feedthrough`` times the input.  ``_device_step`` advances it with the
-    linear part of the four stages precomputed; it never calls ``rhs``, and
-    such a system alone takes a 2-d excitation, one column per model, whose
+    Every system (each ``IsolatedSystem`` batch and ``TmdFrameSystem``) gives
+    ``n_models``; ``initial_state()`` of shape (n_states, n_models), models
+    last; ``_A``, ``_B`` and ``_E``, shared by the batch; ``device_reads``,
+    the state rows its devices read, and ``devices(rows, out)``, which writes
+    the per-model device outputs at those rows into ``out`` in place, so the
+    rate is ``A x + B u + E devices(x[device_reads])``; and ``output_rows``
+    and ``feedthrough``: its outputs are the rate rows ``output_rows`` of the
+    first RK4 stage plus ``feedthrough`` times the input.  A system may have
+    no devices (``_E`` of 0 columns, ``device_reads`` empty).
+    ``_device_step`` advances it with the linear part of the four stages
+    precomputed.  A 2-d excitation gives one input column per model, whose
     ``u`` is a row of one sample per model.
 
-    A system without devices provides ``initial_state()``, ``rhs(state, u)``
-    returning the state rate, and ``output(state, deriv, u)`` returning the
-    outputs, where ``deriv`` is ``rhs(state, u)`` at the same state and
-    input; it is the first RK4 stage, so an output that needs the rate costs
-    no extra ``rhs`` call.  Its state has shape (n_models, n_states) and its
-    outputs (n_models, n_channels); ``_rhs_step`` takes four ``rhs`` calls
-    per substep.
-
-    Both steppers stop with ``SimulationDivergedError`` naming the models
+    The stepper stops with ``SimulationDivergedError`` naming the models
     whose state is non-finite or beyond ``_STATE_GUARD`` after a record step;
     one whole-state test per record step finds that some model did, and only
     then are the models named.
@@ -474,12 +463,10 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     n_sub = substeps_per_sample(dt, dt_int)
     h = dt / n_sub
 
-    devices = hasattr(system, "device_reads")
-    if record.samples.ndim == 2 and not (devices and record.samples.shape[1] == system.n_models):
+    if record.samples.ndim == 2 and record.samples.shape[1] != system.n_models:
         raise ValueError(f"a per-model excitation of {record.samples.shape[1]} columns needs "
-                         f"a device system of as many models, not "
-                         f"{'a device' if devices else 'an rhs'} system of {system.n_models}")
-    step = (_device_step if devices else _rhs_step)(system, h, n_sub)
+                         f"a system of as many models, not one of {system.n_models}")
+    step = _device_step(system, h, n_sub)
     n_steps = record.n_steps
     outputs = None   # (n_models, n_steps, n_channels)
     # a diverging model overflows before the guard below names it
@@ -588,32 +575,8 @@ def substeps_per_sample(dt: float, dt_int: float | None = None) -> int:
     return n_sub
 
 
-def _rhs_step(system, h: float, n_sub: int):
-    """The generic record step: ``n_sub`` RK4 substeps of four ``rhs`` calls each.
-
-    Returns ``step(u)``, which advances the models-first state by one record
-    interval under the held input ``u`` and returns the outputs at its start
-    and the new state.
-    """
-    state = system.initial_state()
-
-    def step(u):
-        nonlocal state
-        for j in range(n_sub):
-            k1 = system.rhs(state, u)
-            if j == 0:
-                y = system.output(state, k1, u)
-            k2 = system.rhs(state + 0.5 * h * k1, u)
-            k3 = system.rhs(state + 0.5 * h * k2, u)
-            k4 = system.rhs(state + h * k3, u)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        return y, state
-
-    return step
-
-
 def _device_rhs(system, state: np.ndarray, u) -> np.ndarray:
-    """The rate ``A x + B u + E devices(x[device_reads])`` of a models-last device system.
+    """The rate ``A x + B u + E devices(x[device_reads])`` of a system (models last).
 
     ``u`` is a scalar or one value per model.  The reference form of what
     ``_device_step`` evaluates.
@@ -624,7 +587,7 @@ def _device_rhs(system, state: np.ndarray, u) -> np.ndarray:
 
 
 def _device_step(system, h: float, n_sub: int):
-    """The record step of a device system: RK4 with its linear part precomputed.
+    """The record step of a system: RK4 with its linear part precomputed.
 
     Stage i of an RK4 substep has the rate k_i = A Y_i + B u + E o_i, where
     o_i = ``devices`` at the stage state Y_i, the only terms that differ per
@@ -635,13 +598,14 @@ def _device_step(system, h: float, n_sub: int):
     stage out of W into one buffer (stage 1's map is the identity, so its
     rows are taken, not multiplied), writes o_i from that buffer straight
     into its rows of W, and applies one (n_states x n_W) product to advance
-    x; the arithmetic is that of ``rhs``-based RK4, regrouped, so the two
-    agree to round-off.  Every buffer, and every view of one that a stage
+    x; the arithmetic is that of RK4 on ``_device_rhs``, regrouped, so the
+    two agree to round-off.  Every buffer, and every view of one that a stage
     reads or writes, is made here, once, for both W buffers, so a stage
     allocates and slices nothing that its devices do not.  Returns
-    ``step(u)`` as ``_rhs_step`` does, with outputs of shape (n_models,
-    n_channels) and the state as a models-first view, both overwritten by
-    the next call.
+    ``step(u)``, which advances the state by one record interval under the
+    held input ``u`` and returns the outputs at its start, of shape
+    (n_models, n_channels), and the new state as a models-first view, both
+    overwritten by the next call.
     """
     A, B, E = system._A, system._B, system._E
     n, d = E.shape
@@ -887,9 +851,6 @@ class TmdFrameSystem:
 
     def initial_state(self) -> np.ndarray:
         return np.zeros((self.n_states, self.n_models))
-
-    def rhs(self, state: np.ndarray, wind_force) -> np.ndarray:
-        return _device_rhs(self, state, wind_force)
 
     def devices(self, rows, out):
         """Each TMD's law force, and the z rate of each hysteretic one, into ``out``."""

@@ -234,17 +234,20 @@ def test_criterion_07_integrator_order():
     omega = 2.0
 
     class _Sdof:
+        """x'' + omega^2 x = 0 with no devices; the state is [x, v, w] with w' = x,
+        so the output, the rate row of w, is the displacement."""
         channel_names = ("disp",)
         n_models = 1
+        _A = np.array([[0.0, 1.0, 0.0], [-omega**2, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        _B, _E = np.zeros(3), np.zeros((3, 0))
+        device_reads = np.array([], dtype=int)
+        output_rows, feedthrough = np.array([2]), np.zeros(1)
 
         def initial_state(self):
-            return np.array([[1.0, 0.0]])
+            return np.array([[1.0], [0.0], [0.0]])
 
-        def rhs(self, state, u):
-            return np.column_stack([state[:, 1], -omega**2 * state[:, 0]])
-
-        def output(self, state, deriv, u):
-            return state[:, :1]
+        def devices(self, rows, out):
+            pass
 
     from falsikit.dynamics import ExcitationRecord
     rec = ExcitationRecord(0.1, np.zeros(101))

@@ -8,7 +8,7 @@ from falsikit.dynamics import (LINEAR_VARIANTS, ExcitationRecord, IsolatedSystem
                                band_limited_record, boucwen_rate,
                                equivalent_linear_params, integrate_rk4, simulate,
                                simulate_classes, substeps_per_sample, tmd_force,
-                               _boucwen, _stacked)
+                               _boucwen, _device_rhs, _stacked)
 from falsikit.falsification import MeasurementSet
 
 
@@ -16,47 +16,83 @@ from falsikit.falsification import MeasurementSet
 # helpers
 
 class _Sdof:
-    """Linear SDOF x'' + 2 zeta omega x' + omega^2 x = u(t), batched trivially."""
+    """Linear SDOF x'' + 2 zeta omega x' + omega^2 x = u(t), batched trivially, with no devices.
+
+    The state is [x, v, w] with w' = x, so the rate row of w is x: ``outputs``
+    picks rate rows, row 2 (the default) the displacement and row 0 the velocity.
+    """
 
     channel_names = ("disp",)
+    device_reads = np.array([], dtype=int)
 
-    def __init__(self, omega, zeta=0.0, x0=0.0, v0=0.0, n_models=1):
-        self.omega, self.zeta = omega, zeta
+    def __init__(self, omega, zeta=0.0, x0=0.0, v0=0.0, n_models=1, outputs=(2,)):
         self.x0, self.v0 = x0, v0
         self.n_models = n_models
+        self._A = np.array([[0.0, 1.0, 0.0], [-omega**2, -2.0 * zeta * omega, 0.0],
+                            [1.0, 0.0, 0.0]])
+        self._B = np.array([0.0, 1.0, 0.0])
+        self._E = np.zeros((3, 0))
+        self.output_rows = np.array(outputs)
+        self.feedthrough = np.zeros(len(outputs))
 
     def initial_state(self):
-        s = np.zeros((self.n_models, 2))
-        s[:, 0], s[:, 1] = self.x0, self.v0
+        s = np.zeros((3, self.n_models))
+        s[0], s[1] = self.x0, self.v0
         return s
 
-    def rhs(self, state, u):
-        d = np.empty_like(state)
-        d[:, 0] = state[:, 1]
-        d[:, 1] = u - 2.0 * self.zeta * self.omega * state[:, 1] \
-            - self.omega**2 * state[:, 0]
-        return d
-
-    def output(self, state, deriv, u):
-        return state[:, :1]
+    def devices(self, rows, out):
+        pass
 
 
 class _CountingSdof(_Sdof):
-    """``_Sdof`` that counts its ``rhs`` calls."""
+    """``_Sdof`` that counts its ``devices`` calls."""
 
     calls = 0
 
-    def rhs(self, state, u):
+    def devices(self, rows, out):
         self.calls += 1
-        return super().rhs(state, u)
 
 
-def _rhs_rk4(system, record, dt_int):
-    """The generic four-``rhs`` RK4 loop on a models-last device system.
+class _TwoDof:
+    """A 2-DOF chain M q'' + C q' + K q = -M 1 u over the state [q; q'], batched over the
+    columns of ``x0``; its outputs are the two accelerations plus u.  With ``device`` its
+    stiffness is one linear device that reads q and writes K q, else it is part of A.
+    """
+
+    channel_names = ("accel_1", "accel_2")
+
+    def __init__(self, masses, springs, dampers, x0, device):
+        def chain(k1, k2):
+            return np.array([[k1 + k2, -k2], [-k2, k2]])
+
+        m_inv = 1.0 / np.asarray(masses)
+        self.n_models, self._x0, self._K = x0.shape[1], x0, chain(*springs)
+        self._A = np.zeros((4, 4))
+        self._A[:2, 2:] = np.eye(2)
+        self._A[2:, 2:] = -m_inv[:, None] * chain(*dampers)
+        self._B = np.array([0.0, 0.0, -1.0, -1.0])
+        self._E = np.zeros((4, 2 if device else 0))
+        if device:
+            self._E[2:] = -np.diag(m_inv)
+        else:
+            self._A[2:, :2] = -m_inv[:, None] * self._K
+        self.device_reads = np.arange(self._E.shape[1])
+        self.output_rows, self.feedthrough = np.array([2, 3]), np.ones(2)
+
+    def initial_state(self):
+        return self._x0.copy()
+
+    def devices(self, rows, out):
+        if out.size:
+            np.matmul(self._K, rows, out=out)
+
+
+def _rhs_rk4(system, record, dt_int, rate=_device_rhs):
+    """The generic RK4 loop of four ``rate(system, state, u)`` calls a substep, models last.
 
     The reference for the precomputed stepper of ``integrate_rk4``: the same
     zero-order hold, outputs k_1[output_rows] + feedthrough u and divergence
-    guard, evaluated stage by stage through the system's ``rhs``.
+    guard, evaluated stage by stage.
     """
     n_sub = max(1, int(round(record.dt / dt_int)))
     h = record.dt / n_sub
@@ -65,13 +101,13 @@ def _rhs_rk4(system, record, dt_int):
     with np.errstate(over="ignore", invalid="ignore"):
         for k, u in enumerate(record.samples):
             for j in range(n_sub):
-                k1 = system.rhs(state, u)
+                k1 = rate(system, state, u)
                 if j == 0:
                     outputs[:, k] = (k1[system.output_rows]
                                      + system.feedthrough[:, None] * u).T
-                k2 = system.rhs(state + 0.5 * h * k1, u)
-                k3 = system.rhs(state + 0.5 * h * k2, u)
-                k4 = system.rhs(state + h * k3, u)
+                k2 = rate(system, state + 0.5 * h * k1, u)
+                k3 = rate(system, state + 0.5 * h * k2, u)
+                k4 = rate(system, state + h * k3, u)
                 state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             bad = ~np.all(np.isfinite(state), axis=0) | (np.abs(state).max(axis=0) > 1.0e6)
             if np.any(bad):
@@ -80,8 +116,8 @@ def _rhs_rk4(system, record, dt_int):
 
 
 class _ModelsFirstLinear:
-    """The equivalent-linear isolated building written models first, as a system without
-    devices that ``integrate_rk4`` steps by four ``rhs`` calls per substep.
+    """The equivalent-linear isolated building written models first, for ``_rhs_rk4``
+    with ``rate=_ModelsFirstLinear.rate``.
 
     Per model the rate is state @ A.T + a_g B - (k_eq x_b + c_eq v_b) e_vb / m_b, with
     k_eq and c_eq = c_b + 2 zeta_eq sqrt(k_eq m_total) from the code formulas, and the
@@ -101,17 +137,17 @@ class _ModelsFirstLinear:
         self.B = np.zeros(2 * n)
         self.B[n:] = -1.0
         self.n_models = self.k.size
+        self.output_rows, self.feedthrough = np.array([self.vb]), np.ones(1)
 
     def initial_state(self):
-        return np.zeros((self.n_models, self.B.size))
+        return np.zeros((self.B.size, self.n_models))
 
-    def rhs(self, state, ag):
-        deriv = state @ self.A.T + ag * self.B
-        deriv[:, self.vb] -= self.k * state[:, self.xb] + self.c * state[:, self.vb]
-        return deriv
-
-    def output(self, state, deriv, ag):
-        return (deriv[:, self.vb] + ag)[:, None]
+    def rate(self, state, ag):
+        """The rate of the models-last ``state``, from the formula over its models-first view."""
+        first = state.T
+        deriv = first @ self.A.T + ag * self.B
+        deriv[:, self.vb] -= self.k * first[:, self.xb] + self.c * first[:, self.vb]
+        return deriv.T
 
 
 def _integrate_z(x_fn, v_fn, t_end, dt, a, n_pow):
@@ -384,56 +420,62 @@ class TestIntegrator:
     def test_free_vibration_energy_nonincreasing(self):
         omega, zeta = 2.0 * np.pi, 0.02
         rec = ExcitationRecord(0.01, np.zeros(2000))
-        sys_ = _Sdof(omega, zeta, x0=1.0)
-        # collect full state by stepping manually through the same integrator
-        state = sys_.initial_state()
-        energies = []
-        h = 0.01
-        for k in range(2000):
-            energies.append(0.5 * state[0, 1] ** 2 + 0.5 * omega**2 * state[0, 0] ** 2)
-            k1 = sys_.rhs(state, 0.0)
-            k2 = sys_.rhs(state + h / 2 * k1, 0.0)
-            k3 = sys_.rhs(state + h / 2 * k2, 0.0)
-            k4 = sys_.rhs(state + h * k3, 0.0)
-            state = state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-        e = np.array(energies)
+        # rate rows 0 and 2 are v and x at the start of each record step
+        v, x = integrate_rk4(_Sdof(omega, zeta, x0=1.0, outputs=(0, 2)), rec,
+                             dt_int=0.01)[0].reshape(-1, 2).T
+        e = 0.5 * v**2 + 0.5 * omega**2 * x**2
         assert np.all(np.diff(e) <= 1e-6 * e[0])
 
+    @settings(max_examples=15, deadline=None)
+    @given(masses=st.tuples(st.floats(0.5, 2.0), st.floats(0.5, 2.0)),
+           springs=st.tuples(st.floats(1.0, 100.0), st.floats(1.0, 100.0)),
+           dampers=st.tuples(st.floats(0.01, 2.0), st.floats(0.01, 2.0)),
+           seed=st.integers(0, 2**16))
+    def test_zero_device_system_matches_its_device_form(self, masses, springs, dampers, seed):
+        # a system with no devices is stepped as one whose stiffness is a linear device
+        rng = np.random.default_rng(seed)
+        x0 = rng.uniform(-1.0, 1.0, (4, 3))
+        record = ExcitationRecord(0.05, rng.standard_normal(40))
+        forms = [_TwoDof(masses, springs, dampers, x0, device) for device in (False, True)]
+        got = [integrate_rk4(system, record, dt_int=0.01) for system in forms]
+
+        def rel_rms(a, b):
+            return (np.linalg.norm(a - b, axis=1) / np.linalg.norm(b, axis=1)).max()
+
+        assert got[0].shape == (3, 2 * record.n_steps)
+        assert rel_rms(got[0], got[1]) <= 1e-12
+        for system, h in zip(forms, got):
+            assert rel_rms(h, _rhs_rk4(system, record, 0.01)) <= 1e-12
+
     def test_divergence_guard(self):
-        class _Unstable:
-            channel_names = ("x",)
-            n_models = 1
-
-            def initial_state(self):
-                return np.ones((1, 1))
-
-            def rhs(self, state, u):
-                return 5.0 * state
-
-            def output(self, state, deriv, u):
-                return state
-
+        unstable = _Sdof(0.0, x0=1.0)
+        unstable._A = np.diag([5.0, 0.0, 0.0])   # x' = 5 x
         rec = ExcitationRecord(0.5, np.zeros(100))
         with pytest.raises(SimulationDivergedError, match="diverged at t ="):
-            integrate_rk4(_Unstable(), rec)
+            integrate_rk4(unstable, rec)
 
     def test_divergence_guard_names_nan_rows(self):
-        # model 1's rate turns NaN once its clock passes 5.2 s; no state leaves the guard
+        # x = t in every model; model 1's device writes sqrt(5.2 - x) into its w rate, NaN
+        # once its clock passes 5.2 s; no state leaves the guard
         class _NanAfter(_Sdof):
-            def rhs(self, state, u):
-                deriv = np.zeros_like(state)
-                deriv[:, 0] = 1.0
-                deriv[1, 1] = np.sqrt(5.2 - state[1, 0])
-                return deriv
+            device_reads = np.array([0])
+
+            def __init__(self, n_models):
+                super().__init__(0.0, v0=1.0, n_models=n_models)
+                self._E = np.array([[0.0], [0.0], [1.0]])
+
+            def devices(self, rows, out):
+                out[0] = 0.0
+                out[0, 1] = np.sqrt(5.2 - rows[0, 1])
 
         rec = ExcitationRecord(0.5, np.zeros(20))
         with pytest.raises(SimulationDivergedError) as err:
-            integrate_rk4(_NanAfter(1.0, n_models=3), rec)
+            integrate_rk4(_NanAfter(n_models=3), rec)
         assert err.value.time == 5.5
         assert list(err.value.indices) == [1]
 
-    def test_rhs_calls_per_record_step(self):
-        # each sample is read from the first RK4 stage, not from an extra rhs call
+    def test_device_calls_per_record_step(self):
+        # each sample is read from the first RK4 stage, not from an extra evaluation
         sys_ = _CountingSdof(2.0, x0=1.0)
         n_steps, n_sub = 30, 4
         integrate_rk4(sys_, ExcitationRecord(0.1, np.zeros(n_steps)), dt_int=0.1 / n_sub)
@@ -501,15 +543,16 @@ class TestIsolatedBatch:
 
     def test_linear_batch_matches_models_first_formula(self, building):
         # all four equivalent-linear classes in one device batch, against the rate written
-        # models first and stepped by four rhs calls a substep
+        # models first and stepped by four rate calls a substep
         record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
         params = {variant: self._params(variant, 3, seed)
                   for seed, variant in enumerate(LINEAR_VARIANTS)}
         batch = _stacked([IsolatedSystem(building, variant, **p) for variant, p in params.items()])
         assert batch.variant == "+".join(LINEAR_VARIANTS) and batch.n_models == 12
         got = integrate_rk4(batch, record, dt_int=0.005)
-        expected = np.vstack([integrate_rk4(_ModelsFirstLinear(building, variant, **p), record,
-                                            dt_int=0.005) for variant, p in params.items()])
+        expected = np.vstack([_rhs_rk4(_ModelsFirstLinear(building, variant, **p), record, 0.005,
+                                       rate=_ModelsFirstLinear.rate)
+                              for variant, p in params.items()])
         assert got.shape == expected.shape == (12, record.n_steps)
         rel_rms = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
         assert rel_rms.max() <= 1e-12
@@ -530,7 +573,7 @@ class TestIsolatedBatch:
             expected[:, vb] -= np.einsum("ij,ij->i", first, iso)
             expected[:, -1] = boucwen_rate(first[:, -1], first[:, vb], batch.bw_a,
                                            batch.n_pow_less_one + 1.0)
-            got = batch.rhs(state, ag)
+            got = _device_rhs(batch, state, ag)
             assert got.shape == state.shape
             scale = np.abs(expected).max(axis=0)
             assert np.all(np.abs(got.T - expected).max(axis=0) <= 1e-12 * scale)
@@ -548,11 +591,8 @@ class TestIsolatedBatch:
                                 for r in records])
             rel_rms = np.linalg.norm(stacked - single, axis=1) / np.linalg.norm(single, axis=1)
             assert rel_rms.max() <= 1e-12, variants
-            with pytest.raises(ValueError,
-                               match="14 columns needs .* not a device system of 15$"):
+            with pytest.raises(ValueError, match="14 columns needs .* not one of 15$"):
                 integrate_rk4(batch, ExcitationRecord(0.05, columns[:, 1:]))
-        with pytest.raises(ValueError, match="not an rhs system of 15$"):
-            integrate_rk4(_Sdof(2.0, n_models=15), ExcitationRecord(0.05, columns))
 
     @pytest.mark.parametrize("n_sub", [1, 10])
     @pytest.mark.parametrize("per_model", [False, True])
@@ -710,7 +750,7 @@ def _frame_chain_rhs(frame, laws, params, state, wind):
 
     Per chain the models-last state is [X_s, U, V_s, dU] plus one z per
     hysteretic TMD, U the TMD motion relative to the roof; ``wind`` is a
-    scalar or one force per model.  The reference for ``TmdFrameSystem.rhs``:
+    scalar or one force per model.  The reference for ``TmdFrameSystem``'s rate:
     the state rate and the x and y roof accelerations, shape (2, n_models).
     """
     ns = frame.n_stories
@@ -782,7 +822,7 @@ class TestTmd:
             state[-2:] = rng.uniform(-1.5, 1.5, (2, system.n_models))
         for wind in (80.0e3, rng.normal(0.0, 1.0e5, system.n_models)):
             expected, roofs = _frame_chain_rhs(system.frame, laws, params, state, wind)
-            got = system.rhs(state, wind)
+            got = _device_rhs(system, state, wind)
             assert got.shape == state.shape
             scale = np.abs(expected).max(axis=1, keepdims=True)
             assert np.all(np.abs(got - expected) <= 1e-12 * scale)
