@@ -14,16 +14,20 @@ one device, and the TMD frame): it keeps its models last (state shape
 devices read, the rate rows their outputs enter (E) and ``devices``.
 ``integrate_rk4`` precomputes the linear part of all four RK4 stages, so a
 substep evaluates only the devices of each stage, in place in buffers
-allocated once per call, and applies one matrix product.
-``simulate_classes`` groups candidate classes into batches.  The Bouc-Wen rate
-(``_boucwen``) is written once, with the one parameter a = 2 beta = 2 gamma
-of every device here (Wen 1976): loading and unloading stiffnesses match and
-|z| saturates at 1, so no beta, gamma or saturation amplitude is kept.
+allocated once per call, and applies one matrix product.  When the devices
+are linear (``nonlinear`` is False), a record interval of that stepper is a
+linear map per model, which is probed from it once and then applied, one
+contraction per record step.  ``simulate_classes`` groups candidate
+classes into batches.  The Bouc-Wen rate (``_boucwen``) is written once,
+with the one parameter a = 2 beta = 2 gamma of every device here (Wen 1976):
+loading and unloading stiffnesses match and |z| saturates at 1, so no beta,
+gamma or saturation amplitude is kept.
 """
 
 from __future__ import annotations
 
 import copy
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -449,9 +453,12 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     rate is ``A x + B u + E devices(x[device_reads])``; and ``output_rows``
     and ``feedthrough``: its outputs are the rate rows ``output_rows`` of the
     first RK4 stage plus ``feedthrough`` times the input.  A system may have
-    no devices (``_E`` of 0 columns, ``device_reads`` empty).
-    ``_device_step`` advances it with the linear part of the four stages
-    precomputed.  A 2-d excitation gives one input column per model, whose
+    no devices (``_E`` of 0 columns, ``device_reads`` empty).  It also
+    declares ``nonlinear``: True when its devices are not linear in the rows
+    they read, so ``_device_step`` advances it with the linear part of the
+    four stages precomputed; False when they are (or it has none), so
+    ``_record_map_step`` advances it by one RK4 map per model probed from
+    ``_device_step``.  A 2-d excitation gives one input column per model, whose
     ``u`` is a row of one sample per model.
 
     The stepper stops with ``SimulationDivergedError`` naming the models
@@ -466,11 +473,11 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     if record.samples.ndim == 2 and record.samples.shape[1] != system.n_models:
         raise ValueError(f"a per-model excitation of {record.samples.shape[1]} columns needs "
                          f"a system of as many models, not one of {system.n_models}")
-    step = _device_step(system, h, n_sub)
     n_steps = record.n_steps
     outputs = None   # (n_models, n_steps, n_channels)
     # a diverging model overflows before the guard below names it
     with np.errstate(over="ignore", invalid="ignore"):
+        step = _stepper(system)(system, h, n_sub)
         for k in range(n_steps):
             y, state = step(record.samples[k])
             if outputs is None:
@@ -483,7 +490,8 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     return outputs.reshape(outputs.shape[0], -1)
 
 
-def simulate_classes(systems: dict, records: dict, dt_int: float | None = None) -> dict:
+def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
+                     seconds: dict | None = None) -> dict:
     """Outputs of each class's batch on each record: ``{label: {class_id: h}}``.
 
     ``systems`` maps a class id to its ``IsolatedSystem`` batch and
@@ -495,7 +503,10 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None) 
     share a batch: a linear model in the hysteretic state layout would carry
     a z row and a Bouc-Wen rate it does not need.  A divergence names the
     class of the first diverging model, that class's own model indices and,
-    unless its label is None, the record.
+    unless its label is None, the record.  ``seconds``, when given, gains the
+    wall seconds of each batch under its ``variant``, with the stepper it ran
+    on: ``{variant: {"seconds": s, "stepper": name}}``; batches of one variant
+    on records of different lengths add up.
 
     A stacked batch holds its (label, class id) blocks in sorted order, so
     the order of ``systems`` and ``records`` moves no bit: the matrix
@@ -521,6 +532,7 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None) 
     outputs = {label: {} for label in records}
     for batch, record, blocks in batches:
         bounds = np.cumsum([0] + [system.n_models for _, _, system in blocks])
+        t0 = time.perf_counter()
         try:
             h = integrate_rk4(batch, record, dt_int=dt_int)
         except SimulationDivergedError as err:
@@ -528,6 +540,10 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None) 
             local = [i - bounds[at] for i in err.indices if bounds[at] <= i < bounds[at + 1]]
             label, cid, _ = blocks[at]
             raise SimulationDivergedError(err.time, local, cid, label) from None
+        if seconds is not None:
+            timing = seconds.setdefault(batch.variant, {
+                "seconds": 0.0, "stepper": _stepper(batch).__name__.strip("_")})
+            timing["seconds"] += time.perf_counter() - t0
         for (label, cid, _), lo, hi in zip(blocks, bounds, bounds[1:]):
             outputs[label][cid] = h[lo:hi]
     return outputs
@@ -586,7 +602,13 @@ def _device_rhs(system, state: np.ndarray, u) -> np.ndarray:
     return system._A @ state + system._B[:, None] * u + system._E @ out
 
 
-def _device_step(system, h: float, n_sub: int):
+def _stepper(system):
+    """The record stepper of ``system``: ``_record_map_step`` when its devices are
+    linear, else ``_device_step``."""
+    return _device_step if system.nonlinear else _record_map_step
+
+
+def _device_step(system, h: float, n_sub: int, x0=None):
     """The record step of a system: RK4 with its linear part precomputed.
 
     Stage i of an RK4 substep has the rate k_i = A Y_i + B u + E o_i, where
@@ -605,7 +627,9 @@ def _device_step(system, h: float, n_sub: int):
     ``step(u)``, which advances the state by one record interval under the
     held input ``u`` and returns the outputs at its start, of shape
     (n_models, n_channels), and the new state as a models-first view, both
-    overwritten by the next call.
+    overwritten by the next call.  The state starts at ``x0``, of shape
+    (n_states, n_models) or broadcast to it, or at ``initial_state()`` when
+    ``x0`` is None.
     """
     A, B, E = system._A, system._B, system._E
     n, d = E.shape
@@ -635,7 +659,7 @@ def _device_step(system, h: float, n_sub: int):
     output_map[:, n] += system.feedthrough
 
     buffers = (np.zeros((width, system.n_models)), np.zeros((width, system.n_models)))
-    buffers[0][:n] = system.initial_state()
+    buffers[0][:n] = system.initial_state() if x0 is None else x0
     stage_rows = np.empty((reads.size, system.n_models))   # the rows the devices read
     devices = system.devices
     y = np.empty((output_map.shape[0], system.n_models))
@@ -669,6 +693,40 @@ def _device_step(system, h: float, n_sub: int):
             np.matmul(advance, W, out=next_x)
             current ^= 1
         return y.T, states[current]
+
+    return step
+
+
+def _record_map_step(system, h: float, n_sub: int):
+    """The record step of a system whose devices are linear: one RK4 map per model.
+
+    With linear devices, one record interval of ``_device_step`` under the
+    held input is linear in the state and the input, so per model m it is
+    [x_{k+1}; y_k] = G_m [x_k; u_k].  G is probed from ``_device_step``
+    itself: one record step from each unit state e_j with u = 0 gives column
+    j, and one from x = 0 with u = 1 the last.  RK4 is thus written once, and
+    the outputs move from the device stepper's by round-off only; G is not
+    the exact zero-order-hold propagator, which would move them by RK4's
+    truncation error.  The probes call ``devices`` 4 n_sub (n_states + 1)
+    times in all, and a record step is one contraction per model, models
+    last, that calls none.  Returns ``step(u)`` as ``_device_step`` does.
+    """
+    n = system._A.shape[0]
+    columns = []
+    for start in np.eye(n + 1):                 # [x; u] = e_j, column j of G
+        y, state = _device_step(system, h, n_sub, x0=start[:n, None])(start[n])
+        columns.append(np.vstack([state.T, y.T]))
+    G = np.stack(columns, axis=1)               # (n_states + n_channels, n_states + 1, n_models)
+    z = np.empty((n + 1, system.n_models))      # [x; u]
+    z[:n] = system.initial_state()
+    out = np.empty((G.shape[0], system.n_models))
+    x, y = out[:n], out[n:]
+
+    def step(u):
+        z[n] = u
+        np.einsum("ijm,jm->im", G, z, out=out)
+        z[:n] = x
+        return y.T, x.T
 
     return step
 
@@ -767,6 +825,7 @@ class TmdFrameSystem:
     motion relative to the roof.  ``A`` holds the stories and the TMD
     springs, ``B`` the wind shape, and each TMD is a device: it reads its U,
     dU (and z) rows and writes its law's force (and its Bouc-Wen z rate).
+    The frame is ``nonlinear`` unless both laws are ``"linear"``.
     """
 
     channel_names = ("roof_accel_x", "roof_accel_y")
@@ -778,6 +837,7 @@ class TmdFrameSystem:
                  params_x: dict, params_y: dict, n_models: int = 1):
         self.frame = frame
         self.laws = (law_x, law_y)
+        self.nonlinear = self.laws != ("linear", "linear")
         self.n_models = n_models
         ns = frame.n_stories
         theta = np.deg2rad(frame.wind_angle_deg)

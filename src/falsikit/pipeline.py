@@ -45,7 +45,7 @@ _FLOAT_FMT = "%.17g"   # round-trips double precision
 STAGES = ("simulate", "falsify", "predict", "all")
 MAX_SUBSTEPS_PER_SAMPLE = 1000   # RK4 substeps per record interval that dt_int may ask for
 RK4_RADIUS = 2.96   # the largest |z| in RK4's stability region |1 + z + ... + z^4/24| <= 1
-SIMULATION_REVISION = 2   # raised whenever simulated outputs move: older caches are not reused
+SIMULATION_REVISION = 3   # raised whenever simulated outputs move: older caches are not reused
 _MAX_ENTRY = 1.0e150   # a larger time-series entry squares, in norms and variances, to overflow
 _CLASS_ID = re.compile(r"[A-Za-z0-9_.-]+")   # a class id names its sim_ and prediction_ files
 
@@ -116,6 +116,10 @@ class RunManifest:
     # stage ("simulate", "predict") -> {class_id: models x record steps x RK4
     # substeps simulated by this run}; a reused calibration cache counts 0
     model_substeps: dict = field(default_factory=dict)
+    # stage ("simulate", "predict") -> {batch variant: {"seconds": wall seconds of its
+    # simulation, "stepper": "record_map_step" or "device_step"}}; timings, like
+    # stage_seconds, are not reproduced by a rerun
+    batch_seconds: dict = field(default_factory=dict)
     dt_int: float | None = None   # the RK4 step [s]
     substeps_per_sample: dict = field(default_factory=dict)   # record path -> RK4 substeps
 
@@ -696,7 +700,8 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         h_by_class = {cid: np.load(p) for cid, p in sim_paths.items()}
     elif not reuse:
         # simulated first: a divergence leaves the last cache and its key as they are
-        h_by_class = dynamics.simulate_classes(systems, {None: calibration}, dt_int)[None]
+        seconds = manifest.batch_seconds["simulate"] = {}
+        h_by_class = dynamics.simulate_classes(systems, {None: calibration}, dt_int, seconds)[None]
         with _rewriting(key_path, sim_key):
             for cid in class_order:
                 with _atomic(sim_paths[cid]) as fh:   # a handle: np.save must not append .npy
@@ -769,7 +774,8 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     survivors = {cid: _build_system(class_specs[cid], thetas[cid][np.asarray(we.sample_indices)],
                                     config.building)
                  for cid, we in ensembles.items()}
-    outputs = dynamics.simulate_classes(survivors, records, dt_int)
+    seconds = manifest.batch_seconds["predict"] = {}
+    outputs = dynamics.simulate_classes(survivors, records, dt_int, seconds)
     substeps = sum(record.n_steps * manifest.substeps_per_sample[str(path)]
                    for path, record in inputs.items())
     manifest.model_substeps["predict"] = {

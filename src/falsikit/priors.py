@@ -11,6 +11,7 @@ is parallelized or ordered.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,27 +79,44 @@ def sample_prior(spec: PriorSpec, rng: np.random.Generator, name: str = "paramet
     Each call consumes a deterministic number of generator outputs, except
     for rejection-redraws of positivity-constrained normal priors.
     """
+    return _drawer(spec, name)(rng)
+
+
+def _drawer(spec: PriorSpec, name: str):
+    """``sample_prior`` of ``spec`` as a function of the generator, with the
+    prior's constants computed once."""
     if spec.kind == "uniform":
         half = spec.std_dev * _SQRT3
-        value = rng.uniform(spec.mean - half, spec.mean + half)
+        low, high = spec.mean - half, spec.mean + half
+
+        def draw(rng):
+            return rng.uniform(low, high)
     elif spec.kind == "lognormal":
         sig2 = np.log1p((spec.std_dev / spec.mean) ** 2)
-        mu = np.log(spec.mean) - 0.5 * sig2
-        value = float(np.exp(rng.normal(mu, np.sqrt(sig2))))
+        mu, sigma = np.log(spec.mean) - 0.5 * sig2, np.sqrt(sig2)
+
+        def draw(rng):
+            return float(np.exp(rng.normal(mu, sigma)))
     else:
-        value = float(rng.normal(spec.mean, spec.std_dev))
-        if spec.positive_only:
+        def draw(rng):
+            value = float(rng.normal(spec.mean, spec.std_dev))
             n = 0
-            while value <= 0.0:
+            while spec.positive_only and value <= 0.0:
                 n += 1
                 if n > _MAX_REDRAWS:
                     raise SamplingError(
                         f"could not draw a positive value for {name!r} "
                         f"(normal mean={spec.mean}, std={spec.std_dev})")
                 value = float(rng.normal(spec.mean, spec.std_dev))
-    if not np.isfinite(value):
-        raise SamplingError(f"non-finite draw for {name!r} from {spec.kind} prior")
-    return value
+            return value
+
+    def checked(rng):
+        value = draw(rng)
+        if not math.isfinite(value):
+            raise SamplingError(f"non-finite draw for {name!r} from {spec.kind} prior")
+        return value
+
+    return checked
 
 
 @dataclass(frozen=True)
@@ -149,32 +167,48 @@ def _class_key(class_id: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _slot_rng(master_seed: int, class_key: int, sample_index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence([master_seed, class_key, sample_index]))
+
+
 def sample_rng(master_seed: int, class_id: str, sample_index: int) -> np.random.Generator:
     """Generator for one (class, sample) slot, a pure function of its arguments."""
-    seq = np.random.SeedSequence([master_seed, _class_key(class_id), sample_index])
-    return np.random.default_rng(seq)
+    return _slot_rng(master_seed, _class_key(class_id), sample_index)
+
+
+def _class_sampler(class_spec: ModelClassSpec, master_seed: int):
+    """``draw_sample`` of one class as a function of the sample index, with the
+    class key and each prior's constants computed once."""
+    key = _class_key(class_spec.class_id)
+    drawers = [_drawer(prior, name)
+               for name, prior in zip(class_spec.parameter_names, class_spec.priors)]
+
+    def draw(sample_index: int) -> list[float]:
+        rng = _slot_rng(master_seed, key, sample_index)
+        try:
+            return [draw_one(rng) for draw_one in drawers]
+        except SamplingError as err:
+            raise SamplingError(
+                f"class {class_spec.class_id!r}, sample {sample_index}: {err}") from err
+
+    return draw
 
 
 def draw_sample(class_spec: ModelClassSpec, master_seed: int, sample_index: int) -> list[float]:
     """The parameter vector of one candidate; independent of any other sample's draws."""
-    rng = sample_rng(master_seed, class_spec.class_id, sample_index)
-    theta = []
-    for name, prior in zip(class_spec.parameter_names, class_spec.priors):
-        try:
-            theta.append(sample_prior(prior, rng, name=name))
-        except SamplingError as err:
-            raise SamplingError(
-                f"class {class_spec.class_id!r}, sample {sample_index}: {err}") from err
-    return theta
+    return _class_sampler(class_spec, master_seed)(sample_index)
 
 
 def generate_ensemble(spec: EnsembleSpec) -> dict[str, np.ndarray]:
     """Draw ``samples_per_class`` models for every class in ``spec``.
 
     Returns a mapping class_id -> (samples_per_class, n_parameters) array
-    whose row i is the parameter vector of sample index i.  Deterministic:
-    the same spec yields bit-identical ensembles.
+    whose row i is the parameter vector of sample index i, ``draw_sample``'s.
+    Deterministic: the same spec yields bit-identical ensembles.
     """
-    return {c.class_id: np.array([draw_sample(c, spec.master_seed, i)
-                                  for i in range(spec.samples_per_class)], dtype=float)
-            for c in spec.class_specs}
+    ensembles = {}
+    for c in spec.class_specs:
+        draw = _class_sampler(c, spec.master_seed)
+        ensembles[c.class_id] = np.array([draw(i) for i in range(spec.samples_per_class)],
+                                         dtype=float)
+    return ensembles

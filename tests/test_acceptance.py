@@ -237,7 +237,7 @@ def test_criterion_07_integrator_order():
         """x'' + omega^2 x = 0 with no devices; the state is [x, v, w] with w' = x,
         so the output, the rate row of w, is the displacement."""
         channel_names = ("disp",)
-        n_models = 1
+        n_models, nonlinear = 1, False   # linear: it steps on its RK4 record map
         _A = np.array([[0.0, 1.0, 0.0], [-omega**2, 0.0, 0.0], [1.0, 0.0, 0.0]])
         _B, _E = np.zeros(3), np.zeros((3, 0))
         device_reads = np.array([], dtype=int)

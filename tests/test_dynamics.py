@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from falsikit import dynamics
 from falsikit.dynamics import (LINEAR_VARIANTS, ExcitationRecord, IsolatedSystem,
                                ShearBuildingModel, SimulationDivergedError,
                                TmdFrameModel, TmdFrameSystem, add_measurement_noise,
@@ -20,14 +21,16 @@ class _Sdof:
 
     The state is [x, v, w] with w' = x, so the rate row of w is x: ``outputs``
     picks rate rows, row 2 (the default) the displacement and row 0 the velocity.
+    ``nonlinear`` picks the stepper: the record map, or the device stepper when True.
     """
 
     channel_names = ("disp",)
     device_reads = np.array([], dtype=int)
 
-    def __init__(self, omega, zeta=0.0, x0=0.0, v0=0.0, n_models=1, outputs=(2,)):
+    def __init__(self, omega, zeta=0.0, x0=0.0, v0=0.0, n_models=1, outputs=(2,),
+                 nonlinear=False):
         self.x0, self.v0 = x0, v0
-        self.n_models = n_models
+        self.n_models, self.nonlinear = n_models, nonlinear
         self._A = np.array([[0.0, 1.0, 0.0], [-omega**2, -2.0 * zeta * omega, 0.0],
                             [1.0, 0.0, 0.0]])
         self._B = np.array([0.0, 1.0, 0.0])
@@ -53,31 +56,33 @@ class _CountingSdof(_Sdof):
         self.calls += 1
 
 
-class _TwoDof:
-    """A 2-DOF chain M q'' + C q' + K q = -M 1 u over the state [q; q'], batched over the
-    columns of ``x0``; its outputs are the two accelerations plus u.  With ``device`` its
+class _Chain:
+    """An n-DOF chain M q'' + C q' + K q = -M 1 u over the state [q; q'], batched over the
+    columns of ``x0``; its outputs are the n accelerations plus u.  With ``device`` its
     stiffness is one linear device that reads q and writes K q, else it is part of A.
     """
 
-    channel_names = ("accel_1", "accel_2")
+    nonlinear = False
 
     def __init__(self, masses, springs, dampers, x0, device):
-        def chain(k1, k2):
-            return np.array([[k1 + k2, -k2], [-k2, k2]])
+        def chain(k):
+            # spring i joins mass i to mass i - 1, the first to the ground
+            return np.diag(np.append(k[1:], 0.0) + k) - np.diag(k[1:], 1) - np.diag(k[1:], -1)
 
+        n = len(masses)
         m_inv = 1.0 / np.asarray(masses)
-        self.n_models, self._x0, self._K = x0.shape[1], x0, chain(*springs)
-        self._A = np.zeros((4, 4))
-        self._A[:2, 2:] = np.eye(2)
-        self._A[2:, 2:] = -m_inv[:, None] * chain(*dampers)
-        self._B = np.array([0.0, 0.0, -1.0, -1.0])
-        self._E = np.zeros((4, 2 if device else 0))
+        self.n_models, self._x0, self._K = x0.shape[1], x0, chain(np.asarray(springs))
+        self._A = np.zeros((2 * n, 2 * n))
+        self._A[:n, n:] = np.eye(n)
+        self._A[n:, n:] = -m_inv[:, None] * chain(np.asarray(dampers))
+        self._B = np.repeat([0.0, -1.0], n)
+        self._E = np.zeros((2 * n, n if device else 0))
         if device:
-            self._E[2:] = -np.diag(m_inv)
+            self._E[n:] = -np.diag(m_inv)
         else:
-            self._A[2:, :2] = -m_inv[:, None] * self._K
+            self._A[n:, :n] = -m_inv[:, None] * self._K
         self.device_reads = np.arange(self._E.shape[1])
-        self.output_rows, self.feedthrough = np.array([2, 3]), np.ones(2)
+        self.output_rows, self.feedthrough = np.arange(n, 2 * n), np.ones(n)
 
     def initial_state(self):
         return self._x0.copy()
@@ -85,6 +90,19 @@ class _TwoDof:
     def devices(self, rows, out):
         if out.size:
             np.matmul(self._K, rows, out=out)
+
+
+def _on_device_step(system, record, dt_int):
+    """``integrate_rk4`` of ``system`` stepped by ``_device_step``, its devices linear or not:
+    the stepper the record map of a linear system is probed from."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_stepper", lambda system: dynamics._device_step)
+        return integrate_rk4(system, record, dt_int=dt_int)
+
+
+def _rel_rms(got, expected):
+    """The relative RMS difference of each row (model) of ``got`` from ``expected``."""
+    return np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
 
 
 def _rhs_rk4(system, record, dt_int, rate=_device_rhs):
@@ -436,16 +454,27 @@ class TestIntegrator:
         rng = np.random.default_rng(seed)
         x0 = rng.uniform(-1.0, 1.0, (4, 3))
         record = ExcitationRecord(0.05, rng.standard_normal(40))
-        forms = [_TwoDof(masses, springs, dampers, x0, device) for device in (False, True)]
-        got = [integrate_rk4(system, record, dt_int=0.01) for system in forms]
-
-        def rel_rms(a, b):
-            return (np.linalg.norm(a - b, axis=1) / np.linalg.norm(b, axis=1)).max()
-
+        forms = [_Chain(masses, springs, dampers, x0, device) for device in (False, True)]
+        got = [_on_device_step(system, record, 0.01) for system in forms]
         assert got[0].shape == (3, 2 * record.n_steps)
-        assert rel_rms(got[0], got[1]) <= 1e-12
+        assert _rel_rms(got[0], got[1]).max() <= 1e-12
         for system, h in zip(forms, got):
-            assert rel_rms(h, _rhs_rk4(system, record, 0.01)) <= 1e-12
+            assert _rel_rms(h, _rhs_rk4(system, record, 0.01)).max() <= 1e-12
+
+    @settings(max_examples=25, deadline=None)
+    @given(chain=st.integers(1, 4).flatmap(lambda n: st.tuples(
+               *(st.tuples(*(st.floats(lo, hi),) * n)
+                 for lo, hi in ((0.5, 2.0), (1.0, 100.0), (0.01, 2.0))))),
+           device=st.booleans(), n_sub=st.sampled_from([1, 5]), seed=st.integers(0, 2**16))
+    def test_record_map_matches_device_step_on_damped_chains(self, chain, device, n_sub, seed):
+        # the map of a random damped chain, with or without a linear device, steps it as
+        # the device stepper it is probed from does
+        rng = np.random.default_rng(seed)
+        system = _Chain(*chain, rng.uniform(-1.0, 1.0, (2 * len(chain[0]), 3)), device)
+        record = ExcitationRecord(0.05, rng.standard_normal(40))
+        got = integrate_rk4(system, record, dt_int=0.05 / n_sub)
+        assert got.shape == (3, len(chain[0]) * record.n_steps)
+        assert _rel_rms(got, _on_device_step(system, record, 0.05 / n_sub)).max() <= 1e-12
 
     def test_divergence_guard(self):
         unstable = _Sdof(0.0, x0=1.0)
@@ -461,7 +490,7 @@ class TestIntegrator:
             device_reads = np.array([0])
 
             def __init__(self, n_models):
-                super().__init__(0.0, v0=1.0, n_models=n_models)
+                super().__init__(0.0, v0=1.0, n_models=n_models, nonlinear=True)
                 self._E = np.array([[0.0], [0.0], [1.0]])
 
             def devices(self, rows, out):
@@ -476,10 +505,27 @@ class TestIntegrator:
 
     def test_device_calls_per_record_step(self):
         # each sample is read from the first RK4 stage, not from an extra evaluation
-        sys_ = _CountingSdof(2.0, x0=1.0)
+        sys_ = _CountingSdof(2.0, x0=1.0, nonlinear=True)
         n_steps, n_sub = 30, 4
         integrate_rk4(sys_, ExcitationRecord(0.1, np.zeros(n_steps)), dt_int=0.1 / n_sub)
         assert sys_.calls == n_steps * 4 * n_sub
+
+    @pytest.mark.parametrize("n_steps", [20, 200])
+    def test_linear_batch_calls_devices_only_to_probe_its_map(self, building, n_steps):
+        # n_states + 1 record steps of the device stepper, whatever the record length
+        batch = IsolatedSystem(building, "aashto", k_post=np.array([4.0, 4.5]), c_b=20.0,
+                               r_k=0.16, r_d=2.5)
+        calls = []
+
+        def devices(rows, out, isolator=batch.devices):
+            calls.append(rows.shape)
+            isolator(rows, out)
+
+        batch.devices = devices
+        n_sub = 4
+        integrate_rk4(batch, band_limited_record(n_steps * 0.05, 0.05, seed=3, peak=2.0),
+                      dt_int=0.05 / n_sub)
+        assert len(calls) == 4 * n_sub * (batch.n_states + 1)
 
     def test_simulate_refuses_a_batch_before_integrating(self):
         sys_ = _CountingSdof(2.0, x0=1.0, n_models=3)
@@ -594,26 +640,57 @@ class TestIsolatedBatch:
             with pytest.raises(ValueError, match="14 columns needs .* not one of 15$"):
                 integrate_rk4(batch, ExcitationRecord(0.05, columns[:, 1:]))
 
-    @pytest.mark.parametrize("n_sub", [1, 10])
-    @pytest.mark.parametrize("per_model", [False, True])
-    @pytest.mark.parametrize("variants", [("boucwen",), ("bilinear",), ("boucwen", "bilinear"),
-                                          *((variant,) for variant in LINEAR_VARIANTS)])
-    def test_stepper_matches_rhs_loop(self, building, variants, per_model, n_sub):
-        blocks = [self._batch(building, variant, 3, seed)
+    @classmethod
+    def _stepper_case(cls, building, variants, per_model):
+        """A batch of three models of each of ``variants`` and its record, with
+        ``per_model`` three inputs, each driving a copy of every block."""
+        blocks = [cls._batch(building, variant, 3, seed)
                   for seed, variant in enumerate(variants)]
         record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
-        if per_model:   # three inputs, each driving a copy of every block
+        if per_model:
             peaks = (1.0, 3.0, 4.0)
             blocks = blocks * len(peaks)
             columns = np.column_stack([band_limited_record(5.0, 0.05, seed=s, peak=p).samples
                                        for s, p in zip((3, 4, 5), peaks)])
             record = ExcitationRecord(0.05, np.repeat(columns, 3 * len(variants), axis=1))
-        batch = _stacked(blocks)
+        return _stacked(blocks), record
+
+    @pytest.mark.parametrize("n_sub", [1, 10])
+    @pytest.mark.parametrize("per_model", [False, True])
+    @pytest.mark.parametrize("variants", [("boucwen",), ("bilinear",), ("boucwen", "bilinear"),
+                                          *((variant,) for variant in LINEAR_VARIANTS)])
+    def test_stepper_matches_rhs_loop(self, building, variants, per_model, n_sub):
+        batch, record = self._stepper_case(building, variants, per_model)
         got = integrate_rk4(batch, record, dt_int=0.05 / n_sub)
         expected = _rhs_rk4(batch, record, 0.05 / n_sub)
         rel_rms = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
         assert got.shape == expected.shape
         assert rel_rms.max() <= 1e-12
+
+    @pytest.mark.parametrize("n_sub", [1, 10])
+    @pytest.mark.parametrize("per_model", [False, True])
+    @pytest.mark.parametrize("variant", LINEAR_VARIANTS)
+    def test_record_map_matches_device_step(self, building, variant, per_model, n_sub):
+        batch, record = self._stepper_case(building, (variant,), per_model)
+        assert not batch.nonlinear
+        got = integrate_rk4(batch, record, dt_int=0.05 / n_sub)
+        expected = _on_device_step(batch, record, 0.05 / n_sub)
+        assert got.shape == expected.shape == (batch.n_models, record.n_steps)
+        assert _rel_rms(got, expected).max() <= 1e-12
+
+    def test_record_map_diverges_where_device_step_does(self, building):
+        # k_post = 5e4 MN/m puts the isolator mode outside RK4's stability region
+        aashto = self._batch(building, "aashto", 3, 1)
+        unstable = IsolatedSystem(building, "caltrans", k_post=np.array([4.0, 5.0e4]), c_b=20.0,
+                                  r_k=0.16, r_d=2.5)
+        batch = _stacked([aashto, unstable, aashto, unstable])
+        record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
+        with pytest.raises(SimulationDivergedError) as expected:
+            _on_device_step(batch, record, 0.005)
+        with pytest.raises(SimulationDivergedError) as got:
+            integrate_rk4(batch, record, dt_int=0.005)
+        assert got.value.time == expected.value.time < record.duration
+        assert list(got.value.indices) == list(expected.value.indices) == [4, 9]
 
     def test_stepper_diverges_where_rhs_loop_does(self, building):
         boucwen = self._batch(building, "boucwen", 3, 1)
@@ -846,6 +923,22 @@ class TestTmd:
         assert got.shape == expected.shape == (system.n_models, 2 * record.n_steps)
         rel_rms = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
         assert rel_rms.max() <= 1e-12
+
+    @pytest.mark.parametrize("per_model", [False, True])
+    def test_linear_frame_record_map_matches_device_step(self, per_model):
+        rms = (50.0e3, 100.0e3) if per_model else (100.0e3,)
+        system, _ = self._frame_batch(("linear", "linear"), 3, 1, tiles=len(rms))
+        winds = [band_limited_record(10.0, 0.1, band=(0.1, 1.0), seed=6 + i, rms=r)
+                 for i, r in enumerate(rms)]
+        record = ExcitationRecord(0.1, np.repeat(np.column_stack([w.samples for w in winds]),
+                                                 3, axis=1)) if per_model else winds[0]
+        assert not system.nonlinear
+        assert all(self._frame_batch(laws, 1, 1)[0].nonlinear
+                   for laws in _TMD_LAW_PAIRS if laws != ("linear", "linear"))
+        got = integrate_rk4(system, record, dt_int=0.025)
+        expected = _on_device_step(system, record, 0.025)
+        assert got.shape == expected.shape == (system.n_models, 2 * record.n_steps)
+        assert _rel_rms(got, expected).max() <= 1e-12
 
     def test_stepper_diverges_where_rhs_loop_does(self):
         # a strongly negative TMD damping pumps energy in until the state leaves the guard

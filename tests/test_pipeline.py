@@ -294,6 +294,9 @@ class TestRunPipeline:
             emit_report(manifest, config.output_dir)
             payload = json.loads(manifest.to_json())
             del payload["stage_seconds"]
+            for batches in payload["batch_seconds"].values():   # timings, as stage_seconds
+                for timing in batches.values():
+                    del timing["seconds"]
             files = {name: (config.output_dir / name).read_bytes()
                      for name in ("verdicts.tsv", "report.txt")}
             assert files == first.setdefault("files", files)
@@ -449,7 +452,8 @@ class TestRunPipeline:
             shutil.rmtree(config.output_dir, ignore_errors=True)
             for stage in stages:
                 manifest = json.loads(run_pipeline(config, stage=stage).to_json())
-            del manifest["stage_seconds"], manifest["model_substeps"]["simulate"]
+            del manifest["stage_seconds"], manifest["batch_seconds"]
+            del manifest["model_substeps"]["simulate"]
             files = {p.name: p.read_bytes() for p in config.output_dir.iterdir()
                      if p.name != "manifest.json"}
             runs.append((manifest, files))
@@ -512,6 +516,14 @@ class TestRunPipeline:
                     ("bilinear+boucwen", 2 * (n_u["bilinear"] + n_u["boucwen"])),
                     ("aashto+jpwri", 2 * (n_u["aashto"] + n_u["jpwri"]))]
         assert sorted(calls) == sorted(expected)
+        # the manifest times each batch and names its stepper
+        assert {stage: {variant: timing["stepper"] for variant, timing in batches.items()}
+                for stage, batches in manifest.batch_seconds.items()} \
+            == dict.fromkeys(("simulate", "predict"), {"bilinear+boucwen": "device_step",
+                                                       "aashto+jpwri": "record_map_step"})
+        for stage, batches in manifest.batch_seconds.items():
+            seconds = [timing["seconds"] for timing in batches.values()]
+            assert min(seconds) > 0.0 and sum(seconds) <= manifest.stage_seconds[stage]
         out = workspace.parent / "out"
         for label in ("pred", "pred2"):   # the same input twice predicts the same
             for cid in n_u:
@@ -649,6 +661,7 @@ class TestRunPipeline:
         work.clear()
         predicted = run_pipeline(config, stage="predict")   # reuses the calibration cache
         assert predicted.model_substeps["simulate"] == {cid: 0 for cid in classes}
+        assert list(predicted.batch_seconds) == ["predict"]   # the cache ran no batch
         assert predicted.model_substeps["predict"] \
             == {cid: c["n_u"] * 100 * 10 for cid, c in predicted.counts.items()}
         assert sum(work) == sum(predicted.model_substeps["predict"].values()) > 0

@@ -93,6 +93,32 @@ class TestEnsemble:
         for i in (0, 7, 19):
             assert np.array_equal(draw_sample(cls, 123, i), ens[i])
 
+    def test_rows_are_draw_sample_byte_for_byte(self):
+        # every prior kind, the positive_only normal redrawing often, against draw_sample
+        # and against each slot's draws written out with the constants of every draw
+        priors = (PriorSpec("uniform", 0.16, 0.0058), PriorSpec("lognormal", 4.5, 0.25),
+                  PriorSpec("normal", -1.0, 2.0), PriorSpec("normal", 0.1, 1.0, positive_only=True))
+        cls = ModelClassSpec("kinds", ("u", "ln", "n", "pos"), priors, "boucwen")
+        ens = generate_ensemble(EnsembleSpec((cls,), samples_per_class=60, master_seed=9))["kinds"]
+
+        def by_hand(spec, rng):
+            if spec.kind == "uniform":
+                return rng.uniform(spec.mean - spec.std_dev * _SQRT3,
+                                   spec.mean + spec.std_dev * _SQRT3)
+            if spec.kind == "lognormal":
+                sig2 = np.log1p((spec.std_dev / spec.mean) ** 2)
+                return float(np.exp(rng.normal(np.log(spec.mean) - 0.5 * sig2, np.sqrt(sig2))))
+            value = rng.normal(spec.mean, spec.std_dev)
+            while spec.positive_only and value <= 0.0:
+                value = rng.normal(spec.mean, spec.std_dev)
+            return value
+
+        expected = np.array([[by_hand(spec, rng) for spec in priors]
+                             for rng in (sample_rng(9, "kinds", i) for i in range(60))])
+        assert (ens[:, 3] > 0.0).all() and (ens[:, 2] < 0.0).any()
+        assert ens.tobytes() == expected.tobytes()
+        assert ens.tobytes() == np.array([draw_sample(cls, 9, i) for i in range(60)]).tobytes()
+
     def test_class_id_decorrelates_streams(self):
         a = generate_ensemble(EnsembleSpec((_nl_class("a"),), 10, 1))["a"]
         b = generate_ensemble(EnsembleSpec((_nl_class("b"),), 10, 1))["b"]
