@@ -60,6 +60,7 @@ KN = 1.0e3          # kN -> N
 NONLINEAR_VARIANTS = ("boucwen", "bilinear")
 LINEAR_VARIANTS = ("aashto", "jpwri", "modified_aashto", "caltrans")
 
+SIMULATION_REVISION = 3   # raised whenever simulated outputs move: older caches are not reused
 _STATE_GUARD = 1.0e6  # any |state| beyond this is treated as divergence
 _SHOWN_INDICES = 5    # diverging model indices named in the error message
 
@@ -474,14 +475,12 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
         raise ValueError(f"a per-model excitation of {record.samples.shape[1]} columns needs "
                          f"a system of as many models, not one of {system.n_models}")
     n_steps = record.n_steps
-    outputs = None   # (n_models, n_steps, n_channels)
+    outputs = np.empty((system.n_models, n_steps, system.output_rows.size))
     # a diverging model overflows before the guard below names it
     with np.errstate(over="ignore", invalid="ignore"):
         step = _stepper(system)(system, h, n_sub)
         for k in range(n_steps):
             y, state = step(record.samples[k])
-            if outputs is None:
-                outputs = np.empty((y.shape[0], n_steps, y.shape[1]))
             outputs[:, k] = y
             # max propagates NaN, so a NaN state fails the test as an overflow does
             if not np.abs(state).max() <= _STATE_GUARD:
@@ -491,7 +490,7 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
 
 
 def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
-                     seconds: dict | None = None) -> dict:
+                     batches: dict | None = None) -> dict:
     """Outputs of each class's batch on each record: ``{label: {class_id: h}}``.
 
     ``systems`` maps a class id to its ``IsolatedSystem`` batch and
@@ -503,10 +502,10 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
     share a batch: a linear model in the hysteretic state layout would carry
     a z row and a Bouc-Wen rate it does not need.  A divergence names the
     class of the first diverging model, that class's own model indices and,
-    unless its label is None, the record.  ``seconds``, when given, gains the
-    wall seconds of each batch under its ``variant``, with the stepper it ran
-    on: ``{variant: {"seconds": s, "stepper": name}}``; batches of one variant
-    on records of different lengths add up.
+    unless its label is None, the record.  ``batches``, when given, gains the
+    work of each batch under its ``variant``: ``{"stepper", "models", "model_steps",
+    "seconds"}``, its stepper, rows, rows x record steps and wall seconds;
+    batches of one variant on records of different lengths add up.
 
     A stacked batch holds its (label, class id) blocks in sorted order, so
     the order of ``systems`` and ``records`` moves no bit: the matrix
@@ -518,7 +517,7 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
         groups.setdefault((record.dt, record.n_steps), []).append(label)
     kinds = [[cid for cid in sorted(systems) if systems[cid].nonlinear == nonlinear]
              for nonlinear in (False, True)]
-    batches = []   # (system, record, its rows as (label, class_id, system) blocks)
+    runs = []   # (batch, record, its rows as (label, class_id, system) blocks)
     for labels in groups.values():
         labels.sort(key=str)   # the calibration record's label is None
         for stack in filter(None, kinds):
@@ -528,9 +527,9 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
                 per_input = sum(systems[cid].n_models for cid in stack)
                 columns = np.column_stack([records[label].samples for label in labels])
                 record = ExcitationRecord(record.dt, np.repeat(columns, per_input, axis=1))
-            batches.append((_stacked([system for _, _, system in blocks]), record, blocks))
+            runs.append((_stacked([system for _, _, system in blocks]), record, blocks))
     outputs = {label: {} for label in records}
-    for batch, record, blocks in batches:
+    for batch, record, blocks in runs:
         bounds = np.cumsum([0] + [system.n_models for _, _, system in blocks])
         t0 = time.perf_counter()
         try:
@@ -540,10 +539,13 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
             local = [i - bounds[at] for i in err.indices if bounds[at] <= i < bounds[at + 1]]
             label, cid, _ = blocks[at]
             raise SimulationDivergedError(err.time, local, cid, label) from None
-        if seconds is not None:
-            timing = seconds.setdefault(batch.variant, {
-                "seconds": 0.0, "stepper": _stepper(batch).__name__.strip("_")})
-            timing["seconds"] += time.perf_counter() - t0
+        if batches is not None:
+            work = batches.setdefault(batch.variant,
+                                      {"models": 0, "model_steps": 0, "seconds": 0.0})
+            work["stepper"] = _stepper(batch).__name__.strip("_")
+            work["models"] += batch.n_models
+            work["model_steps"] += batch.n_models * record.n_steps
+            work["seconds"] += time.perf_counter() - t0
         for (label, cid, _), lo, hi in zip(blocks, bounds, bounds[1:]):
             outputs[label][cid] = h[lo:hi]
     return outputs

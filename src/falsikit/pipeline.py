@@ -45,7 +45,6 @@ _FLOAT_FMT = "%.17g"   # round-trips double precision
 STAGES = ("simulate", "falsify", "predict", "all")
 MAX_SUBSTEPS_PER_SAMPLE = 1000   # RK4 substeps per record interval that dt_int may ask for
 RK4_RADIUS = 2.96   # the largest |z| in RK4's stability region |1 + z + ... + z^4/24| <= 1
-SIMULATION_REVISION = 3   # raised whenever simulated outputs move: older caches are not reused
 _MAX_ENTRY = 1.0e150   # a larger time-series entry squares, in norms and variances, to overflow
 _CLASS_ID = re.compile(r"[A-Za-z0-9_.-]+")   # a class id names its sim_ and prediction_ files
 
@@ -113,13 +112,10 @@ class RunManifest:
     # log L - log B, "falsified_log_mass" (``falsified_log_mass``), plus
     # "effective_sample_size" 1 / sum w^2 once weighted
     class_stats: dict = field(default_factory=dict)
-    # stage ("simulate", "predict") -> {class_id: models x record steps x RK4
-    # substeps simulated by this run}; a reused calibration cache counts 0
-    model_substeps: dict = field(default_factory=dict)
-    # stage ("simulate", "predict") -> {batch variant: {"seconds": wall seconds of its
-    # simulation, "stepper": "record_map_step" or "device_step"}}; timings, like
-    # stage_seconds, are not reproduced by a rerun
-    batch_seconds: dict = field(default_factory=dict)
+    # stage ("simulate", "predict") -> the batches it simulated, as ``dynamics.simulate_classes``
+    # records them; no "simulate" entry for a calibration read from the cache.  Their
+    # "seconds", like stage_seconds, are not reproduced by a rerun
+    batches: dict = field(default_factory=dict)
     dt_int: float | None = None   # the RK4 step [s]
     substeps_per_sample: dict = field(default_factory=dict)   # record path -> RK4 substeps
 
@@ -128,8 +124,9 @@ class RunManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
+        """The manifest ``text`` holds, less keys that are not fields (an earlier version's)."""
         data = json.loads(text)
-        return cls(**data)
+        return cls(**{key: value for key, value in data.items() if key in cls.__dataclass_fields__})
 
 
 def _parse_prior(class_name: str, key: str, text: str) -> PriorSpec:
@@ -165,6 +162,11 @@ def _number(section: str, key: str, text: str, kind=float):
 
 def _floats(section: str, key: str, text: str) -> tuple[float, ...]:
     return tuple(_number(section, key, x) for x in text.replace(",", " ").split())
+
+
+def _prediction_name(stem: str, class_id: str) -> str:
+    """The file of a class's prediction for the input of file name stem ``stem``."""
+    return f"prediction_{stem}_{class_id}.tsv"
 
 
 def parse_config(path) -> RunConfig:
@@ -329,7 +331,7 @@ def parse_config(path) -> RunConfig:
     written = {}   # prediction file name -> (input, class id) of the prediction it holds
     for p in prediction_paths:
         for spec in class_specs:
-            name = f"prediction_{p.stem}_{spec.class_id}.tsv"
+            name = _prediction_name(p.stem, spec.class_id)
             if name in written:
                 q, other = written[name]
                 raise ConfigError(f"[excitation] prediction: input {q} with class {other!r} and "
@@ -540,7 +542,7 @@ def _check_pair(series: MeasurementSet, name: str, record: ExcitationRecord,
 def _simulation_key(config: RunConfig, calibration: ExcitationRecord, dt_int: float) -> str:
     """sha256 of everything the calibration simulations depend on, code revision included."""
     inputs = {
-        "revision": SIMULATION_REVISION,
+        "revision": dynamics.SIMULATION_REVISION,
         "master_seed": config.ensemble.master_seed,
         "samples_per_class": config.ensemble.samples_per_class,
         "classes": [repr(spec) for spec in config.ensemble.class_specs],
@@ -700,17 +702,14 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         h_by_class = {cid: np.load(p) for cid, p in sim_paths.items()}
     elif not reuse:
         # simulated first: a divergence leaves the last cache and its key as they are
-        seconds = manifest.batch_seconds["simulate"] = {}
-        h_by_class = dynamics.simulate_classes(systems, {None: calibration}, dt_int, seconds)[None]
+        batches = manifest.batches["simulate"] = {}
+        h_by_class = dynamics.simulate_classes(systems, {None: calibration}, dt_int, batches)[None]
         with _rewriting(key_path, sim_key):
             for cid in class_order:
                 with _atomic(sim_paths[cid]) as fh:   # a handle: np.save must not append .npy
                     np.save(fh, h_by_class[cid])
     manifest.artifacts["simulations"] = {cid: str(p) for cid, p in sim_paths.items()}
     manifest.stage_seconds["simulate"] = time.perf_counter() - t0
-    substeps = calibration.n_steps * manifest.substeps_per_sample[str(config.calibration_path)]
-    manifest.model_substeps["simulate"] = {cid: 0 if reuse else len(thetas[cid]) * substeps
-                                           for cid in class_order}
     if stage == "simulate":
         return _write_manifest(out, manifest)
 
@@ -774,12 +773,8 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     survivors = {cid: _build_system(class_specs[cid], thetas[cid][np.asarray(we.sample_indices)],
                                     config.building)
                  for cid, we in ensembles.items()}
-    seconds = manifest.batch_seconds["predict"] = {}
-    outputs = dynamics.simulate_classes(survivors, records, dt_int, seconds)
-    substeps = sum(record.n_steps * manifest.substeps_per_sample[str(path)]
-                   for path, record in inputs.items())
-    manifest.model_substeps["predict"] = {
-        cid: ensembles[cid].n_models * substeps if cid in ensembles else 0 for cid in class_order}
+    batches = manifest.batches["predict"] = {}
+    outputs = dynamics.simulate_classes(survivors, records, dt_int, batches)
     for label, record in records.items():
         for cid, we in ensembles.items():
             manifest.prediction_simulations += we.n_models
@@ -787,7 +782,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
             nch = len(channel_names)
             cols = np.column_stack([pred.q_hat.reshape(-1, nch),
                                     pred.spread.reshape(-1, nch)])
-            out_path = out / f"prediction_{label}_{cid}.tsv"
+            out_path = out / _prediction_name(label, cid)
             write_timeseries(out_path, record.dt, cols,
                              header="time\t" + "\t".join(channel_names)
                                     + "\t" + "\t".join(f"spread_{c}" for c in channel_names))
@@ -838,14 +833,15 @@ def emit_report(manifest: RunManifest, output_dir) -> Path:
                                for path, n in manifest.substeps_per_sample.items())
         lines += ["", f"RK4 step dt_int = {manifest.dt_int:g} s; substeps per sample: "
                   f"{per_sample}"]
-    if manifest.model_substeps:
-        stages = [name for name in STAGES if name in manifest.model_substeps]
-        lines += ["", "Simulated model-substeps (models x record steps x RK4 substeps; "
-                  "0 where cached simulations were reused)", "-" * 60]
-        lines.append(f"{'Model class':<24}" + "".join(f"{name:>14}" for name in stages))
-        for cid in manifest.model_substeps[stages[0]]:
-            lines.append(f"{cid:<24}" + "".join(f"{manifest.model_substeps[name][cid]:>14}"
-                                                 for name in stages))
+    if manifest.batches:
+        lines += ["", "Simulated batches (model steps: models x record steps; a calibration "
+                  "read from the cache is not listed)", "-" * 60]
+        lines.append(f"{'Stage':<10}{'Batch variant':<40}{'Stepper':<17}{'Models':>8}"
+                     f"{'Model steps':>14}")
+        for name in STAGES:
+            for variant, b in sorted(manifest.batches.get(name, {}).items()):
+                lines.append(f"{name:<10}{variant:<40}{b['stepper']:<17}{b['models']:>8}"
+                             f"{b['model_steps']:>14}")
 
     if "estimates" in manifest.artifacts:
         lines += ["", "Parameter estimates (weighted over unfalsified models)", "-" * 60]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import re
@@ -252,6 +253,12 @@ class TestParseConfig:
         config = parse_config(tmp_path / "run.ini")
         assert [c.class_id for c in config.ensemble.class_specs] == ["boucwen"]
 
+    def test_readme_names_every_manifest_field(self):
+        # a manifest field added to the code but not described in the README fails here
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert [f.name for f in dataclasses.fields(RunManifest) if f"`{f.name}`" not in readme] \
+            == []
+
     def test_binding_registry(self, workspace):
         # each binding is an isolator variant, and the config takes its PARAMETERS
         assert sorted(IsolatedSystem.PARAMETERS) == sorted(
@@ -294,9 +301,9 @@ class TestRunPipeline:
             emit_report(manifest, config.output_dir)
             payload = json.loads(manifest.to_json())
             del payload["stage_seconds"]
-            for batches in payload["batch_seconds"].values():   # timings, as stage_seconds
-                for timing in batches.values():
-                    del timing["seconds"]
+            for batches in payload["batches"].values():   # timings, as stage_seconds
+                for work in batches.values():
+                    del work["seconds"]
             files = {name: (config.output_dir / name).read_bytes()
                      for name in ("verdicts.tsv", "report.txt")}
             assert files == first.setdefault("files", files)
@@ -328,26 +335,29 @@ class TestRunPipeline:
         counts = {cid: {"n_s": 8, "n_u": n_u[cid], "n_f": 8 - n_u[cid]} for cid in classes}
         savings = sum(8 - n for n in n_u.values()) / 16
         sigma = [0.15 * ingest_measurement(config.measurement_path).d.std()]
-        cached = {"simulate": dict.fromkeys(classes, 0)}
         margins = {"log_bound", "margin_min", "margin_median", "margin_max", "falsified_log_mass"}
         calibration = {str(config.calibration_path): 10}
         expected = {
             "simulate": dict(master_seed=11, counts={}, savings_ratio=0.0,
                              prediction_simulations=0,
                              prediction_inputs=0, noise_sigma=[],
-                             model_substeps={"simulate": dict.fromkeys(classes, 8 * 100 * 10)},
                              dt_int=0.005, substeps_per_sample=calibration),
             "falsify": dict(master_seed=11, counts=counts, savings_ratio=savings,
                             prediction_simulations=0,
-                            prediction_inputs=0, noise_sigma=sigma, model_substeps=cached,
+                            prediction_inputs=0, noise_sigma=sigma,
                             dt_int=0.005, substeps_per_sample=calibration),
             "predict": dict(master_seed=11, counts=counts, savings_ratio=savings,
                             prediction_simulations=sum(n_u.values()), prediction_inputs=1,
-                            noise_sigma=sigma, model_substeps=dict(cached, predict={
-                                cid: n_u[cid] * 100 * 10 for cid in classes}),
+                            noise_sigma=sigma,
                             dt_int=0.005, substeps_per_sample=dict(
                                 calibration, **{str(config.prediction_paths[0]): 10})),
         }
+        # stepper, models and model steps of each batch; the later stages reuse the calibration
+        steppers = {"boucwen": "device_step", "aashto": "record_map_step"}
+        work = {"simulate": {"simulate": {cid: (steppers[cid], 8, 8 * 100) for cid in classes}},
+                "falsify": {},
+                "predict": {"predict": {cid: (steppers[cid], n_u[cid], n_u[cid] * 100)
+                                        for cid in survivors}}}
         stats = {"simulate": {}, "falsify": dict.fromkeys(classes, margins),
                  "predict": {cid: margins | ({"effective_sample_size"} if n_u[cid] else set())
                              for cid in classes}}
@@ -360,6 +370,9 @@ class TestRunPipeline:
                                  "weights"]}
         for stage, manifest in manifests.items():
             assert {key: manifest[key] for key in expected[stage]} == expected[stage], stage
+            assert {name: {variant: (b["stepper"], b["models"], b["model_steps"])
+                           for variant, b in batches.items()}
+                    for name, batches in manifest["batches"].items()} == work[stage], stage
             assert {cid: set(c) for cid, c in manifest["class_stats"].items()} == stats[stage]
             assert set(manifest["prediction_errors"]) == errors[stage]
             assert sorted(manifest["stage_seconds"]) == stages[stage]
@@ -452,8 +465,10 @@ class TestRunPipeline:
             shutil.rmtree(config.output_dir, ignore_errors=True)
             for stage in stages:
                 manifest = json.loads(run_pipeline(config, stage=stage).to_json())
-            del manifest["stage_seconds"], manifest["batch_seconds"]
-            del manifest["model_substeps"]["simulate"]
+            del manifest["stage_seconds"]
+            manifest["batches"].pop("simulate", None)   # the predict stage reused the calibration
+            for work in manifest["batches"]["predict"].values():
+                del work["seconds"]
             files = {p.name: p.read_bytes() for p in config.output_dir.iterdir()
                      if p.name != "manifest.json"}
             runs.append((manifest, files))
@@ -517,12 +532,12 @@ class TestRunPipeline:
                     ("aashto+jpwri", 2 * (n_u["aashto"] + n_u["jpwri"]))]
         assert sorted(calls) == sorted(expected)
         # the manifest times each batch and names its stepper
-        assert {stage: {variant: timing["stepper"] for variant, timing in batches.items()}
-                for stage, batches in manifest.batch_seconds.items()} \
+        assert {stage: {variant: work["stepper"] for variant, work in batches.items()}
+                for stage, batches in manifest.batches.items()} \
             == dict.fromkeys(("simulate", "predict"), {"bilinear+boucwen": "device_step",
                                                        "aashto+jpwri": "record_map_step"})
-        for stage, batches in manifest.batch_seconds.items():
-            seconds = [timing["seconds"] for timing in batches.values()]
+        for stage, batches in manifest.batches.items():
+            seconds = [work["seconds"] for work in batches.values()]
             assert min(seconds) > 0.0 and sum(seconds) <= manifest.stage_seconds[stage]
         out = workspace.parent / "out"
         for label in ("pred", "pred2"):   # the same input twice predicts the same
@@ -641,38 +656,50 @@ class TestRunPipeline:
         assert "RK4 step" not in emit_report(RunManifest.from_json(json.dumps(old)),
                                              config.output_dir).read_text()
 
-    def test_manifest_counts_model_substeps(self, workspace, monkeypatch):
-        # the counts equal the work integrate_rk4 is asked for, stage by stage
-        workspace.write_text(workspace.read_text() + BILINEAR_CLASS)
+    def test_manifest_records_batches(self, workspace, monkeypatch):
+        # each batch's models and model steps are what integrate_rk4 was asked for: models x
+        # record steps, in both stages; at sigma 0.5 every class keeps survivors
+        workspace.write_text(workspace.read_text().replace(
+            "sigma_fraction = 0.15", "sigma_fraction = 0.5") + BILINEAR_CLASS + JPWRI_CLASS)
         config = parse_config(workspace)
-        work = []
+        asked = {}
         integrate = dynamics.integrate_rk4
 
-        def counting(system, record, dt_int=None, **kwargs):
-            work.append(system.n_models * record.n_steps
-                        * dynamics.substeps_per_sample(record.dt, dt_int))
-            return integrate(system, record, dt_int=dt_int, **kwargs)
+        def counting(system, record, **kwargs):
+            models, steps = asked.get(system.variant, (0, 0))
+            asked[system.variant] = (models + system.n_models,
+                                     steps + system.n_models * record.n_steps)
+            return integrate(system, record, **kwargs)
 
         monkeypatch.setattr(dynamics, "integrate_rk4", counting)
-        classes = ("boucwen", "aashto", "bilinear")
-        falsified = run_pipeline(config, stage="falsify")
-        assert falsified.model_substeps == {"simulate": {cid: 8 * 100 * 10 for cid in classes}}
-        assert sum(work) == 3 * 8 * 100 * 10
-        work.clear()
-        predicted = run_pipeline(config, stage="predict")   # reuses the calibration cache
-        assert predicted.model_substeps["simulate"] == {cid: 0 for cid in classes}
-        assert list(predicted.batch_seconds) == ["predict"]   # the cache ran no batch
-        assert predicted.model_substeps["predict"] \
-            == {cid: c["n_u"] * 100 * 10 for cid, c in predicted.counts.items()}
-        assert sum(work) == sum(predicted.model_substeps["predict"].values()) > 0
-        report = emit_report(predicted, config.output_dir).read_text()
-        for cid, c in predicted.counts.items():
-            assert re.search(rf"^{cid} +0 +{c['n_u'] * 1000}$", report, re.MULTILINE)
+        steppers = {"bilinear+boucwen": "device_step", "aashto+jpwri": "record_map_step"}
+        for stage, name in (("falsify", "simulate"), ("predict", "predict")):
+            asked.clear()
+            manifest = run_pipeline(config, stage=stage)
+            assert list(manifest.batches) == [name]   # predict reuses the calibration cache
+            batches = manifest.batches[name]
+            assert {variant: work["stepper"] for variant, work in batches.items()} == steppers
+            assert {variant: (work["models"], work["model_steps"])
+                    for variant, work in batches.items()} == asked
+            if name == "simulate":   # 8 candidates a class, 100 record steps, no substeps factor
+                assert asked == dict.fromkeys(steppers, (16, 16 * 100))
+        survivors = {variant: sum(manifest.counts[cid]["n_u"] for cid in variant.split("+"))
+                     for variant in steppers}
+        assert asked == {variant: (n, n * 100) for variant, n in survivors.items()}
+        report = emit_report(manifest, config.output_dir).read_text()
+        for variant, work in batches.items():
+            assert re.search(rf"^predict +{re.escape(variant)} +{work['stepper']} "
+                             rf"+{work['models']} +{work['model_steps']}$", report, re.MULTILINE)
+        assert "seconds" not in report
         round_trip = RunManifest.from_json((config.output_dir / "manifest.json").read_text())
-        assert round_trip.model_substeps == predicted.model_substeps
-        old = json.loads(predicted.to_json())
-        del old["model_substeps"]
-        assert RunManifest.from_json(json.dumps(old)).model_substeps == {}
+        assert round_trip.batches == manifest.batches
+        # a manifest of the last version, with model_substeps and batch_seconds, still loads
+        old = json.loads(manifest.to_json())
+        del old["batches"]
+        old["model_substeps"] = {"predict": {"boucwen": 1000}}
+        old["batch_seconds"] = {"predict": {"boucwen": {"seconds": 0.1, "stepper": "device_step"}}}
+        loaded = RunManifest.from_json(json.dumps(old))
+        assert loaded.batches == {} and loaded.counts == manifest.counts
 
     def test_prediction_error_recorded(self, workspace):
         config = parse_config(workspace)
@@ -980,7 +1007,7 @@ class TestCli:
         workspace.write_text(text)
         assert cli_main(["run", "--config", str(workspace), "--stage", "falsify"]) == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["model_substeps"]["simulate"] == {"boucwen": 0, "aashto": 0}
+        assert "simulate" not in manifest["batches"]   # the cache was reused
         assert (out / "verdicts.tsv").read_bytes() == ledger
 
     def test_cache_of_another_revision_is_simulated_again(self, workspace, monkeypatch):
@@ -988,12 +1015,12 @@ class TestCli:
         config = parse_config(workspace)
         out = config.output_dir
         with monkeypatch.context() as patch:
-            patch.setattr(pipeline, "SIMULATION_REVISION", pipeline.SIMULATION_REVISION - 1)
+            patch.setattr(dynamics, "SIMULATION_REVISION", dynamics.SIMULATION_REVISION - 1)
             run_pipeline(config, stage="simulate")
         for path in out.glob("sim_*.npy"):   # as other simulation code may have written them
             np.save(path, 1.001 * np.load(path))
         manifest = run_pipeline(config, stage="predict")
-        assert all(manifest.model_substeps["simulate"].values())
+        assert sum(work["models"] for work in manifest.batches["simulate"].values()) == 16
         rerun = {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
         shutil.rmtree(out)
         run_pipeline(config, stage="all")
