@@ -16,9 +16,10 @@ devices read, the rate rows their outputs enter (E) and ``devices``.
 substep evaluates only the devices of each stage, in place in buffers
 allocated once per call, and applies one matrix product.  When the devices
 are linear (``nonlinear`` is False), a record interval of that stepper is a
-linear map per model, which is probed from it once and then applied, one
-contraction per record step.  ``simulate_classes`` groups candidate
-classes into batches.  The Bouc-Wen rate (``_boucwen``) is written once,
+linear map per model, which is probed from it once and lifted to blocks of
+record steps: the record is solved a block at a time, with matrix products
+over every block's inputs (``_block_map``).  ``simulate_classes`` groups
+candidate classes into batches.  The Bouc-Wen rate (``_boucwen``) is written once,
 with the one parameter a = 2 beta = 2 gamma of every device here (Wen 1976):
 loading and unloading stiffnesses match and |z| saturates at 1, so no beta,
 gamma or saturation amplitude is kept.
@@ -60,8 +61,10 @@ KN = 1.0e3          # kN -> N
 NONLINEAR_VARIANTS = ("boucwen", "bilinear")
 LINEAR_VARIANTS = ("aashto", "jpwri", "modified_aashto", "caltrans")
 
-SIMULATION_REVISION = 3   # raised whenever simulated outputs move: older caches are not reused
+SIMULATION_REVISION = 4   # raised whenever simulated outputs move: older caches are not reused
 _STATE_GUARD = 1.0e6  # any |state| beyond this is treated as divergence
+_BLOCK = 8            # record steps per block of ``_block_map``: 4, 10 and 16 measured slower
+_CHUNK_BYTES = 1 << 21  # the block rows ``_block_map`` holds at once, about
 _SHOWN_INDICES = 5    # diverging model indices named in the error message
 
 
@@ -91,7 +94,8 @@ class ExcitationRecord:
     """Sampled excitation: ground acceleration [m/s^2] or force [N].
 
     ``samples`` has shape (n,), one input shared by every model of a batch,
-    or (n, n_models), one input column per model (see ``integrate_rk4``).
+    or (n, n_columns), input columns of which each model reads one (see
+    ``integrate_rk4``).
     """
 
     dt: float
@@ -438,7 +442,8 @@ class IsolatedSystem:
 # ---------------------------------------------------------------------------
 # fixed-step RK4 with zero-order-hold excitation
 
-def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None) -> np.ndarray:
+def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None,
+                  columns=None) -> np.ndarray:
     """Integrate ``system`` under the excitation ``record`` and collect its outputs.
 
     The excitation is held constant over integrator substeps within each
@@ -458,35 +463,65 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None)
     declares ``nonlinear``: True when its devices are not linear in the rows
     they read, so ``_device_step`` advances it with the linear part of the
     four stages precomputed; False when they are (or it has none), so
-    ``_record_map_step`` advances it by one RK4 map per model probed from
-    ``_device_step``.  A 2-d excitation gives one input column per model, whose
-    ``u`` is a row of one sample per model.
+    ``_block_map`` solves the record in blocks of the RK4 map per model
+    probed from ``_device_step``.  A 2-d excitation has input columns:
+    model m is driven by column ``columns[m]``, or by column m when
+    ``columns`` is None, and then the record has one column per model.
 
-    The stepper stops with ``SimulationDivergedError`` naming the models
-    whose state is non-finite or beyond ``_STATE_GUARD`` after a record step;
-    one whole-state test per record step finds that some model did, and only
-    then are the models named.
+    The solve stops with ``SimulationDivergedError`` naming the models whose
+    state is non-finite or beyond ``_STATE_GUARD`` after a record step, at
+    the first such step.
     """
     dt = record.dt
     n_sub = substeps_per_sample(dt, dt_int)
     h = dt / n_sub
-
-    if record.samples.ndim == 2 and record.samples.shape[1] != system.n_models:
-        raise ValueError(f"a per-model excitation of {record.samples.shape[1]} columns needs "
+    samples = record.samples
+    if columns is not None:
+        columns = np.asarray(columns)
+        if (samples.ndim != 2 or columns.shape != (system.n_models,)
+                or columns.dtype.kind not in "iu"):
+            raise ValueError(f"columns must be one integer per model ({system.n_models}) of "
+                             f"a 2-d excitation")
+        if columns.min() < 0 or columns.max() >= samples.shape[1]:
+            raise ValueError(f"columns must index the excitation's {samples.shape[1]} columns")
+    elif samples.ndim == 2 and samples.shape[1] != system.n_models:
+        raise ValueError(f"a per-model excitation of {samples.shape[1]} columns needs "
                          f"a system of as many models, not one of {system.n_models}")
     n_steps = record.n_steps
-    outputs = np.empty((system.n_models, n_steps, system.output_rows.size))
-    # a diverging model overflows before the guard below names it
+    outputs = np.empty((system.n_models, n_steps * system.output_rows.size))
+    # a diverging model overflows before the guard names it
     with np.errstate(over="ignore", invalid="ignore"):
-        step = _stepper(system)(system, h, n_sub)
-        for k in range(n_steps):
-            y, state = step(record.samples[k])
+        if _stepper(system) is _device_step:
+            rows = samples if columns is None else (row.take(columns) for row in samples)
+            _march(_device_step(system, h, n_sub), rows, dt,
+                   outputs.reshape(system.n_models, n_steps, -1))
+        else:
+            if samples.ndim == 1:
+                samples, columns = samples[:, None], np.zeros(system.n_models, dtype=int)
+            elif columns is None:
+                columns = np.arange(system.n_models)
+            _block_map(system, h, n_sub, samples, columns, dt, outputs)
+    return outputs
+
+
+def _march(step, inputs, dt: float, outputs=None, first: int = 0, models=None) -> None:
+    """Advance ``step`` once per row of ``inputs``, its outputs into ``outputs[:, k]``
+    (or nowhere when ``outputs`` is None), under the per-step divergence guard.
+
+    One whole-state test per record step finds that some model's state is
+    non-finite or beyond ``_STATE_GUARD``, and only then are the models
+    named: ``models`` maps the step's state rows to model indices (the rows
+    themselves when None).  ``first`` is the record step of the first row.
+    """
+    for k, u in enumerate(inputs):
+        y, state = step(u)
+        if outputs is not None:
             outputs[:, k] = y
-            # max propagates NaN, so a NaN state fails the test as an overflow does
-            if not np.abs(state).max() <= _STATE_GUARD:
-                good = np.abs(state).max(axis=1) <= _STATE_GUARD
-                raise SimulationDivergedError((k + 1) * dt, np.nonzero(~good)[0])
-    return outputs.reshape(outputs.shape[0], -1)
+        # max propagates NaN, so a NaN state fails the test as an overflow does
+        if not np.abs(state).max() <= _STATE_GUARD:
+            bad = np.nonzero(~(np.abs(state).max(axis=1) <= _STATE_GUARD))[0]
+            raise SimulationDivergedError((first + k + 1) * dt,
+                                          bad if models is None else models[bad])
 
 
 def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
@@ -496,11 +531,12 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
     ``systems`` maps a class id to its ``IsolatedSystem`` batch and
     ``records`` an input label to its record.  The equivalent-linear classes
     run as one stacked batch for all records of equal dt and length, and so
-    do the hysteretic ones, with one input column per model, so each RK4
-    substep of a batch advances every model of its kind on every such
-    record; each class and record gets its rows back.  The two kinds do not
-    share a batch: a linear model in the hysteretic state layout would carry
-    a z row and a Bouc-Wen rate it does not need.  A divergence names the
+    do the hysteretic ones, the records as input columns and one column
+    index per model, so each RK4 substep of a batch advances every model of
+    its kind on every such record; each class and record gets its rows
+    back.  The two kinds do not share a batch: a linear model in the
+    hysteretic state layout would carry a z row and a Bouc-Wen rate it does
+    not need.  A divergence names the
     class of the first diverging model, that class's own model indices and,
     unless its label is None, the record.  ``batches``, when given, gains the
     work of each batch under its ``variant``: ``{"stepper", "models", "model_steps",
@@ -517,23 +553,24 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
         groups.setdefault((record.dt, record.n_steps), []).append(label)
     kinds = [[cid for cid in sorted(systems) if systems[cid].nonlinear == nonlinear]
              for nonlinear in (False, True)]
-    runs = []   # (batch, record, its rows as (label, class_id, system) blocks)
+    runs = []   # (batch, record, its columns, its rows as (label, class_id, system) blocks)
     for labels in groups.values():
         labels.sort(key=str)   # the calibration record's label is None
         for stack in filter(None, kinds):
             blocks = [(label, cid, systems[cid]) for label in labels for cid in stack]
-            record = records[labels[0]]
+            record, columns = records[labels[0]], None
             if len(labels) > 1:   # a lone record drives every model as it is, with no columns
                 per_input = sum(systems[cid].n_models for cid in stack)
-                columns = np.column_stack([records[label].samples for label in labels])
-                record = ExcitationRecord(record.dt, np.repeat(columns, per_input, axis=1))
-            runs.append((_stacked([system for _, _, system in blocks]), record, blocks))
+                columns = np.repeat(np.arange(len(labels)), per_input)
+                record = ExcitationRecord(record.dt, np.column_stack(
+                    [records[label].samples for label in labels]))
+            runs.append((_stacked([system for _, _, system in blocks]), record, columns, blocks))
     outputs = {label: {} for label in records}
-    for batch, record, blocks in runs:
+    for batch, record, columns, blocks in runs:
         bounds = np.cumsum([0] + [system.n_models for _, _, system in blocks])
         t0 = time.perf_counter()
         try:
-            h = integrate_rk4(batch, record, dt_int=dt_int)
+            h = integrate_rk4(batch, record, dt_int=dt_int, columns=columns)
         except SimulationDivergedError as err:
             at = int(np.searchsorted(bounds, err.indices[0], side="right")) - 1
             local = [i - bounds[at] for i in err.indices if bounds[at] <= i < bounds[at + 1]]
@@ -593,21 +630,10 @@ def substeps_per_sample(dt: float, dt_int: float | None = None) -> int:
     return n_sub
 
 
-def _device_rhs(system, state: np.ndarray, u) -> np.ndarray:
-    """The rate ``A x + B u + E devices(x[device_reads])`` of a system (models last).
-
-    ``u`` is a scalar or one value per model.  The reference form of what
-    ``_device_step`` evaluates.
-    """
-    out = np.empty((system._E.shape[1], state.shape[1]))
-    system.devices(state[system.device_reads], out)
-    return system._A @ state + system._B[:, None] * u + system._E @ out
-
-
 def _stepper(system):
-    """The record stepper of ``system``: ``_record_map_step`` when its devices are
-    linear, else ``_device_step``."""
-    return _device_step if system.nonlinear else _record_map_step
+    """How ``integrate_rk4`` solves ``system``: ``_block_map`` when its devices are
+    linear, else record step by record step with ``_device_step``."""
+    return _device_step if system.nonlinear else _block_map
 
 
 def _device_step(system, h: float, n_sub: int, x0=None):
@@ -622,10 +648,11 @@ def _device_step(system, h: float, n_sub: int, x0=None):
     stage out of W into one buffer (stage 1's map is the identity, so its
     rows are taken, not multiplied), writes o_i from that buffer straight
     into its rows of W, and applies one (n_states x n_W) product to advance
-    x; the arithmetic is that of RK4 on ``_device_rhs``, regrouped, so the
-    two agree to round-off.  Every buffer, and every view of one that a stage
-    reads or writes, is made here, once, for both W buffers, so a stage
-    allocates and slices nothing that its devices do not.  Returns
+    x; the arithmetic is that of RK4 on the rate A x + B u + E
+    devices(x[device_reads]), regrouped, so the two agree to round-off.
+    Every buffer, and every view of one that a stage reads or writes, is
+    made here, once, for both W buffers, so a stage allocates and slices
+    nothing that its devices do not.  Returns
     ``step(u)``, which advances the state by one record interval under the
     held input ``u`` and returns the outputs at its start, of shape
     (n_models, n_channels), and the new state as a models-first view, both
@@ -699,29 +726,35 @@ def _device_step(system, h: float, n_sub: int, x0=None):
     return step
 
 
-def _record_map_step(system, h: float, n_sub: int):
-    """The record step of a system whose devices are linear: one RK4 map per model.
+def _record_map(system, h: float, n_sub: int) -> np.ndarray:
+    """The RK4 map of one record interval of a system whose devices are linear.
 
     With linear devices, one record interval of ``_device_step`` under the
     held input is linear in the state and the input, so per model m it is
-    [x_{k+1}; y_k] = G_m [x_k; u_k].  G is probed from ``_device_step``
+    [x_{k+1}; y_k] = G_m [x_k; u_k], returned as G of shape (n_states +
+    n_channels, n_states + 1, n_models).  G is probed from ``_device_step``
     itself: one record step from each unit state e_j with u = 0 gives column
     j, and one from x = 0 with u = 1 the last.  RK4 is thus written once, and
     the outputs move from the device stepper's by round-off only; G is not
     the exact zero-order-hold propagator, which would move them by RK4's
     truncation error.  The probes call ``devices`` 4 n_sub (n_states + 1)
-    times in all, and a record step is one contraction per model, models
-    last, that calls none.  Returns ``step(u)`` as ``_device_step`` does.
+    times in all, and nothing after them calls it.
     """
     n = system._A.shape[0]
     columns = []
     for start in np.eye(n + 1):                 # [x; u] = e_j, column j of G
         y, state = _device_step(system, h, n_sub, x0=start[:n, None])(start[n])
         columns.append(np.vstack([state.T, y.T]))
-    G = np.stack(columns, axis=1)               # (n_states + n_channels, n_states + 1, n_models)
-    z = np.empty((n + 1, system.n_models))      # [x; u]
-    z[:n] = system.initial_state()
-    out = np.empty((G.shape[0], system.n_models))
+    return np.stack(columns, axis=1)
+
+
+def _record_map_step(G: np.ndarray, x0: np.ndarray):
+    """``step(u)`` of the record map ``G`` (see ``_record_map``) from the state ``x0``,
+    models last: one contraction per model, returning what ``_device_step``'s does."""
+    n = G.shape[1] - 1
+    z = np.empty((n + 1, G.shape[2]))          # [x; u]
+    z[:n] = x0
+    out = np.empty((G.shape[0], G.shape[2]))
     x, y = out[:n], out[n:]
 
     def step(u):
@@ -731,6 +764,116 @@ def _record_map_step(system, h: float, n_sub: int):
         return y.T, x.T
 
     return step
+
+
+def _lifted(G: np.ndarray, L: int):
+    """The map of L record steps of each model of the record map ``G`` (see
+    ``_record_map``), and the constants of its divergence bound.
+
+    With [Phi Gamma; C D] the record map of a model, L steps from the state
+    x_K under the held inputs u_K .. u_{K+L-1} are one linear map (lifting;
+    Bamieh, Pearson, Francis & Tannenbaum 1991):
+
+        x_{K+L} = Phi^L x_K + sum_{j<L} Phi^(L-1-j) Gamma u_{K+j}
+        y_{K+i} = C Phi^i x_K + D u_{K+i} + sum_{j<i} C Phi^(i-1-j) Gamma u_{K+j}
+
+    Returns ``state_map`` (L, n_models, n_states), the terms of x_{K+L} per
+    input u_{K+j}; ``out_map`` (n_models, L + n_states, L n_channels), which
+    maps [u_K .. u_{K+L-1}, x_K] to y_K .. y_{K+L-1}, channels interleaved;
+    Phi^L (n_states, n_states, n_models), models last; and a and b, one per
+    model, with |x_{K+i}| <= a |x_K| + b max|u| for 1 <= i <= L (infinity
+    norms): a = max over 1 <= i <= L of |Phi^i|, from the powers themselves,
+    and b = sum_{j<L} |Phi^j Gamma|.
+    """
+    n, n_models = G.shape[1] - 1, G.shape[2]
+    c = G.shape[0] - n
+    # models first: phi (m, n, n), gamma (m, n), C (m, c, n), D (m, c)
+    first = np.ascontiguousarray(G.transpose(2, 0, 1))
+    phi, gamma, C, D = first[:, :n, :n], first[:, :n, n], first[:, n:, :n], first[:, n:, n]
+    state_map = np.empty((L, n_models, n))
+    out_map = np.zeros((n_models, L + n, L * c))
+    power, forced, readout = phi, gamma, C      # Phi^(i+1), Phi^i Gamma and C Phi^i
+    row_sums = np.zeros((n_models, n))          # of |Phi^i|, the largest over i
+    for i in range(L):
+        np.maximum(row_sums, np.abs(power) @ np.ones(n), out=row_sums)
+        state_map[L - 1 - i] = forced
+        out_map[:, i, i * c:(i + 1) * c] = D
+        markov = np.einsum("mcn,mn->mc", readout, gamma)
+        for j in range(L - 1 - i):              # y_{K+j+i+1} from u_{K+j}
+            out_map[:, j, (j + i + 1) * c:(j + i + 2) * c] = markov
+        out_map[:, L:, i * c:(i + 1) * c] = readout.transpose(0, 2, 1)
+        if i < L - 1:
+            power, forced = phi @ power, np.einsum("mij,mj->mi", phi, forced)
+            readout = readout @ phi
+    # a short last axis reduces faster as the first
+    a = np.ascontiguousarray(row_sums.T).max(axis=0)
+    b = np.ascontiguousarray(np.abs(state_map).transpose(2, 0, 1)).max(axis=0).sum(axis=0)
+    return state_map, out_map, power.transpose(1, 2, 0).copy(), a, b
+
+
+def _block_map(system, h: float, n_sub: int, inputs: np.ndarray, columns: np.ndarray,
+               dt: float, outputs: np.ndarray) -> None:
+    """Solve a system whose devices are linear over the whole record, in blocks of
+    L = ``_BLOCK`` record steps, its outputs into ``outputs`` (n_models, n_steps *
+    n_channels).
+
+    Model m is driven by the column ``columns[m]`` of ``inputs`` (n_steps,
+    n_columns).  The input terms of each block's end state (``_lifted``) do
+    not depend on the state, so for each run of models on one column they
+    are one matrix product for a chunk of blocks: the inputs (blocks x L) by
+    the run's ``state_map`` (L x models n_states).  A recursion of one step
+    per block then gives the block-start states x_K, and one product per
+    model and chunk, the rows [u_K .. u_{K+L-1}, x_K] of its blocks by its
+    ``out_map``, writes its outputs straight into ``outputs``.  Chunks hold
+    about ``_CHUNK_BYTES`` of those rows.  Outputs move from the per-step
+    map's by round-off only.
+
+    A block whose bound a |x_K| + b max|u| may reach ``_STATE_GUARD``, or is
+    not finite, is replayed for the models it flags, one record step at a
+    time on G under the per-step guard of ``_march``: a divergence is named
+    at the step, and for the models, that stepping by G names.  A replay
+    that does not diverge changes nothing.
+    """
+    G = _record_map(system, h, n_sub)
+    L, n, n_models, n_steps = _BLOCK, G.shape[1] - 1, G.shape[2], inputs.shape[0]
+    c = G.shape[0] - n
+    state_map, out_map, phi_L, a, b = _lifted(G, L)
+    blocks, full = -(-n_steps // L), n_steps // L
+    padded = np.zeros((inputs.shape[1], blocks * L))   # each column's inputs by block
+    padded[:, :n_steps] = inputs.T
+    padded = padded.reshape(inputs.shape[1], blocks, L)
+    u_max = np.abs(padded).max(axis=2).T        # (blocks, columns)
+    edges = np.flatnonzero(np.diff(columns)) + 1
+    runs = [(lo, hi, columns[lo]) for lo, hi in zip([0, *edges], [*edges, n_models])]
+    per_chunk = max(1, min(blocks, _CHUNK_BYTES // (8 * n_models * (L + n))))
+    chunks = [(k, min(k + per_chunk, full), L) for k in range(0, full, per_chunk)]
+    if n_steps % L:                             # a last, short block
+        chunks.append((full, full + 1, n_steps % L))
+    terms = np.empty((per_chunk, n_models, n))  # the input terms of x_{K+L}
+    states = np.empty((per_chunk + 1, n, n_models))   # x_K, models last
+    rows = np.empty((n_models, per_chunk, L + n))      # [u_K .. u_{K+L-1}, x_K]
+    states[0] = system.initial_state()
+    limit = _STATE_GUARD * (1.0 - 1e-9)         # room for the per-step map's round-off
+    for b0, b1, w in chunks:
+        count = b1 - b0
+        for lo, hi, column in runs:
+            np.matmul(padded[column, b0:b1], state_map[:, lo:hi].reshape(L, -1),
+                      out=terms[:count, lo:hi].reshape(count, -1, copy=False))
+            rows[lo:hi, :count, :L] = padded[column, b0:b1]
+        for k in range(count):
+            np.einsum("ijm,jm->im", phi_L, states[k], out=states[k + 1])
+            states[k + 1] += terms[k].T
+        bound = a * np.abs(states[:count]).max(axis=1) + b * u_max[b0:b1, columns]
+        flagged = ~(bound < limit)
+        for k in np.flatnonzero(flagged.any(axis=1)):
+            models, step = np.flatnonzero(flagged[k]), (b0 + k) * L
+            _march(_record_map_step(G[:, :, models], states[k][:, models]),
+                   inputs[step:step + w, columns[models]], dt, first=step, models=models)
+        rows[:, :count, L:] = states[:count].transpose(2, 0, 1)
+        y = outputs[:, b0 * L * c:(b0 * L + count * w) * c]
+        np.matmul(rows[:, :count], out_map[:, :, :w * c],
+                  out=y.reshape(n_models, count, w * c, copy=False))
+        states[0] = states[count]
 
 
 def simulate(system, excitation: ExcitationRecord, dt_int: float | None = None) -> MeasurementSet:

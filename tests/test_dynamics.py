@@ -9,8 +9,10 @@ from falsikit.dynamics import (LINEAR_VARIANTS, ExcitationRecord, IsolatedSystem
                                band_limited_record, boucwen_rate,
                                equivalent_linear_params, integrate_rk4, simulate,
                                simulate_classes, substeps_per_sample, tmd_force,
-                               _boucwen, _device_rhs, _stacked)
+                               _boucwen, _stacked)
 from falsikit.falsification import MeasurementSet
+
+_L = dynamics._BLOCK
 
 
 # ---------------------------------------------------------------------------
@@ -21,7 +23,7 @@ class _Sdof:
 
     The state is [x, v, w] with w' = x, so the rate row of w is x: ``outputs``
     picks rate rows, row 2 (the default) the displacement and row 0 the velocity.
-    ``nonlinear`` picks the stepper: the record map, or the device stepper when True.
+    ``nonlinear`` picks the solver: the block map, or the device stepper when True.
     """
 
     channel_names = ("disp",)
@@ -92,6 +94,46 @@ class _Chain:
             np.matmul(self._K, rows, out=out)
 
 
+class _Lti:
+    """x' = A x + B u, its output the rate of row 0, batched over the columns of ``x0``.
+
+    With ``gains`` (one per model) the rate of row 0 also gains the linear device
+    gains * x[0], else the system has no devices.
+    """
+
+    nonlinear = False
+    channel_names = ("rate0",)
+
+    def __init__(self, A, B, x0, gains=None):
+        self._A, self._B = np.array(A, dtype=float), np.array(B, dtype=float)
+        self._x0 = np.array(x0, dtype=float)
+        self.n_models, self._gains = self._x0.shape[1], gains
+        self._E = np.zeros((self._B.size, 0 if gains is None else 1))
+        self._E[:1] = 1.0
+        self.device_reads = np.arange(self._E.shape[1])
+        self.output_rows, self.feedthrough = np.array([0]), np.zeros(1)
+
+    def initial_state(self):
+        return self._x0.copy()
+
+    def devices(self, rows, out):
+        if self._gains is not None:
+            np.multiply(self._gains, rows[0], out=out[0])
+
+
+def _on_record_map(system, record, dt_int, columns=None):
+    """``integrate_rk4`` of a linear ``system`` stepped one record step at a time by its
+    record map under the per-step guard: the reference for the block map."""
+    n_sub = substeps_per_sample(record.dt, dt_int)
+    G = dynamics._record_map(system, record.dt / n_sub, n_sub)
+    rows = record.samples if columns is None else record.samples[:, columns]
+    outputs = np.empty((system.n_models, record.n_steps, system.output_rows.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        dynamics._march(dynamics._record_map_step(G, system.initial_state()), rows, record.dt,
+                        outputs)
+    return outputs.reshape(system.n_models, -1)
+
+
 def _on_device_step(system, record, dt_int):
     """``integrate_rk4`` of ``system`` stepped by ``_device_step``, its devices linear or not:
     the stepper the record map of a linear system is probed from."""
@@ -103,6 +145,17 @@ def _on_device_step(system, record, dt_int):
 def _rel_rms(got, expected):
     """The relative RMS difference of each row (model) of ``got`` from ``expected``."""
     return np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
+
+
+def _device_rhs(system, state: np.ndarray, u) -> np.ndarray:
+    """The rate ``A x + B u + E devices(x[device_reads])`` of a system (models last).
+
+    ``u`` is a scalar or one value per model.  The reference form of what
+    ``_device_step`` evaluates.
+    """
+    out = np.empty((system._E.shape[1], state.shape[1]))
+    system.devices(state[system.device_reads], out)
+    return system._A @ state + system._B[:, None] * u + system._E @ out
 
 
 def _rhs_rk4(system, record, dt_int, rate=_device_rhs):
@@ -476,6 +529,115 @@ class TestIntegrator:
         assert got.shape == (3, len(chain[0]) * record.n_steps)
         assert _rel_rms(got, _on_device_step(system, record, 0.05 / n_sub)).max() <= 1e-12
 
+    @settings(max_examples=40, deadline=None)
+    @given(chain=st.integers(1, 3).flatmap(lambda n: st.tuples(
+               *(st.tuples(*(st.floats(lo, hi),) * n)
+                 for lo, hi in ((0.5, 2.0), (1.0, 100.0), (0.01, 2.0))))),
+           device=st.booleans(), n_sub=st.sampled_from([1, 5]),
+           n_steps=st.sampled_from([1, _L - 1, _L, _L + 1])
+           | st.builds(lambda k, r: k * _L + r, st.integers(2, 12), st.integers(0, _L - 1)),
+           shared=st.booleans(), chunk=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_block_map_matches_record_map_steps(self, chain, device, n_sub, n_steps, shared,
+                                                chunk, seed):
+        # a random damped chain from a non-zero state, on one input or on per-model columns,
+        # solved in blocks (``chunk`` blocks at a time) as the record map steps it
+        rng = np.random.default_rng(seed)
+        n = len(chain[0])
+        system = _Chain(*chain, rng.uniform(-1.0, 1.0, (2 * n, 4)), device)
+        columns = None if shared else rng.integers(0, 3, system.n_models)
+        record = ExcitationRecord(0.05, rng.standard_normal(n_steps if shared else (n_steps, 3)))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_CHUNK_BYTES", chunk * 8 * system.n_models * (_L + 2 * n))
+            got = integrate_rk4(system, record, dt_int=0.05 / n_sub, columns=columns)
+        expected = _on_record_map(system, record, 0.05 / n_sub, columns)
+        assert got.shape == expected.shape == (system.n_models, n * n_steps)
+        assert _rel_rms(got, expected).max() <= 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 4), scale=st.sampled_from([0.1, 1.0, 10.0]),
+           n_sub=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
+    def test_block_bound_covers_every_state_of_the_block(self, n, scale, n_sub, seed):
+        # |x_{K+i}| <= a |x_K| + b max|u| for 1 <= i <= L, stable or not, stepped by G
+        rng = np.random.default_rng(seed)
+        x0 = rng.standard_normal((n, 5)) * rng.uniform(0.0, 3.0, 5)
+        system = _Lti(scale * rng.standard_normal((n, n)), rng.standard_normal(n), x0)
+        G = dynamics._record_map(system, 0.1 / n_sub, n_sub)
+        a, b = dynamics._lifted(G, _L)[3:]
+        inputs = rng.standard_normal((_L, 5)) * rng.uniform(0.0, 2.0)
+        reach = a * np.abs(x0).max(axis=0) + b * np.abs(inputs).max()
+        step = dynamics._record_map_step(G, x0)
+        for u in inputs:
+            _, state = step(u)
+            assert np.all(np.abs(state).max(axis=1) <= reach * (1.0 + 1e-9))
+
+    @staticmethod
+    def _growth(breaches):
+        """x' = x from one state per model, each past the guard after the record step in
+        ``breaches`` (None: never), at dt = 0.1 with one substep per step."""
+        g = sum(0.1**k / np.prod(np.arange(1, k + 1)) for k in range(5))   # RK4's factor
+        x0 = [1.0 if s is None else 1.0e6 / g ** (s + 0.5) for s in breaches]
+        return _Lti([[1.0]], [0.0], [x0])
+
+    @pytest.mark.parametrize("case", [*(f"offset {o}" for o in range(_L)), "back under",
+                                      "nan", "last short block"])
+    def test_block_map_diverges_where_device_step_does(self, case):
+        record = ExcitationRecord(0.1, np.zeros(4 * _L))
+        if case.startswith("offset"):   # in the third block, models 1 and 3 first
+            s = 2 * _L + int(case.split()[1])
+            system, time, indices = self._growth([None, s, None, s, s + 1]), s + 1, [1, 3]
+        elif case == "last short block":
+            record = ExcitationRecord(0.1, np.zeros(3 * _L + 3))
+            system, time, indices = self._growth([3 * _L + 2, None]), 3 * _L + 3, [0]
+        elif case == "back under":
+            # rotating a quarter turn a block from 45 degrees: models 0 and 2 leave the guard
+            # after step 2 and are back under it by the block's end
+            omega, angle = np.pi / 2 / (_L * 0.1), np.pi / 4
+            radius = np.array([1.05e6, 0.5e6, 1.05e6])
+            system = _Lti([[0.0, omega], [-omega, 0.0]], [0.0, 0.0],
+                          radius * np.array([[np.cos(angle)], [np.sin(angle)]]))
+            time, indices = 3, [0, 2]
+            with np.errstate(over="ignore", invalid="ignore"):
+                end = dynamics._record_map_step(dynamics._record_map(system, 0.01, 10),
+                                                system.initial_state())
+                for _ in range(_L):
+                    _, state = end(0.0)
+            assert np.abs(state).max() < dynamics._STATE_GUARD
+        else:   # model 1's device gain is NaN: its state is NaN after the first step
+            system = _Lti([[-1.0, 0.0], [0.0, -1.0]], [1.0, 0.0], np.ones((2, 3)),
+                          gains=np.array([0.0, np.nan, 0.0]))
+            record = ExcitationRecord(0.1, np.ones(4 * _L))
+            time, indices = 1, [1]
+        dt_int = 0.01 if case == "back under" else 0.1
+        with pytest.raises(SimulationDivergedError) as expected:
+            _on_device_step(system, record, dt_int)
+        with pytest.raises(SimulationDivergedError) as got:
+            integrate_rk4(system, record, dt_int=dt_int)
+        assert got.value.time == expected.value.time == time * 0.1
+        assert list(got.value.indices) == list(expected.value.indices) == indices
+
+    def test_flagged_block_that_does_not_diverge_changes_nothing(self):
+        # at 0.9e6 the bound flags every block of the rotation; no state leaves the guard
+        omega = np.pi / 2 / (_L * 0.1)
+        system = _Lti([[0.0, omega], [-omega, 0.0]], [0.0, 1.0],
+                      np.array([[0.9e6, 0.3e6], [0.0, 0.2e6]]))
+        record = ExcitationRecord(0.1, np.random.default_rng(4).standard_normal(5 * _L + 3))
+        replays = []
+
+        def march(step, inputs, dt, outputs=None, first=0, models=None, march=dynamics._march):
+            if outputs is None:
+                replays.append((first, list(models)))
+            return march(step, inputs, dt, outputs, first, models)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dynamics, "_march", march)
+            flagged = integrate_rk4(system, record, dt_int=0.01)
+            assert replays and all(models == [0] for _, models in replays)
+            patch.setattr(dynamics, "_STATE_GUARD", np.inf)
+            unflagged = integrate_rk4(system, record, dt_int=0.01)
+        assert len(replays) == 6   # every block, and none once nothing is flagged
+        assert _rel_rms(flagged, unflagged).max() <= 1e-12
+        assert _rel_rms(flagged, _on_record_map(system, record, 0.01)).max() <= 1e-12
+
     def test_divergence_guard(self):
         unstable = _Sdof(0.0, x0=1.0)
         unstable._A = np.diag([5.0, 0.0, 0.0])   # x' = 5 x
@@ -639,6 +801,28 @@ class TestIsolatedBatch:
             assert rel_rms.max() <= 1e-12, variants
             with pytest.raises(ValueError, match="14 columns needs .* not one of 15$"):
                 integrate_rk4(batch, ExcitationRecord(0.05, columns[:, 1:]))
+
+    def test_column_indices_match_repeated_columns(self, building):
+        # one column index per model drives each model as the repeated columns do: to the
+        # bit on the device stepper, to round-off on the block map
+        records = [band_limited_record(5.0, 0.05, seed=s, peak=p)
+                   for s, p in ((3, 2.0), (4, 3.0), (5, 4.0))]
+        columns = np.column_stack([r.samples for r in records])
+        index = np.repeat(np.arange(len(records)), 5)
+        for variants in (("boucwen", "bilinear"), ("aashto", "caltrans")):
+            batch = _stacked([self._batch(building, variants[0], 3, 1),
+                              self._batch(building, variants[1], 2, 2)] * len(records))
+            got = integrate_rk4(batch, ExcitationRecord(0.05, columns), dt_int=0.005,
+                                columns=index)
+            repeated = integrate_rk4(batch, ExcitationRecord(0.05, columns[:, index]),
+                                     dt_int=0.005)
+            if batch.nonlinear:
+                np.testing.assert_array_equal(got, repeated)
+            else:
+                assert _rel_rms(got, repeated).max() <= 1e-12
+        for bad, message in ((index[1:], "be one integer per model"), (index + 1, "index the")):
+            with pytest.raises(ValueError, match=f"^columns must {message}"):
+                integrate_rk4(batch, ExcitationRecord(0.05, columns), columns=bad)
 
     @classmethod
     def _stepper_case(cls, building, variants, per_model):
@@ -938,6 +1122,22 @@ class TestTmd:
         got = integrate_rk4(system, record, dt_int=0.025)
         expected = _on_device_step(system, record, 0.025)
         assert got.shape == expected.shape == (system.n_models, 2 * record.n_steps)
+        assert _rel_rms(got, expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n_steps", [1, _L - 1, _L, _L + 1, 5 * _L + 3])
+    @pytest.mark.parametrize("per_model", [False, True])
+    def test_linear_frame_block_map_matches_record_map_steps(self, n_steps, per_model):
+        # two channels from a non-zero state, on one wind or on a column per copy
+        system, _ = self._frame_batch(("linear", "linear"), 3, 1, tiles=2 if per_model else 1)
+        rng = np.random.default_rng(n_steps)
+        x0 = 0.01 * rng.standard_normal((system.n_states, system.n_models))
+        system.initial_state = lambda: x0.copy()
+        columns = np.repeat([0, 1], 3) if per_model else None
+        record = ExcitationRecord(0.1, rng.normal(0.0, 1.0e5, (n_steps, 2) if per_model
+                                                  else n_steps))
+        got = integrate_rk4(system, record, dt_int=0.025, columns=columns)
+        expected = _on_record_map(system, record, 0.025, columns)
+        assert got.shape == expected.shape == (system.n_models, 2 * n_steps)
         assert _rel_rms(got, expected).max() <= 1e-12
 
     def test_stepper_diverges_where_rhs_loop_does(self):

@@ -353,7 +353,7 @@ class TestRunPipeline:
                                 calibration, **{str(config.prediction_paths[0]): 10})),
         }
         # stepper, models and model steps of each batch; the later stages reuse the calibration
-        steppers = {"boucwen": "device_step", "aashto": "record_map_step"}
+        steppers = {"boucwen": "device_step", "aashto": "block_map"}
         work = {"simulate": {"simulate": {cid: (steppers[cid], 8, 8 * 100) for cid in classes}},
                 "falsify": {},
                 "predict": {"predict": {cid: (steppers[cid], n_u[cid], n_u[cid] * 100)
@@ -535,7 +535,7 @@ class TestRunPipeline:
         assert {stage: {variant: work["stepper"] for variant, work in batches.items()}
                 for stage, batches in manifest.batches.items()} \
             == dict.fromkeys(("simulate", "predict"), {"bilinear+boucwen": "device_step",
-                                                       "aashto+jpwri": "record_map_step"})
+                                                       "aashto+jpwri": "block_map"})
         for stage, batches in manifest.batches.items():
             seconds = [work["seconds"] for work in batches.values()]
             assert min(seconds) > 0.0 and sum(seconds) <= manifest.stage_seconds[stage]
@@ -672,7 +672,7 @@ class TestRunPipeline:
             return integrate(system, record, **kwargs)
 
         monkeypatch.setattr(dynamics, "integrate_rk4", counting)
-        steppers = {"bilinear+boucwen": "device_step", "aashto+jpwri": "record_map_step"}
+        steppers = {"bilinear+boucwen": "device_step", "aashto+jpwri": "block_map"}
         for stage, name in (("falsify", "simulate"), ("predict", "predict")):
             asked.clear()
             manifest = run_pipeline(config, stage=stage)
