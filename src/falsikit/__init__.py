@@ -7,7 +7,7 @@ prediction under new excitations.
 """
 
 from .priors import (PriorSpec, ModelClassSpec, EnsembleSpec, SamplingError,
-                     sample_prior, sample_rng, draw_sample, generate_ensemble)
+                     generate_ensemble)
 from .dynamics import (ExcitationRecord, ShearBuildingModel,
                        IsolatedSystem, SimulationDivergedError,
                        boucwen_rate, equivalent_linear_params,

@@ -592,12 +592,11 @@ def _ledger_text(thetas: dict, verdicts: dict) -> str:
     """The verdict ledger: one row per candidate, its θ, log L, log B and verdict."""
     lines = [_LEDGER_HEADER]
     for cid, v in verdicts.items():
-        bound_txt = _FLOAT_FMT % v.log_bound
-        for i, (theta, log_l, keep) in enumerate(zip(thetas[cid], v.log_likelihood,
-                                                     v.unfalsified)):
-            theta_txt = "\t".join(_FLOAT_FMT % x for x in theta)
-            lines.append(
-                f"{cid}\t{i}\t{theta_txt}\t{_FLOAT_FMT % log_l}\t{bound_txt}\t{int(keep)}")
+        theta = thetas[cid]
+        row = "\t".join([cid, "%d", *[_FLOAT_FMT] * (theta.shape[1] + 1),
+                         _FLOAT_FMT % v.log_bound, "%d"])
+        table = np.column_stack([np.arange(len(theta)), theta, v.log_likelihood, v.unfalsified])
+        lines += [row % tuple(values) for values in table.tolist()]
     return "\n".join(lines) + "\n"
 
 

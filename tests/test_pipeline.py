@@ -837,6 +837,27 @@ class TestCli:
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("prior,message", [
+        ("Q_y = normal -100 1 positive",
+         r"class 'boucwen', sample 0: could not draw a positive value for 'Q_y' "
+         r"\(normal mean=-100\.0, std=1\.0\)"),
+        # about half the draws overflow to inf
+        ("Q_y = lognormal 1.79e308 1e307",
+         r"class 'boucwen', sample \d+: non-finite draw for 'Q_y' from lognormal prior"),
+        ("Q_y = uniform 1e308 1e308",
+         r"\[class:boucwen\] Q_y: uniform prior support mean \+- std\*sqrt\(3\) is wider "
+         r"than a float can hold"),
+    ])
+    def test_bad_prior_exit_code(self, workspace, capsys, prior, message):
+        text = workspace.read_text()
+        assert "Q_y = uniform 4.75 0.2887" in text
+        workspace.write_text(text.replace("Q_y = uniform 4.75 0.2887", prior))
+        rc = cli_main(["run", "--config", str(workspace), "--stage", "falsify"])
+        assert rc == 2
+        assert re.fullmatch(f"error: {message}\n", capsys.readouterr().err)
+        assert not (workspace.parent / "out").exists()
+
+    @pytest.mark.filterwarnings("error")
     def test_invalid_draw_exit_code(self, workspace, capsys):
         # an unbounded normal prior draws some k_post <= 0, which no isolator has
         prior = "binding = aashto\nk_post = lognormal 4.5 0.25"
