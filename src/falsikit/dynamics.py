@@ -11,18 +11,20 @@ batch.  Every system is one linear operator shared by the batch plus
 a few per-model devices, or none (each isolated building, whose isolator is
 one device, and the TMD frame): it keeps its models last (state shape
 (n_states, n_models)) and describes itself by A, B, the state rows its
-devices read, the rate rows their outputs enter (E) and ``devices``.
-``integrate_rk4`` precomputes the linear part of all four RK4 stages, so a
-substep evaluates only the devices of each stage, in place in buffers
-allocated once per call, and applies one matrix product.  When the devices
-are linear (``nonlinear`` is False), a record interval of that stepper is a
-linear map per model, which is probed from it once and lifted to blocks of
-record steps: the record is solved a block at a time, with matrix products
-over every block's inputs (``_block_map``).  ``simulate_classes`` groups
-candidate classes into batches.  The Bouc-Wen rate (``_boucwen``) is written once,
-with the one parameter a = 2 beta = 2 gamma of every device here (Wen 1976):
-loading and unloading stiffnesses match and |z| saturates at 1, so no beta,
-gamma or saturation amplitude is kept.
+devices read, the rate rows their outputs enter (E) and ``device_kernels``,
+which binds its devices to the buffers they read and write.
+``integrate_rk4`` precomputes the linear part of all four RK4 stages and
+binds the devices once per call, so a substep runs only one bound kernel
+per stage, in place in buffers allocated once per call, and applies one
+matrix product.  When the devices are linear (``nonlinear`` is False), a
+record interval of that stepper is a linear map per model, which is probed
+from it once and lifted to blocks of record steps: the record is solved a
+block at a time, with matrix products over every block's inputs
+(``_block_map``).  ``simulate_classes`` groups candidate classes into
+batches.  The Bouc-Wen rate is written once (``_boucwen_kernels``), with the
+one parameter a = 2 beta = 2 gamma of every device here (Wen 1976): loading
+and unloading stiffnesses match and |z| saturates at 1, so no beta, gamma or
+saturation amplitude is kept.
 """
 
 from __future__ import annotations
@@ -224,7 +226,13 @@ def boucwen_rate(z, v, a, n_pow):
     v = np.asarray(v, dtype=float)
     if not (np.isfinite(z).all() and np.isfinite(v).all()):
         raise ValueError("non-finite hysteretic state or velocity")
-    return _boucwen(z, v, a, _checked_n_pow(n_pow) - 1.0)[()]
+    n_less_one = _checked_n_pow(n_pow) - 1.0
+    shape = np.broadcast(z, v, a, n_less_one).shape
+    rows = np.empty((4,) + shape)                 # [v; z; a; n - 1], broadcast
+    rows[0], rows[1], rows[2], rows[3] = v, z, a, n_less_one
+    rows, out = rows.reshape(4, -1), np.empty(shape)
+    _boucwen_kernels(rows[2], rows[3], [(rows[:2], out.reshape(-1))])[0]()
+    return out[()]
 
 
 def _checked_n_pow(n_pow) -> np.ndarray:
@@ -234,35 +242,54 @@ def _checked_n_pow(n_pow) -> np.ndarray:
     return n
 
 
-def _boucwen(z, v, a, n_less_one, out=None, work=None):
-    """The Bouc-Wen rate with n - 1 given; no input checks.
+def _boucwen_kernels(a, n_less_one, pairs) -> list:
+    """The Bouc-Wen rate with n - 1 given, bound: for each (vz, out) of ``pairs``, a
+    kernel, a call of no arguments that writes the rate at the rows vz = [v; z] (2 x
+    m) into ``out`` (m); ``a`` broadcasts to the m models and ``n_less_one`` has one
+    per model.  No input checks.
 
     a v - 0.5 az**(n-1) ((a v) az + (|v| z) a) with az = min(|z|, 1), the law
     of ``boucwen_rate`` with one power (|z|**n = |z|**(n-1) |z|); halving is
-    exact, so it is the general law at beta = gamma = a/2 to the bit.  The
-    result goes into ``out`` and the scratch into ``work``, three arrays of
-    out's shape; either is allocated when not given, except when every input
-    is 0-d: then the steps run on numpy scalars, each in-place step rebinding
-    its name.  ``out`` must not share memory with ``z`` or ``v``.
+    exact, so it is the general law at beta = gamma = a/2 to the bit.  A kernel
+    runs it as seven ufuncs on paired rows, the IEEE operations of the law in
+    this order: |[v; z]|, az = min(|z|, 1), [a v; |v| z] = [a; |v|] [v; z],
+    [(a v) az; (|v| z) a], their sum t, t 0.5 and a v - t; the power, and t
+    times it before the halving, run only over the span of models from the
+    first to the last whose n is not 1, since az**0 = 1 exactly.  The kernels
+    read and write through the views they are given, so they see what is in
+    vz when they run, and share one set of scratch rows, allocated here: each
+    must finish before another starts.  ``out`` must not share memory with vz.
     """
-    if out is None:
-        shape = np.broadcast(z, v, a, n_less_one).shape
-        if shape:
-            out = np.empty(shape)
-    if work is None and out is not None:
-        work = np.empty((3,) + out.shape)
-    az_buf, t_buf, r_buf = (None, None, None) if work is None else work
-    az = np.minimum(np.abs(z, out=az_buf), 1.0, out=az_buf)
-    rate = np.multiply(a, v, out=out)
-    t = np.multiply(rate, az, out=t_buf)    # (a v) az
-    r = np.abs(v, out=r_buf)
-    r *= z
-    r *= a                                  # (|v| z) a
-    t += r
-    t *= np.power(az, n_less_one, out=az_buf)
-    t *= 0.5
-    rate -= t
-    return rate
+    powered = n_less_one.nonzero()[0]
+    span = slice(powered[0], powered[-1] + 1) if powered.size else slice(0)
+    # [az; a; |v|; |z|], the products [a v; |v| z], the terms [t; r] and the rows of
+    # ones and halves
+    scratch = np.empty((10, n_less_one.size))
+    scratch[1], scratch[8], scratch[9] = a, 1.0, 0.5
+    az, a_abs_v, az_a, abs_vz = scratch[0], scratch[1:3], scratch[:2], scratch[2:4]
+    products, terms, ones, halves = scratch[4:6], scratch[6:8], scratch[8], scratch[9]
+    abs_z, a_v, t, r = scratch[3], products[0], terms[0], terms[1]
+    # numpy rounds the power of a row by one method only when the exponent has a
+    # stride (a copy: a broadcast one has none) and the power does not overwrite az
+    # (a lone element in place takes another): so it goes into the r row, free by then
+    az_span, power, t_span = az[span], r[span], t[span]
+    exponent, any_power = n_less_one[span].copy(), powered.size > 0
+
+    def bind(vz, out):
+        def kernel():
+            np.abs(vz, out=abs_vz)
+            np.minimum(abs_z, ones, out=az)
+            np.multiply(a_abs_v, vz, out=products)     # [a v; |v| z]
+            np.multiply(products, az_a, out=terms)     # [(a v) az; (|v| z) a]
+            np.add(t, r, out=t)
+            if any_power:
+                np.power(az_span, exponent, out=power)
+                np.multiply(t_span, power, out=t_span)
+            np.multiply(t, halves, out=t)
+            np.subtract(a_v, t, out=out)
+        return kernel
+
+    return [bind(vz, out) for vz, out in pairs]
 
 
 def equivalent_linear_params(variant: str, r_k: float, r_d, k_pre):
@@ -396,7 +423,6 @@ class IsolatedSystem:
                                       Qy_si * (1.0 - p["r_k"])]) / m_b
             self.bw_a = k_pre_si / Qy_si             # 1/m
             self.n_pow_less_one = _checked_n_pow(p["n_pow"]) - 1.0
-            self._work = tuple(np.empty((3, self.n_models)))   # scratch rows of ``_boucwen``
         else:
             zeta_eq, k_eq = equivalent_linear_params(variant, p["r_k"], p["r_d"], k_pre_si)
             # c_eq = 2 zeta_eq sqrt(k_eq m) with m the total isolated mass
@@ -430,13 +456,24 @@ class IsolatedSystem:
     def initial_state(self) -> np.ndarray:
         return np.zeros((self.n_states, self.n_models))
 
-    def devices(self, rows, out):
-        """At the [x_b; v_b] (and z) ``rows``, into ``out``: the isolator force per unit
-        base mass (``iso_rows`` contracted with the rows) and the Bouc-Wen rate."""
-        np.einsum("ij,ij->j", self.iso_rows, rows, out=out[0])
-        if self.nonlinear:
-            _boucwen(rows[2], rows[1], self.bw_a, self.n_pow_less_one, out=out[1],
-                     work=self._work)
+    def device_kernels(self, rows, outs) -> list:
+        """The isolator bound to the [x_b; v_b] (and z) ``rows``: per device output
+        ``out`` of ``outs`` a kernel that writes the isolator force per unit base mass
+        (``iso_rows`` contracted with the rows) into out[0], and the Bouc-Wen rate into
+        out[1]."""
+        iso_rows = self.iso_rows
+        rates = (_boucwen_kernels(self.bw_a, self.n_pow_less_one,
+                                  [(rows[1:], out[1]) for out in outs])
+                 if self.nonlinear else [None] * len(outs))
+
+        def bind(force, rate):
+            def kernel():
+                np.einsum("ij,ij->j", iso_rows, rows, out=force)
+                if rate is not None:
+                    rate()
+            return kernel
+
+        return [bind(out[0], rate) for out, rate in zip(outs, rates)]
 
 
 # ---------------------------------------------------------------------------
@@ -454,10 +491,16 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None,
     Every system (each ``IsolatedSystem`` batch and ``TmdFrameSystem``) gives
     ``n_models``; ``initial_state()`` of shape (n_states, n_models), models
     last; ``_A``, ``_B`` and ``_E``, shared by the batch; ``device_reads``,
-    the state rows its devices read, and ``devices(rows, out)``, which writes
-    the per-model device outputs at those rows into ``out`` in place, so the
-    rate is ``A x + B u + E devices(x[device_reads])``; and ``output_rows``
-    and ``feedthrough``: its outputs are the rate rows ``output_rows`` of the
+    the state rows its devices read, and ``device_kernels(rows, outs)``: for
+    the buffer ``rows`` (one row per device read) and a list ``outs`` of
+    output buffers (one row per column of ``_E``), a list of kernels, one per
+    out, each a call of no arguments that writes the per-model device outputs
+    at what ``rows`` holds when it runs into its out, in place.  So the rate
+    is ``A x + B u + E o``, o the device outputs at ``x[device_reads]``.
+    ``_device_step`` binds once per call and runs a kernel after each stage
+    projection; a system may bind scratch of its own to the kernels of one
+    call, which run one at a time.  Last, ``output_rows`` and
+    ``feedthrough``: its outputs are the rate rows ``output_rows`` of the
     first RK4 stage plus ``feedthrough`` times the input.  A system may have
     no devices (``_E`` of 0 columns, ``device_reads`` empty).  It also
     declares ``nonlinear``: True when its devices are not linear in the rows
@@ -536,17 +579,24 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
     its kind on every such record; each class and record gets its rows
     back.  The two kinds do not share a batch: a linear model in the
     hysteretic state layout would carry a z row and a Bouc-Wen rate it does
-    not need.  A divergence names the
-    class of the first diverging model, that class's own model indices and,
-    unless its label is None, the record.  ``batches``, when given, gains the
-    work of each batch under its ``variant``: ``{"stepper", "models", "model_steps",
-    "seconds"}``, its stepper, rows, rows x record steps and wall seconds;
-    batches of one variant on records of different lengths add up.
+    not need.  A batch stops at the first record step at which some model
+    leaves the guard, and the divergence names the first block, in the
+    batch's (class id, input) order, with a model that left it at that step:
+    its class, that class's own indices of its models that did, and, unless
+    its label is None, its record.  So when blocks of several classes and
+    inputs diverge at one step, it names the first of their class ids in
+    sorted order, on the first of that class's diverging inputs.
+    ``batches``, when given, gains the work of each batch under its
+    ``variant``: ``{"stepper", "models", "model_steps", "seconds"}``, its
+    stepper, rows, rows x record steps and wall seconds; batches of one
+    variant on records of different lengths add up.
 
-    A stacked batch holds its (label, class id) blocks in sorted order, so
+    A stacked batch holds its (class id, label) blocks in sorted order, so
     the order of ``systems`` and ``records`` moves no bit: the matrix
     products round the models of their last, partial block of columns
-    differently from the rest.
+    differently from the rest.  Class first keeps each class's rows in one
+    span over all inputs, so a hysteretic batch takes the Bouc-Wen power
+    over the span of its n != 1 classes only (``_boucwen_kernels``).
     """
     groups = {}
     for label, record in records.items():
@@ -557,11 +607,11 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
     for labels in groups.values():
         labels.sort(key=str)   # the calibration record's label is None
         for stack in filter(None, kinds):
-            blocks = [(label, cid, systems[cid]) for label in labels for cid in stack]
+            blocks = [(label, cid, systems[cid]) for cid in stack for label in labels]
             record, columns = records[labels[0]], None
             if len(labels) > 1:   # a lone record drives every model as it is, with no columns
-                per_input = sum(systems[cid].n_models for cid in stack)
-                columns = np.repeat(np.arange(len(labels)), per_input)
+                columns = np.repeat([labels.index(label) for label, _, _ in blocks],
+                                    [system.n_models for _, _, system in blocks])
                 record = ExcitationRecord(record.dt, np.column_stack(
                     [records[label].samples for label in labels]))
             runs.append((_stacked([system for _, _, system in blocks]), record, columns, blocks))
@@ -605,8 +655,6 @@ def _stacked(systems: list) -> IsolatedSystem:
         setattr(batch, name, np.concatenate([getattr(system, name) for system in systems],
                                             axis=-1))
     batch.n_models = batch.iso_rows.shape[1]
-    if first.nonlinear:
-        batch._work = tuple(np.empty((3, batch.n_models)))
     return batch
 
 
@@ -640,19 +688,20 @@ def _device_step(system, h: float, n_sub: int, x0=None):
     """The record step of a system: RK4 with its linear part precomputed.
 
     Stage i of an RK4 substep has the rate k_i = A Y_i + B u + E o_i, where
-    o_i = ``devices`` at the stage state Y_i, the only terms that differ per
-    model.  Each Y_i, the new state and the outputs k_1[output_rows] +
+    o_i are the device outputs at the stage state Y_i, the only terms that
+    differ per model.  Each Y_i, the new state and the outputs k_1[output_rows] +
     feedthrough u are therefore fixed linear maps of the extended state
     W = [x; u; o_1; ...; o_4], built here once from A, B, E and h (Butcher;
     Hairer & Wanner).  A substep projects the rows the devices read of each
     stage out of W into one buffer (stage 1's map is the identity, so its
-    rows are taken, not multiplied), writes o_i from that buffer straight
-    into its rows of W, and applies one (n_states x n_W) product to advance
-    x; the arithmetic is that of RK4 on the rate A x + B u + E
-    devices(x[device_reads]), regrouped, so the two agree to round-off.
+    rows are taken, not multiplied), runs the stage's kernel, which writes
+    o_i from that buffer straight into its rows of W, and applies one
+    (n_states x n_W) product to advance x; the arithmetic is that of RK4 on
+    the rate A x + B u + E o, regrouped, so the two agree to round-off.
     Every buffer, and every view of one that a stage reads or writes, is
-    made here, once, for both W buffers, so a stage allocates and slices
-    nothing that its devices do not.  Returns
+    made here, once, for both W buffers, and the devices are bound to them
+    here (``device_kernels``), so a stage allocates and slices nothing that
+    its kernel does not.  Returns
     ``step(u)``, which advances the state by one record interval under the
     held input ``u`` and returns the outputs at its start, of shape
     (n_models, n_channels), and the new state as a models-first view, both
@@ -690,18 +739,19 @@ def _device_step(system, h: float, n_sub: int, x0=None):
     buffers = (np.zeros((width, system.n_models)), np.zeros((width, system.n_models)))
     buffers[0][:n] = system.initial_state() if x0 is None else x0
     stage_rows = np.empty((reads.size, system.n_models))   # the rows the devices read
-    devices = system.devices
+    # the devices bound to those rows and to the o_i rows of each stage of each W
+    kernels = system.device_kernels(stage_rows, [W[o:o + d] for W in buffers for _, o in stages])
     y = np.empty((output_map.shape[0], system.n_models))
 
-    def substep_views(W, spare):
+    def substep_views(W, spare, kernels):
         """A substep from ``W`` into ``spare``: per stage its projection, the rows
-        of W it reads and the rows of o_i it writes; the rows the output reads,
-        the full W and where the new x goes."""
-        per_stage = [(projection, W if projection is None else W[:o], W[o:o + d])
-                     for projection, o in stages]
+        of W it reads and its devices' kernel, which writes its o_i; the rows the
+        output reads, the full W and where the new x goes."""
+        per_stage = [(projection, W if projection is None else W[:o], kernel)
+                     for (projection, o), kernel in zip(stages, kernels)]
         return per_stage, W[:n + 1 + d], W, spare[:n]
 
-    views = (substep_views(*buffers), substep_views(*buffers[::-1]))
+    views = (substep_views(*buffers, kernels[:4]), substep_views(*buffers[::-1], kernels[4:]))
     states = tuple(W[:n].T for W in buffers)
     inputs = tuple(W[n] for W in buffers)
     current = 0
@@ -711,12 +761,12 @@ def _device_step(system, h: float, n_sub: int, x0=None):
         inputs[0][...] = inputs[1][...] = u
         for j in range(n_sub):
             per_stage, head, W, next_x = views[current]
-            for projection, known, out in per_stage:
+            for projection, known, kernel in per_stage:
                 if projection is None:
                     known.take(reads, axis=0, out=stage_rows, mode="clip")
                 else:
                     np.matmul(projection, known, out=stage_rows)
-                devices(stage_rows, out)
+                kernel()
             if j == 0:
                 np.matmul(output_map, head, out=y)
             np.matmul(advance, W, out=next_x)
@@ -737,8 +787,9 @@ def _record_map(system, h: float, n_sub: int) -> np.ndarray:
     j, and one from x = 0 with u = 1 the last.  RK4 is thus written once, and
     the outputs move from the device stepper's by round-off only; G is not
     the exact zero-order-hold propagator, which would move them by RK4's
-    truncation error.  The probes call ``devices`` 4 n_sub (n_states + 1)
-    times in all, and nothing after them calls it.
+    truncation error.  Each of the n_states + 1 probes binds the devices once
+    (``device_kernels``) and runs their kernels 4 n_sub times; nothing after
+    the probes runs them.
     """
     n = system._A.shape[0]
     columns = []
@@ -1021,13 +1072,14 @@ class TmdFrameSystem:
             self._E[v + tmds] = -self._E[roof]
             self._E[v + tmds, forces] -= 1.0 / m_tmd
             self._E[z + np.arange(nz), col + k + np.arange(nz)] = 1.0
-            # the device reads [U; dU; z] at rows r, r + k, r + 2 k of the read rows
-            r = sum(rows.size for rows in reads)
-            reads.append(np.concatenate([x + tmds, v + tmds, z + np.arange(nz)]))
             force_kw, bw_a = self._si_params(direction, law, raw, m_tmd, n_models)
-            self._devices.append((law, force_kw, bw_a, slice(r, r + k), slice(r + k, r + 2 * k),
-                                  slice(r + 2 * k, r + 2 * k + nz), slice(col, col + k),
-                                  slice(col + k, col + k + nz)))
+            for i in range(k):
+                # TMD i reads [U; dU] (and z), so a hysteretic one's [dU; z] rows are
+                # adjacent, at read row r; it writes its force into output col + i (and
+                # its z rate into col + k + i)
+                r = sum(len(rows) for rows in reads)
+                reads.append([x + ns + i, v + ns + i, z + i][:2 + (nz > 0)])
+                self._devices.append((law, force_kw, bw_a, r, col + i, col + k + i))
             roofs.append(roof)
             x, col = z + nz, col + k + nz
         self.device_reads = np.concatenate(reads)
@@ -1057,12 +1109,30 @@ class TmdFrameSystem:
     def initial_state(self) -> np.ndarray:
         return np.zeros((self.n_states, self.n_models))
 
-    def devices(self, rows, out):
-        """Each TMD's law force, and the z rate of each hysteretic one, into ``out``."""
-        for law, force_kw, bw_a, u, du, z, f, g in self._devices:
-            out[f] = tmd_force(law, rows[du], rows[u], z=rows[z], **force_kw)
+    def device_kernels(self, rows, outs) -> list:
+        """The TMDs bound to their ``rows``: per device output ``out`` of ``outs`` a
+        kernel that writes each TMD's law force, and the z rate of each hysteretic
+        one, into out."""
+        def bind_force(law, force_kw, u, du, z, force):
+            def kernel():
+                force[...] = tmd_force(law, du, u, z=z, **force_kw)
+            return kernel
+
+        def in_turn(kernels):
+            def kernel():
+                for each in kernels:
+                    each()
+            return kernel
+
+        per_device = []
+        for law, force_kw, bw_a, r, f, g in self._devices:
+            z = 0.0 if bw_a is None else rows[r + 2]
+            per_device.append([bind_force(law, force_kw, rows[r], rows[r + 1], z, out[f])
+                               for out in outs])
             if bw_a is not None:
-                _boucwen(rows[z], rows[du], bw_a, 0.0, out=out[g])
+                per_device.append(_boucwen_kernels(bw_a, np.zeros(self.n_models),
+                                                   [(rows[r + 1:r + 3], out[g]) for out in outs]))
+        return [in_turn(kernels) for kernels in zip(*per_device)]
 
 
 # ---------------------------------------------------------------------------

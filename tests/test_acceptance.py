@@ -246,8 +246,8 @@ def test_criterion_07_integrator_order():
         def initial_state(self):
             return np.array([[1.0], [0.0], [0.0]])
 
-        def devices(self, rows, out):
-            pass
+        def device_kernels(self, rows, outs):
+            return [lambda: None for _ in outs]
 
     from falsikit.dynamics import ExcitationRecord
     rec = ExcitationRecord(0.1, np.zeros(101))

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from falsikit.dynamics import (LINEAR_VARIANTS, ExcitationRecord, IsolatedSystem
                                band_limited_record, boucwen_rate,
                                equivalent_linear_params, integrate_rk4, simulate,
                                simulate_classes, substeps_per_sample, tmd_force,
-                               _boucwen, _stacked)
+                               _stacked)
 from falsikit.falsification import MeasurementSet
 
 _L = dynamics._BLOCK
@@ -45,17 +47,23 @@ class _Sdof:
         s[0], s[1] = self.x0, self.v0
         return s
 
-    def devices(self, rows, out):
-        pass
+    def device_kernels(self, rows, outs):
+        return [lambda: None for _ in outs]
 
 
 class _CountingSdof(_Sdof):
-    """``_Sdof`` that counts its ``devices`` calls."""
+    """``_Sdof`` that counts how often it is bound (``binds``) and how often its kernels
+    run (``calls``)."""
 
-    calls = 0
+    binds = calls = 0
 
-    def devices(self, rows, out):
-        self.calls += 1
+    def device_kernels(self, rows, outs):
+        self.binds += 1
+
+        def kernel():
+            self.calls += 1
+
+        return [kernel for _ in outs]
 
 
 class _Chain:
@@ -89,9 +97,9 @@ class _Chain:
     def initial_state(self):
         return self._x0.copy()
 
-    def devices(self, rows, out):
-        if out.size:
-            np.matmul(self._K, rows, out=out)
+    def device_kernels(self, rows, outs):
+        return [partial(np.matmul, self._K, rows, out=out) if out.size else lambda: None
+                for out in outs]
 
 
 class _Lti:
@@ -116,9 +124,10 @@ class _Lti:
     def initial_state(self):
         return self._x0.copy()
 
-    def devices(self, rows, out):
-        if self._gains is not None:
-            np.multiply(self._gains, rows[0], out=out[0])
+    def device_kernels(self, rows, outs):
+        if self._gains is None:
+            return [lambda: None for _ in outs]
+        return [partial(np.multiply, self._gains, rows[0], out=out[0]) for out in outs]
 
 
 def _on_record_map(system, record, dt_int, columns=None):
@@ -148,13 +157,15 @@ def _rel_rms(got, expected):
 
 
 def _device_rhs(system, state: np.ndarray, u) -> np.ndarray:
-    """The rate ``A x + B u + E devices(x[device_reads])`` of a system (models last).
+    """The rate ``A x + B u + E o`` of a system (models last), with o the device outputs
+    at the rows ``x[device_reads]``.
 
     ``u`` is a scalar or one value per model.  The reference form of what
     ``_device_step`` evaluates.
     """
     out = np.empty((system._E.shape[1], state.shape[1]))
-    system.devices(state[system.device_reads], out)
+    kernel, = system.device_kernels(state[system.device_reads], [out])
+    kernel()
     return system._A @ state + system._B[:, None] * u + system._E @ out
 
 
@@ -275,10 +286,26 @@ class TestBoucwen:
         scale = np.max(np.abs(terms), axis=0)
         got = boucwen_rate(z, v, a, n_pow)
         assert np.all(np.abs(got - textbook) <= 1e-13 * scale)
-        # the in-place path computes the same numbers into the caller's buffers
-        out, work = np.empty_like(z), np.full((3, z.size), np.nan)
-        assert _boucwen(z, v, a, n_pow - 1.0, out=out, work=work) is out
-        np.testing.assert_array_equal(out, _boucwen(z, v, a, n_pow - 1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.tuples(st.floats(0.1, 100.0), st.sampled_from([1.0, 1.5, 100.0]),
+                                   *[st.just(0.0) | st.floats(-bound, bound, allow_subnormal=False)
+                                     for bound in (3.0, 10.0, 3.0, 10.0)]),
+                         min_size=1, max_size=12))
+    def test_bound_kernel_matches_the_law_row_by_row(self, rows):
+        # (a, n, z, v, z', v') per model, between an n = 1.5 and an n = 100 model with an
+        # n = 1 model among them, so the power's span holds n = 1 rows
+        rows = [(2.0, 1.5, 0.5, 1.0, -0.5, 0.0), *rows[:len(rows) // 2],
+                (3.0, 1.0, 2.0, -1.0, 0.0, 4.0), *rows[len(rows) // 2:],
+                (4.0, 100.0, -1.0, 0.0, 3.0, -2.0)]
+        a, n_pow, *states = np.array(rows).T
+        vz, out = np.empty((2, len(rows))), np.full(len(rows), np.nan)
+        kernel, = dynamics._boucwen_kernels(a, n_pow - 1.0, [(vz, out)])
+        for z, v in (states[:2], states[2:]):
+            vz[:] = v, z   # in place: the kernel reads the rows it was bound to
+            kernel()
+            expected = [boucwen_rate(z[i], v[i], a[i], n_pow[i]) for i in range(len(rows))]
+            assert out.tobytes() == np.array(expected).tobytes()
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(0.1, 100.0), n_pow=st.sampled_from([1.0, 1.5, 100.0]),
@@ -655,9 +682,13 @@ class TestIntegrator:
                 super().__init__(0.0, v0=1.0, n_models=n_models, nonlinear=True)
                 self._E = np.array([[0.0], [0.0], [1.0]])
 
-            def devices(self, rows, out):
-                out[0] = 0.0
-                out[0, 1] = np.sqrt(5.2 - rows[0, 1])
+            def device_kernels(self, rows, outs):
+                def bind(out):
+                    def kernel():
+                        out[0] = 0.0
+                        out[0, 1] = np.sqrt(5.2 - rows[0, 1])
+                    return kernel
+                return [bind(out) for out in outs]
 
         rec = ExcitationRecord(0.5, np.zeros(20))
         with pytest.raises(SimulationDivergedError) as err:
@@ -673,20 +704,36 @@ class TestIntegrator:
         assert sys_.calls == n_steps * 4 * n_sub
 
     @pytest.mark.parametrize("n_steps", [20, 200])
+    def test_devices_are_bound_once_per_call(self, n_steps):
+        # one kernel per stage output of both W buffers, bound before the first step
+        sys_ = _CountingSdof(2.0, x0=1.0, nonlinear=True)
+        n_sub = 4
+        integrate_rk4(sys_, ExcitationRecord(0.1, np.zeros(n_steps)), dt_int=0.1 / n_sub)
+        assert (sys_.binds, sys_.calls) == (1, n_steps * 4 * n_sub)
+
+    @pytest.mark.parametrize("n_steps", [20, 200])
     def test_linear_batch_calls_devices_only_to_probe_its_map(self, building, n_steps):
         # n_states + 1 record steps of the device stepper, whatever the record length
         batch = IsolatedSystem(building, "aashto", k_post=np.array([4.0, 4.5]), c_b=20.0,
                                r_k=0.16, r_d=2.5)
-        calls = []
+        binds, calls = [], []
 
-        def devices(rows, out, isolator=batch.devices):
-            calls.append(rows.shape)
-            isolator(rows, out)
+        def device_kernels(rows, outs, bind=batch.device_kernels):
+            binds.append(rows.shape)
 
-        batch.devices = devices
+            def counted(kernel):
+                def run():
+                    calls.append(rows.shape)
+                    kernel()
+                return run
+
+            return [counted(kernel) for kernel in bind(rows, outs)]
+
+        batch.device_kernels = device_kernels
         n_sub = 4
         integrate_rk4(batch, band_limited_record(n_steps * 0.05, 0.05, seed=3, peak=2.0),
                       dt_int=0.05 / n_sub)
+        assert len(binds) == batch.n_states + 1
         assert len(calls) == 4 * n_sub * (batch.n_states + 1)
 
     def test_simulate_refuses_a_batch_before_integrating(self):

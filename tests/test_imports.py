@@ -1,8 +1,12 @@
 """Every module of the package star-imports, so no ``__all__`` names a missing object,
-and the package exports exactly the names its modules list in ``__all__``."""
+the package exports exactly the names its modules list in ``__all__``, and no module
+imports a private numpy module."""
 
+import ast
 import importlib
+import importlib.util
 import pkgutil
+from pathlib import Path
 from types import ModuleType
 
 import pytest
@@ -17,6 +21,40 @@ def test_star_import(module):
     namespace = {}
     exec(f"from falsikit.{module} import *", namespace)
     assert set(getattr(falsikit, module).__dict__.get("__all__", ())) <= set(namespace)
+
+
+def _private_numpy_names(source: str) -> list:
+    """The numpy names a module imports, or reaches as an attribute of its numpy alias,
+    that pass through a private part (one that starts with a single ``_``)."""
+    names, aliases = [], set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "numpy":
+                    names.append(alias.name)
+                    aliases.add(alias.asname or "numpy")
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "numpy":
+            names += [f"{node.module}.{alias.name}" for alias in node.names]
+    names += [f"numpy.{node.attr}" for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and isinstance(node.value, ast.Name) and node.value.id in aliases]
+    return [name for name in names if any(part.startswith("_") and not part.startswith("__")
+                                          for part in name.split("."))]
+
+
+def test_private_numpy_names_are_found():
+    source = ("import numpy as np\nimport numpy.lib._stride_tricks_impl\n"
+              "from numpy._core import umath\nnp._core.multiarray.c_einsum\nnp.__version__\n")
+    assert _private_numpy_names(source) == ["numpy.lib._stride_tricks_impl", "numpy._core.umath",
+                                            "numpy._core"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_private_numpy_module(module):
+    # numpy's public functions, not the private modules behind them (such as
+    # ``numpy._core.multiarray.c_einsum`` behind ``np.einsum``), which numpy may change
+    path = importlib.util.find_spec(f"falsikit.{module}").origin
+    assert _private_numpy_names(Path(path).read_text()) == []
 
 
 def test_package_exports_the_modules_public_names():

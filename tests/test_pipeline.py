@@ -591,6 +591,26 @@ class TestRunPipeline:
         with pytest.raises(SimulationDivergedError, match=expected):
             dynamics.simulate_classes(systems, {"quiet": quiet, "strong": rec}, 0.005)
 
+    def test_blocks_diverging_at_one_step_name_the_first_by_class_then_input(self, building):
+        # 'wild' diverges on 'record' by its own growth, and at that same record step a
+        # spike on 'spike' throws both classes past the guard; 'calm' never diverges on
+        # 'record', so (class, input) order names ('calm', 'spike') where (input, class)
+        # order would name ('wild', 'record')
+        rec = band_limited_record(5.0, 0.05, seed=3, peak=2.0)
+        common = dict(c_b=20.0, r_k=0.1667, Q_y=5.0)
+        systems = {"calm": IsolatedSystem(building, "boucwen", k_post=[4.0, 4.5], **common),
+                   "wild": IsolatedSystem(building, "bilinear", k_post=[4.0, 5.0e4], **common)}
+        with pytest.raises(SimulationDivergedError) as alone:
+            dynamics.simulate_classes({"wild": systems["wild"]}, {"record": rec}, 0.005)
+        step = round(alone.value.time / rec.dt) - 1   # the record step it diverges in
+        spike = np.zeros(rec.n_steps)
+        spike[step] = 1.0e9
+        records = {"record": rec, "spike": dynamics.ExcitationRecord(rec.dt, spike)}
+        with pytest.raises(SimulationDivergedError) as err:
+            dynamics.simulate_classes(systems, records, 0.005)
+        assert (err.value.class_id, err.value.input_label) == ("calm", "spike")
+        assert (err.value.time, list(err.value.indices)) == (alone.value.time, [0, 1])
+
     def test_bad_stage_rejected(self, workspace):
         with pytest.raises(ValueError, match="stage"):
             run_pipeline(parse_config(workspace), stage="guess")
