@@ -19,8 +19,9 @@ per stage, in place in buffers allocated once per call, and applies one
 matrix product.  When the devices are linear (``nonlinear`` is False), a
 record interval of that stepper is a linear map per model, which is probed
 from it once and lifted to blocks of record steps: the record is solved a
-block at a time, with matrix products over every block's inputs
-(``_block_map``).  ``simulate_classes`` groups candidate classes into
+block at a time, with matrix products over every block's inputs, and a
+block that may leave the divergence guard is stepped again on the device
+stepper (``_block_map``).  ``simulate_classes`` groups candidate classes into
 batches.  The Bouc-Wen rate is written once (``_boucwen_kernels``), with the
 one parameter a = 2 beta = 2 gamma of every device here (Wen 1976): loading
 and unloading stiffnesses match and |z| saturates at 1, so no beta, gamma or
@@ -95,9 +96,9 @@ class SimulationDivergedError(RuntimeError):
 class ExcitationRecord:
     """Sampled excitation: ground acceleration [m/s^2] or force [N].
 
-    ``samples`` has shape (n,), one input shared by every model of a batch,
-    or (n, n_columns), input columns of which each model reads one (see
-    ``integrate_rk4``).
+    ``samples`` has shape (n,), one input that every model of a batch reads,
+    or (n, n_columns), input columns, which ``integrate_rk4`` takes only with
+    ``columns``, the column each model reads.
     """
 
     dt: float
@@ -119,10 +120,6 @@ class ExcitationRecord:
     @property
     def n_steps(self) -> int:
         return self.samples.shape[0]
-
-    @property
-    def duration(self) -> float:
-        return self.n_steps * self.dt
 
 
 # ---------------------------------------------------------------------------
@@ -507,9 +504,13 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None,
     they read, so ``_device_step`` advances it with the linear part of the
     four stages precomputed; False when they are (or it has none), so
     ``_block_map`` solves the record in blocks of the RK4 map per model
-    probed from ``_device_step``.  A 2-d excitation has input columns:
-    model m is driven by column ``columns[m]``, or by column m when
-    ``columns`` is None, and then the record has one column per model.
+    probed from ``_device_step``.
+
+    Both steppers take the excitation in one layout: samples of shape
+    (n_steps, n_columns) and ``columns``, one column index per model, so
+    model m is driven by column ``columns[m]``.  A 1-d record is one column
+    that every model reads (``columns`` must then be None); a 2-d record
+    must come with ``columns``.
 
     The solve stops with ``SimulationDivergedError`` naming the models whose
     state is non-finite or beyond ``_STATE_GUARD`` after a record step, at
@@ -518,53 +519,49 @@ def integrate_rk4(system, record: ExcitationRecord, dt_int: float | None = None,
     dt = record.dt
     n_sub = substeps_per_sample(dt, dt_int)
     h = dt / n_sub
-    samples = record.samples
-    if columns is not None:
+    samples, n_models = record.samples, system.n_models
+    if columns is None:
+        if samples.ndim == 2:
+            raise ValueError(f"a 2-d excitation needs columns, one column index per model "
+                             f"({n_models})")
+        samples, columns = samples[:, None], np.zeros(n_models, dtype=int)
+    else:
         columns = np.asarray(columns)
-        if (samples.ndim != 2 or columns.shape != (system.n_models,)
+        if (samples.ndim != 2 or columns.shape != (n_models,)
                 or columns.dtype.kind not in "iu"):
-            raise ValueError(f"columns must be one integer per model ({system.n_models}) of "
+            raise ValueError(f"columns must be one integer per model ({n_models}) of "
                              f"a 2-d excitation")
         if columns.min() < 0 or columns.max() >= samples.shape[1]:
             raise ValueError(f"columns must index the excitation's {samples.shape[1]} columns")
-    elif samples.ndim == 2 and samples.shape[1] != system.n_models:
-        raise ValueError(f"a per-model excitation of {samples.shape[1]} columns needs "
-                         f"a system of as many models, not one of {system.n_models}")
     n_steps = record.n_steps
-    outputs = np.empty((system.n_models, n_steps * system.output_rows.size))
+    outputs = np.empty((n_models, n_steps * system.output_rows.size))
     # a diverging model overflows before the guard names it
     with np.errstate(over="ignore", invalid="ignore"):
         if _stepper(system) is _device_step:
-            rows = samples if columns is None else (row.take(columns) for row in samples)
-            _march(_device_step(system, h, n_sub), rows, dt,
-                   outputs.reshape(system.n_models, n_steps, -1))
+            _march(_device_step(system, h, n_sub), samples, columns, dt,
+                   outputs.reshape(n_models, n_steps, -1))
         else:
-            if samples.ndim == 1:
-                samples, columns = samples[:, None], np.zeros(system.n_models, dtype=int)
-            elif columns is None:
-                columns = np.arange(system.n_models)
             _block_map(system, h, n_sub, samples, columns, dt, outputs)
     return outputs
 
 
-def _march(step, inputs, dt: float, outputs=None, first: int = 0, models=None) -> None:
-    """Advance ``step`` once per row of ``inputs``, its outputs into ``outputs[:, k]``
-    (or nowhere when ``outputs`` is None), under the per-step divergence guard.
+def _march(step, samples, columns, dt: float, outputs=None, first: int = 0) -> None:
+    """Advance ``step`` once per row k of ``samples``, model m under the input
+    ``samples[k, columns[m]]``, its outputs into ``outputs[:, k]`` (or nowhere when
+    ``outputs`` is None), under the per-step divergence guard.
 
     One whole-state test per record step finds that some model's state is
-    non-finite or beyond ``_STATE_GUARD``, and only then are the models
-    named: ``models`` maps the step's state rows to model indices (the rows
-    themselves when None).  ``first`` is the record step of the first row.
+    non-finite or beyond ``_STATE_GUARD``, and only then are the models, the
+    step's state rows, named.  ``first`` is the record step of the first row.
     """
-    for k, u in enumerate(inputs):
-        y, state = step(u)
+    for k, row in enumerate(samples):
+        y, state = step(row.take(columns))
         if outputs is not None:
             outputs[:, k] = y
         # max propagates NaN, so a NaN state fails the test as an overflow does
         if not np.abs(state).max() <= _STATE_GUARD:
             bad = np.nonzero(~(np.abs(state).max(axis=1) <= _STATE_GUARD))[0]
-            raise SimulationDivergedError((first + k + 1) * dt,
-                                          bad if models is None else models[bad])
+            raise SimulationDivergedError((first + k + 1) * dt, bad)
 
 
 def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
@@ -608,12 +605,10 @@ def simulate_classes(systems: dict, records: dict, dt_int: float | None = None,
         labels.sort(key=str)   # the calibration record's label is None
         for stack in filter(None, kinds):
             blocks = [(label, cid, systems[cid]) for cid in stack for label in labels]
-            record, columns = records[labels[0]], None
-            if len(labels) > 1:   # a lone record drives every model as it is, with no columns
-                columns = np.repeat([labels.index(label) for label, _, _ in blocks],
-                                    [system.n_models for _, _, system in blocks])
-                record = ExcitationRecord(record.dt, np.column_stack(
-                    [records[label].samples for label in labels]))
+            columns = np.repeat([labels.index(label) for label, _, _ in blocks],
+                                [system.n_models for _, _, system in blocks])
+            record = ExcitationRecord(records[labels[0]].dt, np.column_stack(
+                [records[label].samples for label in labels]))
             runs.append((_stacked([system for _, _, system in blocks]), record, columns, blocks))
     outputs = {label: {} for label in records}
     for batch, record, columns, blocks in runs:
@@ -788,8 +783,8 @@ def _record_map(system, h: float, n_sub: int) -> np.ndarray:
     the outputs move from the device stepper's by round-off only; G is not
     the exact zero-order-hold propagator, which would move them by RK4's
     truncation error.  Each of the n_states + 1 probes binds the devices once
-    (``device_kernels``) and runs their kernels 4 n_sub times; nothing after
-    the probes runs them.
+    (``device_kernels``) and runs their kernels 4 n_sub times; after the
+    probes only the replay of a flagged block (``_block_map``) runs them.
     """
     n = system._A.shape[0]
     columns = []
@@ -797,24 +792,6 @@ def _record_map(system, h: float, n_sub: int) -> np.ndarray:
         y, state = _device_step(system, h, n_sub, x0=start[:n, None])(start[n])
         columns.append(np.vstack([state.T, y.T]))
     return np.stack(columns, axis=1)
-
-
-def _record_map_step(G: np.ndarray, x0: np.ndarray):
-    """``step(u)`` of the record map ``G`` (see ``_record_map``) from the state ``x0``,
-    models last: one contraction per model, returning what ``_device_step``'s does."""
-    n = G.shape[1] - 1
-    z = np.empty((n + 1, G.shape[2]))          # [x; u]
-    z[:n] = x0
-    out = np.empty((G.shape[0], G.shape[2]))
-    x, y = out[:n], out[n:]
-
-    def step(u):
-        z[n] = u
-        np.einsum("ijm,jm->im", G, z, out=out)
-        z[:n] = x
-        return y.T, x.T
-
-    return step
 
 
 def _lifted(G: np.ndarray, L: int):
@@ -879,11 +856,12 @@ def _block_map(system, h: float, n_sub: int, inputs: np.ndarray, columns: np.nda
     about ``_CHUNK_BYTES`` of those rows.  Outputs move from the per-step
     map's by round-off only.
 
-    A block whose bound a |x_K| + b max|u| may reach ``_STATE_GUARD``, or is
-    not finite, is replayed for the models it flags, one record step at a
-    time on G under the per-step guard of ``_march``: a divergence is named
-    at the step, and for the models, that stepping by G names.  A replay
-    that does not diverge changes nothing.
+    A block whose bound a |x_K| + b max|u| may reach ``_STATE_GUARD`` for
+    some model, or is not finite, is replayed for the whole batch from its
+    block-start states, one record step at a time on ``_device_step``, the
+    stepper G was probed from, under the per-step guard of ``_march``: a
+    divergence is named at the step, and for the models, that the device
+    stepper names.  A replay that does not diverge changes nothing.
     """
     G = _record_map(system, h, n_sub)
     L, n, n_models, n_steps = _BLOCK, G.shape[1] - 1, G.shape[2], inputs.shape[0]
@@ -915,11 +893,10 @@ def _block_map(system, h: float, n_sub: int, inputs: np.ndarray, columns: np.nda
             np.einsum("ijm,jm->im", phi_L, states[k], out=states[k + 1])
             states[k + 1] += terms[k].T
         bound = a * np.abs(states[:count]).max(axis=1) + b * u_max[b0:b1, columns]
-        flagged = ~(bound < limit)
-        for k in np.flatnonzero(flagged.any(axis=1)):
-            models, step = np.flatnonzero(flagged[k]), (b0 + k) * L
-            _march(_record_map_step(G[:, :, models], states[k][:, models]),
-                   inputs[step:step + w, columns[models]], dt, first=step, models=models)
+        for k in np.flatnonzero(~(bound < limit).all(axis=1)):
+            step = (b0 + k) * L
+            _march(_device_step(system, h, n_sub, x0=states[k]), inputs[step:step + w],
+                   columns, dt, first=step)
         rows[:, :count, L:] = states[:count].transpose(2, 0, 1)
         y = outputs[:, b0 * L * c:(b0 * L + count * w) * c]
         np.matmul(rows[:, :count], out_map[:, :, :w * c],

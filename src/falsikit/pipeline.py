@@ -122,12 +122,6 @@ class RunManifest:
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "RunManifest":
-        """The manifest ``text`` holds, less keys that are not fields (an earlier version's)."""
-        data = json.loads(text)
-        return cls(**{key: value for key, value in data.items() if key in cls.__dataclass_fields__})
-
 
 def _parse_prior(class_name: str, key: str, text: str) -> PriorSpec:
     parts = text.split()
@@ -628,6 +622,14 @@ def _read_ledger(path: Path, ensemble: EnsembleSpec):
     return thetas, verdicts
 
 
+def _remove_predictions(out: Path) -> None:
+    """Delete what the predict stage writes into ``out``: weights, estimates and
+    predictions."""
+    for path in (*out.glob("weights_*.tsv"), out / "estimates.tsv",
+                 *out.glob("prediction_*.tsv")):
+        path.unlink(missing_ok=True)
+
+
 def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     """Execute simulate -> falsify -> predict and persist all artifacts.
 
@@ -722,10 +724,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
             raise ConfigError(f"[noise] {err}") from None
         del h_by_class, eps_by_class   # the verdicts hold all the later stages need
         with _rewriting(verdict_key_path, verdict_key):
-            # what the predict stage wrote from the last ledger is stale now
-            for path in (*out.glob("weights_*.tsv"), out / "estimates.tsv",
-                         *out.glob("prediction_*.tsv")):
-                path.unlink(missing_ok=True)
+            _remove_predictions(out)   # the predict stage wrote them from the last ledger
             _atomic_write_text(ledger_path, _ledger_text(thetas, verdicts))
     for cid in class_order:
         v = verdicts[cid]
@@ -748,6 +747,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
 
     # --- predict stage ------------------------------------------------------
     t0 = time.perf_counter()
+    _remove_predictions(out)   # a file of an input no longer configured would stay
     ensembles = {}
     estimates = {}
     for cid in class_order:

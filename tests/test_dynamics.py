@@ -130,25 +130,47 @@ class _Lti:
         return [partial(np.multiply, self._gains, rows[0], out=out[0]) for out in outs]
 
 
+def _record_map_step(G: np.ndarray, x0: np.ndarray):
+    """``step(u)`` of the record map ``G`` (see ``dynamics._record_map``) from the state
+    ``x0``, models last: one contraction per model, returning what ``_device_step``'s
+    does."""
+    n = G.shape[1] - 1
+    z = np.empty((n + 1, G.shape[2]))          # [x; u]
+    z[:n] = x0
+    out = np.empty((G.shape[0], G.shape[2]))
+    x, y = out[:n], out[n:]
+
+    def step(u):
+        z[n] = u
+        np.einsum("ijm,jm->im", G, z, out=out)
+        z[:n] = x
+        return y.T, x.T
+
+    return step
+
+
 def _on_record_map(system, record, dt_int, columns=None):
     """``integrate_rk4`` of a linear ``system`` stepped one record step at a time by its
     record map under the per-step guard: the reference for the block map."""
     n_sub = substeps_per_sample(record.dt, dt_int)
     G = dynamics._record_map(system, record.dt / n_sub, n_sub)
-    rows = record.samples if columns is None else record.samples[:, columns]
+    samples = record.samples.reshape(record.n_steps, -1)
+    if columns is None:
+        columns = np.zeros(system.n_models, dtype=int)
     outputs = np.empty((system.n_models, record.n_steps, system.output_rows.size))
     with np.errstate(over="ignore", invalid="ignore"):
-        dynamics._march(dynamics._record_map_step(G, system.initial_state()), rows, record.dt,
-                        outputs)
+        dynamics._march(_record_map_step(G, system.initial_state()), samples, columns,
+                        record.dt, outputs)
     return outputs.reshape(system.n_models, -1)
 
 
-def _on_device_step(system, record, dt_int):
+def _on_device_step(system, record, dt_int, columns=None):
     """``integrate_rk4`` of ``system`` stepped by ``_device_step``, its devices linear or not:
     the stepper the record map of a linear system is probed from."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_stepper", lambda system: dynamics._device_step)
-        return integrate_rk4(system, record, dt_int=dt_int)
+        return integrate_rk4(system, record, dt_int=dt_int, columns=columns)
+
 
 
 def _rel_rms(got, expected):
@@ -580,6 +602,35 @@ class TestIntegrator:
         assert got.shape == expected.shape == (system.n_models, n * n_steps)
         assert _rel_rms(got, expected).max() <= 1e-12
 
+    @settings(max_examples=25, deadline=None)
+    @given(chain=st.integers(1, 3).flatmap(lambda n: st.tuples(
+               *(st.tuples(*(st.floats(lo, hi),) * n)
+                 for lo, hi in ((0.5, 2.0), (1.0, 100.0), (0.01, 2.0))))),
+           device=st.booleans(), n_models=st.integers(1, 4), n_sub=st.sampled_from([1, 3]),
+           n_steps=st.integers(1, 3 * _L + 1), seed=st.integers(0, 2**16))
+    def test_one_record_drives_every_layout_alike(self, chain, device, n_models, n_sub,
+                                                  n_steps, seed):
+        # a 1-d record and the same record as one column that every model reads give the
+        # same bits on both steppers, and so does one copy of it per model on the device
+        # stepper; the block map takes its input terms per run of models on one column,
+        # and BLAS rounds a product of another width differently, so there it is round-off
+        rng = np.random.default_rng(seed)
+        system = _Chain(*chain, rng.uniform(-1.0, 1.0, (2 * len(chain[0]), n_models)), device)
+        samples = rng.standard_normal(n_steps)
+        layouts = [(ExcitationRecord(0.05, samples), None),
+                   (ExcitationRecord(0.05, samples[:, None]), np.zeros(n_models, dtype=int)),
+                   (ExcitationRecord(0.05, np.repeat(samples[:, None], n_models, axis=1)),
+                    np.arange(n_models))]
+        for solve in (integrate_rk4, _on_device_step):
+            lone, one_column, per_model = [solve(system, record, dt_int=0.05 / n_sub,
+                                                 columns=columns)
+                                           for record, columns in layouts]
+            np.testing.assert_array_equal(one_column, lone)
+            if solve is integrate_rk4:
+                assert _rel_rms(per_model, lone).max() <= 1e-12
+            else:
+                np.testing.assert_array_equal(per_model, lone)
+
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 4), scale=st.sampled_from([0.1, 1.0, 10.0]),
            n_sub=st.sampled_from([1, 3]), seed=st.integers(0, 2**16))
@@ -592,7 +643,7 @@ class TestIntegrator:
         a, b = dynamics._lifted(G, _L)[3:]
         inputs = rng.standard_normal((_L, 5)) * rng.uniform(0.0, 2.0)
         reach = a * np.abs(x0).max(axis=0) + b * np.abs(inputs).max()
-        step = dynamics._record_map_step(G, x0)
+        step = _record_map_step(G, x0)
         for u in inputs:
             _, state = step(u)
             assert np.all(np.abs(state).max(axis=1) <= reach * (1.0 + 1e-9))
@@ -624,7 +675,7 @@ class TestIntegrator:
                           radius * np.array([[np.cos(angle)], [np.sin(angle)]]))
             time, indices = 3, [0, 2]
             with np.errstate(over="ignore", invalid="ignore"):
-                end = dynamics._record_map_step(dynamics._record_map(system, 0.01, 10),
+                end = _record_map_step(dynamics._record_map(system, 0.01, 10),
                                                 system.initial_state())
                 for _ in range(_L):
                     _, state = end(0.0)
@@ -650,18 +701,19 @@ class TestIntegrator:
         record = ExcitationRecord(0.1, np.random.default_rng(4).standard_normal(5 * _L + 3))
         replays = []
 
-        def march(step, inputs, dt, outputs=None, first=0, models=None, march=dynamics._march):
+        def march(step, samples, columns, dt, outputs=None, first=0, march=dynamics._march):
             if outputs is None:
-                replays.append((first, list(models)))
-            return march(step, inputs, dt, outputs, first, models)
+                replays.append((first, len(samples)))
+            return march(step, samples, columns, dt, outputs, first)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(dynamics, "_march", march)
             flagged = integrate_rk4(system, record, dt_int=0.01)
-            assert replays and all(models == [0] for _, models in replays)
+            # every block, replayed whole from its start, the last one short
+            assert replays == [(k * _L, _L) for k in range(5)] + [(5 * _L, 3)]
             patch.setattr(dynamics, "_STATE_GUARD", np.inf)
             unflagged = integrate_rk4(system, record, dt_int=0.01)
-        assert len(replays) == 6   # every block, and none once nothing is flagged
+        assert len(replays) == 6   # and none once nothing is flagged
         assert _rel_rms(flagged, unflagged).max() <= 1e-12
         assert _rel_rms(flagged, _on_record_map(system, record, 0.01)).max() <= 1e-12
 
@@ -841,13 +893,15 @@ class TestIsolatedBatch:
             pair = [self._batch(building, variants[0], 3, 1),
                     self._batch(building, variants[1], 2, 2)]
             batch = _stacked(pair * len(records))
-            stacked = integrate_rk4(batch, ExcitationRecord(0.05, columns), dt_int=0.005)
+            stacked = integrate_rk4(batch, ExcitationRecord(0.05, columns), dt_int=0.005,
+                                    columns=np.arange(15))
             single = np.vstack([integrate_rk4(_stacked(pair), r, dt_int=0.005)
                                 for r in records])
             rel_rms = np.linalg.norm(stacked - single, axis=1) / np.linalg.norm(single, axis=1)
             assert rel_rms.max() <= 1e-12, variants
-            with pytest.raises(ValueError, match="14 columns needs .* not one of 15$"):
-                integrate_rk4(batch, ExcitationRecord(0.05, columns[:, 1:]))
+            with pytest.raises(ValueError, match=r"^a 2-d excitation needs columns, one column "
+                                                 r"index per model \(15\)$"):
+                integrate_rk4(batch, ExcitationRecord(0.05, columns))
 
     def test_column_indices_match_repeated_columns(self, building):
         # one column index per model drives each model as the repeated columns do: to the
@@ -862,7 +916,7 @@ class TestIsolatedBatch:
             got = integrate_rk4(batch, ExcitationRecord(0.05, columns), dt_int=0.005,
                                 columns=index)
             repeated = integrate_rk4(batch, ExcitationRecord(0.05, columns[:, index]),
-                                     dt_int=0.005)
+                                     dt_int=0.005, columns=np.arange(index.size))
             if batch.nonlinear:
                 np.testing.assert_array_equal(got, repeated)
             else:
@@ -873,26 +927,28 @@ class TestIsolatedBatch:
 
     @classmethod
     def _stepper_case(cls, building, variants, per_model):
-        """A batch of three models of each of ``variants`` and its record, with
-        ``per_model`` three inputs, each driving a copy of every block."""
+        """A batch of three models of each of ``variants``, its record and its columns,
+        with ``per_model`` three inputs, each driving a copy of every block through a
+        column of its own per model."""
         blocks = [cls._batch(building, variant, 3, seed)
                   for seed, variant in enumerate(variants)]
-        record = band_limited_record(5.0, 0.05, seed=3, peak=3.0)
+        record, columns = band_limited_record(5.0, 0.05, seed=3, peak=3.0), None
         if per_model:
             peaks = (1.0, 3.0, 4.0)
             blocks = blocks * len(peaks)
-            columns = np.column_stack([band_limited_record(5.0, 0.05, seed=s, peak=p).samples
-                                       for s, p in zip((3, 4, 5), peaks)])
-            record = ExcitationRecord(0.05, np.repeat(columns, 3 * len(variants), axis=1))
-        return _stacked(blocks), record
+            inputs = np.column_stack([band_limited_record(5.0, 0.05, seed=s, peak=p).samples
+                                      for s, p in zip((3, 4, 5), peaks)])
+            record = ExcitationRecord(0.05, np.repeat(inputs, 3 * len(variants), axis=1))
+            columns = np.arange(record.samples.shape[1])
+        return _stacked(blocks), record, columns
 
     @pytest.mark.parametrize("n_sub", [1, 10])
     @pytest.mark.parametrize("per_model", [False, True])
     @pytest.mark.parametrize("variants", [("boucwen",), ("bilinear",), ("boucwen", "bilinear"),
                                           *((variant,) for variant in LINEAR_VARIANTS)])
     def test_stepper_matches_rhs_loop(self, building, variants, per_model, n_sub):
-        batch, record = self._stepper_case(building, variants, per_model)
-        got = integrate_rk4(batch, record, dt_int=0.05 / n_sub)
+        batch, record, columns = self._stepper_case(building, variants, per_model)
+        got = integrate_rk4(batch, record, dt_int=0.05 / n_sub, columns=columns)
         expected = _rhs_rk4(batch, record, 0.05 / n_sub)
         rel_rms = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
         assert got.shape == expected.shape
@@ -902,10 +958,10 @@ class TestIsolatedBatch:
     @pytest.mark.parametrize("per_model", [False, True])
     @pytest.mark.parametrize("variant", LINEAR_VARIANTS)
     def test_record_map_matches_device_step(self, building, variant, per_model, n_sub):
-        batch, record = self._stepper_case(building, (variant,), per_model)
+        batch, record, columns = self._stepper_case(building, (variant,), per_model)
         assert not batch.nonlinear
-        got = integrate_rk4(batch, record, dt_int=0.05 / n_sub)
-        expected = _on_device_step(batch, record, 0.05 / n_sub)
+        got = integrate_rk4(batch, record, dt_int=0.05 / n_sub, columns=columns)
+        expected = _on_device_step(batch, record, 0.05 / n_sub, columns)
         assert got.shape == expected.shape == (batch.n_models, record.n_steps)
         assert _rel_rms(got, expected).max() <= 1e-12
 
@@ -920,7 +976,7 @@ class TestIsolatedBatch:
             _on_device_step(batch, record, 0.005)
         with pytest.raises(SimulationDivergedError) as got:
             integrate_rk4(batch, record, dt_int=0.005)
-        assert got.value.time == expected.value.time < record.duration
+        assert got.value.time == expected.value.time < record.n_steps * record.dt
         assert list(got.value.indices) == list(expected.value.indices) == [4, 9]
 
     def test_stepper_diverges_where_rhs_loop_does(self, building):
@@ -934,7 +990,7 @@ class TestIsolatedBatch:
             _rhs_rk4(batch, record, 0.005)
         with pytest.raises(SimulationDivergedError) as got:
             integrate_rk4(batch, record, dt_int=0.005)
-        assert got.value.time == expected.value.time < record.duration
+        assert got.value.time == expected.value.time < record.n_steps * record.dt
         assert list(got.value.indices) == list(expected.value.indices) == [4, 9]
 
     def test_stacking_refuses_other_building(self, building):
@@ -1145,11 +1201,12 @@ class TestTmd:
         system, _ = self._frame_batch(laws, 3, 1, tiles=len(rms))
         winds = [band_limited_record(10.0, 0.1, band=(0.1, 1.0), seed=6 + i, rms=r)
                  for i, r in enumerate(rms)]
-        record = winds[0]
+        record, columns = winds[0], None
         if per_model:   # each wind drives one copy of the three models
             record = ExcitationRecord(0.1, np.repeat(np.column_stack([w.samples for w in winds]),
                                                      3, axis=1))
-        got = integrate_rk4(system, record, dt_int=0.025)
+            columns = np.arange(system.n_models)
+        got = integrate_rk4(system, record, dt_int=0.025, columns=columns)
         expected = _rhs_rk4(system, record, 0.025)
         assert got.shape == expected.shape == (system.n_models, 2 * record.n_steps)
         rel_rms = np.linalg.norm(got - expected, axis=1) / np.linalg.norm(expected, axis=1)
@@ -1163,11 +1220,12 @@ class TestTmd:
                  for i, r in enumerate(rms)]
         record = ExcitationRecord(0.1, np.repeat(np.column_stack([w.samples for w in winds]),
                                                  3, axis=1)) if per_model else winds[0]
+        columns = np.arange(system.n_models) if per_model else None
         assert not system.nonlinear
         assert all(self._frame_batch(laws, 1, 1)[0].nonlinear
                    for laws in _TMD_LAW_PAIRS if laws != ("linear", "linear"))
-        got = integrate_rk4(system, record, dt_int=0.025)
-        expected = _on_device_step(system, record, 0.025)
+        got = integrate_rk4(system, record, dt_int=0.025, columns=columns)
+        expected = _on_device_step(system, record, 0.025, columns)
         assert got.shape == expected.shape == (system.n_models, 2 * record.n_steps)
         assert _rel_rms(got, expected).max() <= 1e-12
 
@@ -1197,7 +1255,7 @@ class TestTmd:
             _rhs_rk4(system, wind, 0.025)
         with pytest.raises(SimulationDivergedError) as got:
             integrate_rk4(system, wind, dt_int=0.025)
-        assert got.value.time == expected.value.time < wind.duration
+        assert got.value.time == expected.value.time < wind.n_steps * wind.dt
         assert list(got.value.indices) == list(expected.value.indices) == [1, 3]
 
     def test_refuses_unknown_law(self):

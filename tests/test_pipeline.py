@@ -77,6 +77,11 @@ r_d = uniform 2.5 0.2887
 """
 
 
+def _read_manifest(path) -> RunManifest:
+    """The manifest that ``run_pipeline`` wrote at ``path``."""
+    return RunManifest(**json.loads(Path(path).read_text()))
+
+
 @pytest.fixture
 def workspace(tmp_path, building):
     """Config file plus excitation/measurement artifacts for a small run."""
@@ -290,7 +295,7 @@ class TestRunPipeline:
         # prediction simulated only for classes with survivors
         survivors = sum(c["n_u"] for c in manifest.counts.values() if c["n_u"])
         assert manifest.prediction_simulations == survivors * 1
-        round_trip = RunManifest.from_json((out / "manifest.json").read_text())
+        round_trip = _read_manifest(out / "manifest.json")
         assert round_trip.savings_ratio == manifest.savings_ratio
 
     def test_reruns_are_byte_identical(self, workspace, tmp_path):
@@ -395,8 +400,8 @@ class TestRunPipeline:
             monkeypatch.setattr(module, name, counted)
         integrate = dynamics.integrate_rk4
 
-        def counting(system, record, **kwargs):
-            if np.array_equal(record.samples, calibration.samples):
+        def counting(system, record, **kwargs):   # the calibration record is a lone column
+            if np.array_equal(record.samples.ravel(), calibration.samples):
                 calls["calibration"] += 1
             return integrate(system, record, **kwargs)
 
@@ -666,15 +671,13 @@ class TestRunPipeline:
             else:
                 assert "effective_sample_size" not in stats
         assert min(masses) < 0.0 == max(masses)   # one class partly, one wholly falsified
-        round_trip = RunManifest.from_json((config.output_dir / "manifest.json").read_text())
+        round_trip = _read_manifest(config.output_dir / "manifest.json")
         assert round_trip.class_stats == manifest.class_stats
         assert round_trip.noise_sigma == manifest.noise_sigma
-        # a manifest written before these fields existed still reads, and reports
-        old = json.loads(manifest.to_json())
-        del old["class_stats"], old["noise_sigma"], old["dt_int"], old["substeps_per_sample"]
-        assert RunManifest.from_json(json.dumps(old)).class_stats == {}
-        assert "RK4 step" not in emit_report(RunManifest.from_json(json.dumps(old)),
-                                             config.output_dir).read_text()
+        # a manifest that leaves these fields at their defaults reports without them
+        bare = dataclasses.replace(manifest, class_stats={}, noise_sigma=[], dt_int=None,
+                                   substeps_per_sample={})
+        assert "RK4 step" not in emit_report(bare, config.output_dir).read_text()
 
     def test_manifest_records_batches(self, workspace, monkeypatch):
         # each batch's models and model steps are what integrate_rk4 was asked for: models x
@@ -711,15 +714,8 @@ class TestRunPipeline:
             assert re.search(rf"^predict +{re.escape(variant)} +{work['stepper']} "
                              rf"+{work['models']} +{work['model_steps']}$", report, re.MULTILINE)
         assert "seconds" not in report
-        round_trip = RunManifest.from_json((config.output_dir / "manifest.json").read_text())
+        round_trip = _read_manifest(config.output_dir / "manifest.json")
         assert round_trip.batches == manifest.batches
-        # a manifest of the last version, with model_substeps and batch_seconds, still loads
-        old = json.loads(manifest.to_json())
-        del old["batches"]
-        old["model_substeps"] = {"predict": {"boucwen": 1000}}
-        old["batch_seconds"] = {"predict": {"boucwen": {"seconds": 0.1, "stepper": "device_step"}}}
-        loaded = RunManifest.from_json(json.dumps(old))
-        assert loaded.batches == {} and loaded.counts == manifest.counts
 
     def test_prediction_error_recorded(self, workspace):
         config = parse_config(workspace)
@@ -774,6 +770,24 @@ class TestCli:
                          "--seed-override", "99"]) == 0
         assert "Parameter estimates" not in capsys.readouterr().out
         assert sorted(path.name for path in out.glob("*.tsv")) == ["verdicts.tsv"]
+
+    def test_predict_removes_the_predictions_of_inputs_no_longer_configured(self, workspace):
+        # a predict stage on the keyed ledger leaves on disk only the predictions it names
+        for stem in ("pred0", "pred1", "pred2"):
+            shutil.copy(workspace.parent / "pred.tsv", workspace.parent / f"{stem}.tsv")
+        text = workspace.read_text().replace("prediction_truth = pred_truth.tsv", "")
+        workspace.write_text(text.replace("prediction = pred.tsv",
+                                          "prediction = pred0.tsv pred1.tsv"))
+        run_pipeline(parse_config(workspace), stage="falsify")
+        run_pipeline(parse_config(workspace), stage="predict")
+        workspace.write_text(text.replace("prediction = pred.tsv", "prediction = pred2.tsv"))
+        config = parse_config(workspace)
+        stamp = (config.output_dir / "verdicts.tsv").stat().st_mtime_ns
+        manifest = run_pipeline(config, stage="predict")
+        assert (config.output_dir / "verdicts.tsv").stat().st_mtime_ns == stamp
+        predictions = {Path(path).name for path in manifest.artifacts["predictions"].values()}
+        assert predictions and all(name.startswith("prediction_pred2_") for name in predictions)
+        assert {path.name for path in config.output_dir.glob("prediction_*.tsv")} == predictions
 
     @pytest.mark.parametrize("cid", ["boucwen", "aashto"])   # a Q_y or an r_d prior alone
     def test_single_free_parameter(self, workspace, cid):
