@@ -169,12 +169,13 @@ def log_likelihood(eps, noise: ResidualNoiseModel):
     scalar or a vector of log-likelihoods accordingly.
     """
     eps = np.asarray(eps, dtype=float)
-    if not np.all(np.isfinite(eps)):
-        raise ValueError("residuals contain non-finite entries")
     sigma = noise.sigma_vector(eps.shape[-1])
     with np.errstate(over="ignore"):
-        quad = np.sum((eps / sigma) ** 2, axis=-1)
-    if not np.all(np.isfinite(quad)):
+        z = eps / sigma
+        quad = np.sum(np.square(z, out=z), axis=-1)
+    if not np.all(np.isfinite(quad)):   # a non-finite residual makes its row's sum non-finite
+        if not np.all(np.isfinite(eps)):
+            raise ValueError("residuals contain non-finite entries")
         raise ValueError(f"residuals over a sigma of {sigma.min():.3g} overflow the log-likelihood")
     out = _log_normaliser(sigma) - 0.5 * quad
     return float(out) if eps.ndim == 1 else out

@@ -362,7 +362,7 @@ def parse_config(path) -> RunConfig:
 # time-series ingestion
 
 def _read_numeric_table(path) -> np.ndarray:
-    rows = []
+    fields, widths, linenos = [], [], []   # each data row's tokens, token count and line
     header_allowed = True   # a header may only be the first line not blank or a comment
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -370,20 +370,31 @@ def _read_numeric_table(path) -> np.ndarray:
             if not line or line.startswith("#"):
                 continue
             parts = line.replace(",", " ").split()
-            try:
-                rows.append([float(x) for x in parts])
-            except ValueError:
-                if header_allowed:
-                    header_allowed = False
+            if header_allowed:
+                header_allowed = False
+                try:
+                    [float(x) for x in parts]
+                except ValueError:
                     continue   # optional header line
-                raise ValueError(f"{path}: non-numeric data at line {lineno}")
-            header_allowed = False
-    if not rows:
+            fields += parts
+            widths.append(len(parts))
+            linenos.append(lineno)
+    if not widths:
         raise ValueError(f"{path}: no numeric rows")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
-    table = np.asarray(rows, dtype=float)
+    try:
+        values = np.array(fields, dtype=float)   # float() of each token
+    except ValueError:
+        start = 0
+        for lineno, width in zip(linenos, widths):
+            try:
+                [float(x) for x in fields[start:start + width]]
+            except ValueError:
+                raise ValueError(f"{path}: non-numeric data at line {lineno}") from None
+            start += width
+        raise
+    if len(set(widths)) != 1:
+        raise ValueError(f"{path}: inconsistent column counts {sorted(set(widths))}")
+    table = values.reshape(len(widths), widths[0])
     within = np.abs(table) <= _MAX_ENTRY   # false for nan and inf too
     if not within.all():
         bad = int(np.nonzero(~within.all(axis=1))[0][0]) + 1
@@ -445,12 +456,17 @@ def ingest_measurement(path, channel_names=None) -> MeasurementSet:
 def write_timeseries(path, dt: float, columns: np.ndarray, header: str | None = None):
     """Write (time, columns...) delimited text with full double precision.
 
-    ``columns`` is one column (1-d) or an (n_samples, n_columns) table.
+    ``columns`` is one column (1-d) or an (n_samples, n_columns) table.  A
+    ``header`` comes first, each of its lines as ``# <line>``.
     """
-    t = np.arange(len(columns)) * dt
-    with _atomic(path) as fh:
-        np.savetxt(fh, np.column_stack([t, columns]), fmt=_FLOAT_FMT, delimiter="\t",
-                   header=header or "")
+    table = np.column_stack([np.arange(len(columns)) * dt, columns])
+    text = "# " + header.replace("\n", "\n# ") + "\n" if header else ""
+    _atomic_write_text(path, text + _rows_text("\t".join([_FLOAT_FMT] * table.shape[1]), table))
+
+
+def _rows_text(row: str, table: np.ndarray) -> str:
+    """The lines ``row % tuple(r)`` of the rows r of ``table``, formatted in one call."""
+    return ((row + "\n") * len(table)) % tuple(table.ravel().tolist())
 
 
 @contextlib.contextmanager
@@ -584,14 +600,14 @@ _LEDGER_HEADER = "class_id\tsample_index\ttheta...\tlog_likelihood\tlog_bound\tu
 
 def _ledger_text(thetas: dict, verdicts: dict) -> str:
     """The verdict ledger: one row per candidate, its θ, log L, log B and verdict."""
-    lines = [_LEDGER_HEADER]
+    text = _LEDGER_HEADER + "\n"
     for cid, v in verdicts.items():
         theta = thetas[cid]
         row = "\t".join([cid, "%d", *[_FLOAT_FMT] * (theta.shape[1] + 1),
                          _FLOAT_FMT % v.log_bound, "%d"])
-        table = np.column_stack([np.arange(len(theta)), theta, v.log_likelihood, v.unfalsified])
-        lines += [row % tuple(values) for values in table.tolist()]
-    return "\n".join(lines) + "\n"
+        text += _rows_text(row, np.column_stack([np.arange(len(theta)), theta,
+                                                 v.log_likelihood, v.unfalsified]))
+    return text
 
 
 def _read_ledger(path: Path, ensemble: EnsembleSpec):
@@ -599,21 +615,27 @@ def _read_ledger(path: Path, ensemble: EnsembleSpec):
 
     ``%.17g`` round-trips, so every value equals the one written bit for bit.
     None when the rows are not one per sample of each of ``ensemble``'s
-    classes, in order.
+    classes, in order, or a value does not parse.
     """
-    rows = {spec.class_id: [] for spec in ensemble.class_specs}
-    with open(path) as fh:
-        if fh.readline() != _LEDGER_HEADER + "\n":
-            return None
-        for line in fh:
-            cid, _, fields = line.partition("\t")
-            if cid not in rows:
-                return None
-            rows[cid].append([float(x) for x in fields.split("\t")])
     n = ensemble.samples_per_class
+    try:
+        lines = path.read_text().split("\n")   # the header, the rows, and "" after the last
+    except UnicodeDecodeError:
+        return None
+    if (lines[0] != _LEDGER_HEADER or lines[-1] != ""
+            or len(lines) != 2 + n * len(ensemble.class_specs)):
+        return None
     thetas, verdicts = {}, {}
-    for spec in ensemble.class_specs:
-        table = np.array(rows[spec.class_id])   # sample_index, θ..., log L, log B, verdict
+    for k, spec in enumerate(ensemble.class_specs):
+        prefix = spec.class_id + "\t"
+        block = lines[1 + k * n:1 + (k + 1) * n]
+        if not all(line.startswith(prefix) for line in block):
+            return None
+        try:   # sample_index, θ..., log L, log B, verdict
+            table = np.loadtxt([line[len(prefix):] for line in block], delimiter="\t",
+                               comments=None, ndmin=2)
+        except ValueError:   # a field that is not a number, or rows of unequal width
+            return None
         if (table.shape != (n, spec.n_parameters + 4)
                 or not np.array_equal(table[:, 0], np.arange(n))):
             return None

@@ -147,7 +147,8 @@ def predict_response(ensemble: WeightedEnsemble, member_outputs) -> PredictionRe
         raise ValueError(f"member simulation diverged for samples {offenders}")
     w = ensemble.weights
     q_hat = w @ q
-    spread = np.sqrt(np.clip(w @ (q - q_hat) ** 2, 0.0, None))
+    deviation = q - q_hat
+    spread = np.sqrt(np.clip(w @ np.square(deviation, out=deviation), 0.0, None))
     return PredictionResult(q_hat=q_hat, spread=spread)
 
 

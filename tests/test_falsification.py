@@ -115,6 +115,32 @@ class TestLogLikelihood:
         with pytest.raises(ValueError):
             log_likelihood(np.array([np.inf]), ResidualNoiseModel(1.0))
 
+    @pytest.mark.parametrize("row, message", [
+        ([np.inf, 1.0], "residuals contain non-finite entries"),
+        ([1.0, np.nan], "residuals contain non-finite entries"),
+        ([1e200, np.inf], "residuals contain non-finite entries"),   # an overflow besides
+        ([1e200, 1.0], "residuals over a sigma of 1 overflow the log-likelihood"),
+    ])
+    def test_non_finite_residuals_are_named_before_an_overflow(self, row, message):
+        with pytest.raises(ValueError, match=message):
+            log_likelihood(np.array([[0.0, 0.0], row]), ResidualNoiseModel(1.0))
+
+    @settings(max_examples=100, deadline=None)
+    @given(eps=arrays(float, st.tuples(st.integers(1, 4), st.integers(1, 12)),
+                      elements=st.floats(-1e6, 1e6)),
+           sigmas=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=2))
+    def test_equals_the_sum_of_squares_and_keeps_the_residuals(self, eps, sigmas):
+        # the reference squares a scaled copy of eps; the residuals are left as they are
+        noise = ResidualNoiseModel(tuple(sigmas))
+        if eps.shape[1] % len(sigmas):
+            eps = np.repeat(eps, len(sigmas), axis=1)
+        given_eps = eps.copy()
+        sigma = noise.sigma_vector(eps.shape[1])
+        reference = (-0.5 * sigma.size * _LOG_2PI - np.sum(np.log(sigma))
+                     - 0.5 * np.sum((eps / sigma) ** 2, axis=-1))
+        assert log_likelihood(eps, noise).tobytes() == reference.tobytes()
+        assert eps.tobytes() == given_eps.tobytes()
+
 
 class TestPValues:
     def test_center(self):

@@ -1,6 +1,7 @@
 """Every module of the package star-imports, so no ``__all__`` names a missing object,
-the package exports exactly the names its modules list in ``__all__``, and no module
-imports a private numpy module."""
+the package exports exactly the names its modules list in ``__all__``, no module
+imports a private numpy module or calls ``numpy.savetxt``, and every benchmark wrap
+point exists."""
 
 import ast
 import importlib
@@ -55,6 +56,38 @@ def test_no_private_numpy_module(module):
     # ``numpy._core.multiarray.c_einsum`` behind ``np.einsum``), which numpy may change
     path = importlib.util.find_spec(f"falsikit.{module}").origin
     assert _private_numpy_names(Path(path).read_text()) == []
+
+
+def _savetxt_calls(source: str) -> list:
+    """The lines of ``source`` that call ``numpy.savetxt``, through a numpy alias or the
+    name imported from numpy."""
+    aliases, names = set(), set()
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases |= {alias.asname or alias.name for alias in node.names
+                        if alias.name == "numpy"}
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy":
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name == "savetxt"}
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "savetxt"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id in aliases
+        or isinstance(node.func, ast.Name) and node.func.id in names)]
+
+
+def test_savetxt_calls_are_found():
+    source = ("import numpy as np\nimport numpy\nfrom numpy import savetxt as save\n"
+              "np.savetxt('a', x)\nnumpy.savetxt('b', x)\nsave('c', x)\nother.savetxt('d', x)\n")
+    assert sorted(_savetxt_calls(source)) == [4, 5, 6]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_savetxt(module):
+    # every text artifact is formatted by pipeline's one writer, which writes savetxt's
+    # bytes without its per-row Python loop
+    path = importlib.util.find_spec(f"falsikit.{module}").origin
+    assert _savetxt_calls(Path(path).read_text()) == []
 
 
 def test_package_exports_the_modules_public_names():

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import re
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 import falsikit
@@ -16,10 +19,11 @@ from falsikit import dynamics, pipeline
 from falsikit.cli import main as cli_main
 from falsikit.dynamics import (IsolatedSystem, SimulationDivergedError, add_measurement_noise,
                                band_limited_record, simulate)
-from falsikit.pipeline import (ConfigError, RunManifest, _read_ledger, emit_report,
-                               ingest_measurement, ingest_timeseries, parse_config,
-                               run_pipeline, write_timeseries)
-from falsikit.priors import generate_ensemble
+from falsikit.falsification import ClassVerdicts
+from falsikit.pipeline import (ConfigError, RunManifest, _ledger_text, _read_ledger,
+                               _read_numeric_table, emit_report, ingest_measurement,
+                               ingest_timeseries, parse_config, run_pipeline, write_timeseries)
+from falsikit.priors import EnsembleSpec, ModelClassSpec, PriorSpec, generate_ensemble
 
 CONFIG_TEMPLATE = """\
 [run]
@@ -100,6 +104,86 @@ def workspace(tmp_path, building):
     return config_path
 
 
+def _read_numeric_table_per_line(path) -> np.ndarray:
+    """The reference for ``pipeline._read_numeric_table``: each line parsed on its own
+    with ``float``, which names the first line that does not parse as it reads it."""
+    rows = []
+    header_allowed = True   # a header may only be the first line not blank or a comment
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            parts = line.replace(",", " ").split()
+            try:
+                rows.append([float(x) for x in parts])
+            except ValueError:
+                if header_allowed:
+                    header_allowed = False
+                    continue   # optional header line
+                raise ValueError(f"{path}: non-numeric data at line {lineno}")
+            header_allowed = False
+    if not rows:
+        raise ValueError(f"{path}: no numeric rows")
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ValueError(f"{path}: inconsistent column counts {sorted(widths)}")
+    table = np.asarray(rows, dtype=float)
+    within = np.abs(table) <= pipeline._MAX_ENTRY   # false for nan and inf too
+    if not within.all():
+        bad = int(np.nonzero(~within.all(axis=1))[0][0]) + 1
+        raise ValueError(f"{path}: non-finite entry, or one beyond {pipeline._MAX_ENTRY:g} in "
+                         f"magnitude, at data row {bad}")
+    return table
+
+
+def _savetxt_bytes(dt, columns, header) -> bytes:
+    """The reference for ``write_timeseries``: the bytes ``np.savetxt`` writes."""
+    buf = io.BytesIO()
+    np.savetxt(buf, np.column_stack([np.arange(len(columns)) * dt, columns]), fmt="%.17g",
+               delimiter="\t", header=header or "")
+    return buf.getvalue()
+
+
+def _table_or_message(read, path):
+    try:
+        return read(path)
+    except ValueError as err:
+        return str(err)
+
+
+# values whose text is hard to round-trip: signed zero, subnormals, the largest magnitudes
+_EDGE_FLOATS = st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, 1e300, -1e300,
+                                1.7976931348623157e308, 0.1, -1.0 / 3.0])
+_FLOATS = st.floats(allow_nan=False) | _EDGE_FLOATS
+# tokens ``float`` reads, or refuses, the ways a hand-made file may spell them
+_TOKENS = (st.floats(-1e6, 1e6).map(repr) | st.integers(-10**6, 10**6).map(str)
+           | st.sampled_from(["1_0", "2_5.0_1", "-0", ".5", "5.", "1E+03", "\uff11\uff12",
+                              "\u0661.\u0665", "Infinity", "-nan", "1e300", "time",
+                              "1__0", "0x1", "x"]))
+_SEPARATORS = st.sampled_from(["\t", " ", ",", ", ", " ,\t"])
+
+
+@st.composite
+def _table_lines(draw, tokens=_TOKENS, widths=st.integers(1, 3),
+                 kinds=("blank", "comment", "header", "row", "row", "row")):
+    """The lines of a hand-made table, each of one of ``kinds``: blank lines, comments,
+    headers and rows of ``tokens``, ``widths`` to a row."""
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "comment":
+            lines.append(draw(st.sampled_from(["# recorded 2026-01-01", "#", "  # t,a"])))
+        elif kind == "header":
+            lines.append(draw(st.sampled_from(["time,accel", "t\tx\ty", "time 1.0"])))
+        else:
+            row = draw(st.lists(tokens, min_size=draw(widths), max_size=3))
+            lines.append(draw(_SEPARATORS).join(row))
+    return lines
+
+
 class TestIngestTimeseries:
     def test_round_trip(self, tmp_path):
         values = np.sin(np.arange(40.0))
@@ -173,6 +257,135 @@ class TestIngestTimeseries:
         path.write_text("0.0\t1.0\t2.0\n0.1\t3.0\t4.0\n")
         d = ingest_measurement(path, channel_names=("x", "y"))
         np.testing.assert_array_equal(d.d, [1.0, 2.0, 3.0, 4.0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(dt=st.floats(1e-6, 10.0), wide=st.booleans(), header=st.none() | st.text(
+        st.characters(min_codepoint=32, max_codepoint=126) | st.sampled_from("\t\n"),
+        max_size=12), data=st.data())
+    def test_write_timeseries_writes_what_savetxt_writes(self, tmp_path_factory, dt, wide,
+                                                         header, data):
+        shape = (data.draw(st.integers(0, 12)),) + ((data.draw(st.integers(1, 4)),) if wide else ())
+        columns = data.draw(arrays(float, shape, elements=_FLOATS))
+        path = tmp_path_factory.mktemp("series") / "series.tsv"
+        write_timeseries(path, dt, columns, header=header)
+        assert path.read_bytes() == _savetxt_bytes(dt, columns, header)
+
+    @settings(max_examples=300, deadline=None)
+    @given(lines=_table_lines(), end=st.sampled_from(["", "\n", "\r\n"]))
+    def test_table_reads_as_the_per_line_parser_reads(self, tmp_path_factory, lines, end):
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        path.write_text(end.join(lines) + end)
+        got = _table_or_message(_read_numeric_table, path)
+        want = _table_or_message(_read_numeric_table_per_line, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=_table_lines(tokens=_TOKENS.filter(lambda x: x not in ("time", "x", "1__0",
+                                                                        "0x1", "Infinity",
+                                                                        "-nan", "1e300")),
+                              widths=st.just(3), kinds=("blank", "comment", "row")))
+    def test_table_of_numbers_reads_as_the_per_line_parser_reads(self, tmp_path_factory, lines):
+        # one header, every row three finite numbers: the table reads, bit for bit as
+        # float() reads it
+        path = tmp_path_factory.mktemp("table") / "table.csv"
+        path.write_text("\n".join(["# a table", "t,x,y", *lines, "1_0 -0 .5"]) + "\n")
+        want = _read_numeric_table_per_line(path)
+        got = _read_numeric_table(path)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("text, message", [
+        ("t,x\n0,1\n1,1.2.3\n", "non-numeric data at line 3"),
+        ("# c\nt,x\n\nunits,m\n0,1\n", "non-numeric data at line 4"),
+        ("0,1\n1,2,3\n2,x\n", "non-numeric data at line 3"),
+        ("0,1\n1,2,3\n", r"inconsistent column counts \[2, 3\]"),
+        ("t,x\n# only a header\n", "no numeric rows"),
+        ("0,1\n1,Infinity\n", "non-finite entry, or one beyond 1e\\+150 in magnitude, at data "
+                              "row 2"),
+    ], ids=["bad token", "second header", "bad token after ragged row", "ragged rows",
+            "header alone", "infinity"])
+    def test_table_refusals_match_the_per_line_parser(self, tmp_path, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message) as refused:
+            _read_numeric_table(path)
+        assert str(refused.value) == _table_or_message(_read_numeric_table_per_line, path)
+
+
+def _ensemble(widths, n) -> EnsembleSpec:
+    """Classes c0, c1, ... of ``widths`` parameters, ``n`` samples each."""
+    prior = PriorSpec("uniform", 1.0, 0.1)
+    return EnsembleSpec(tuple(ModelClassSpec(f"c{k}", tuple(f"p{j}" for j in range(width)),
+                                             (prior,) * width, "boucwen")
+                              for k, width in enumerate(widths)), n, 0)
+
+
+@st.composite
+def _ledgers(draw):
+    """An ensemble and the θ matrices and verdicts of each of its classes."""
+    widths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = draw(st.integers(1, 6))
+    ensemble = _ensemble(widths, n)
+    thetas, verdicts = {}, {}
+    for spec in ensemble.class_specs:
+        cid = spec.class_id
+        thetas[cid] = draw(arrays(float, (n, spec.n_parameters), elements=_FLOATS))
+        verdicts[cid] = ClassVerdicts(cid, draw(arrays(float, n, elements=_FLOATS)),
+                                      draw(_FLOATS))
+    return ensemble, thetas, verdicts
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+class TestLedger:
+    @settings(max_examples=150, deadline=None)
+    @given(ledger=_ledgers())
+    def test_reads_back_what_was_written(self, tmp_path_factory, ledger):
+        ensemble, thetas, verdicts = ledger
+        path = tmp_path_factory.mktemp("ledger") / "verdicts.tsv"
+        path.write_text(_ledger_text(thetas, verdicts))
+        read_thetas, read_verdicts = _read_ledger(path, ensemble)
+        assert list(read_thetas) == list(read_verdicts) == list(thetas)
+        for cid, theta in thetas.items():
+            assert read_thetas[cid].shape == theta.shape
+            assert _bits(read_thetas[cid]) == _bits(theta)
+            assert _bits(read_verdicts[cid].log_likelihood) == _bits(verdicts[cid].log_likelihood)
+            assert _bits(read_verdicts[cid].log_bound) == _bits(verdicts[cid].log_bound)
+
+    @settings(max_examples=150, deadline=None)
+    @given(ledger=_ledgers(), fault=st.sampled_from(["reordered classes", "missing row",
+                                                      "extra row", "sample index",
+                                                      "non-numeric field"]), data=st.data())
+    def test_none_for_a_ledger_not_written_for_the_ensemble(self, tmp_path_factory, ledger,
+                                                            fault, data):
+        ensemble, thetas, verdicts = ledger
+        header, *rows = _ledger_text(thetas, verdicts).splitlines()
+        n = ensemble.samples_per_class
+        row = data.draw(st.integers(0, len(rows) - 1))
+        if fault == "reordered classes":
+            classes = data.draw(st.permutations(range(len(thetas))).filter(
+                lambda order: order != sorted(order)) if len(thetas) > 1 else st.nothing())
+            rows = [line for k in classes for line in rows[k * n:(k + 1) * n]]
+        elif fault == "missing row":
+            del rows[row]
+        elif fault == "extra row":
+            rows.insert(row, rows[row])
+        elif fault == "sample index":
+            cid, index, rest = rows[row].split("\t", 2)
+            wrong = data.draw(st.integers(-1, n).filter(lambda i: i != int(index)))
+            rows[row] = "\t".join([cid, str(wrong), rest])
+        else:
+            fields = rows[row].split("\t")
+            column = data.draw(st.integers(1, len(fields) - 1))
+            fields[column] = data.draw(st.sampled_from(["x", "", "1.2.3", fields[column] + "x"]))
+            rows[row] = "\t".join(fields)
+        path = tmp_path_factory.mktemp("ledger") / "verdicts.tsv"
+        path.write_text("\n".join([header, *rows]) + "\n")
+        assert _read_ledger(path, ensemble) is None
 
 
 class TestParseConfig:
@@ -788,6 +1001,23 @@ class TestCli:
         predictions = {Path(path).name for path in manifest.artifacts["predictions"].values()}
         assert predictions and all(name.startswith("prediction_pred2_") for name in predictions)
         assert {path.name for path in config.output_dir.glob("prediction_*.tsv")} == predictions
+
+    @pytest.mark.parametrize("column", [2, -3], ids=["theta", "log_likelihood"])
+    def test_predict_rebuilds_a_ledger_that_does_not_parse(self, workspace, capsys, column):
+        # a keyed ledger with a field that is not a number is scored again, not refused
+        out = workspace.parent / "out"
+        assert cli_main(["run", "--config", str(workspace), "--stage", "falsify"]) == 0
+        ledger = out / "verdicts.tsv"
+        lines = ledger.read_text().split("\n")
+        fields = lines[3].split("\t")
+        fields[column] += "x"
+        lines[3] = "\t".join(fields)
+        ledger.write_text("\n".join(lines))
+        assert cli_main(["run", "--config", str(workspace), "--stage", "predict"]) == 0
+        rebuilt = ledger.read_bytes()
+        shutil.rmtree(out)
+        assert cli_main(["run", "--config", str(workspace), "--stage", "all"]) == 0
+        assert rebuilt == ledger.read_bytes()
 
     @pytest.mark.parametrize("cid", ["boucwen", "aashto"])   # a Q_y or an r_d prior alone
     def test_single_free_parameter(self, workspace, cid):

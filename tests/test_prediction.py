@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from falsikit.falsification import ClassVerdicts
 from falsikit.prediction import (AllModelsFalsifiedError, WeightedEnsemble,
@@ -83,6 +84,21 @@ class TestPredict:
         q = np.vstack([np.zeros(4), 2.0 * np.ones(4)])
         pred = predict_response(we, q)
         np.testing.assert_allclose(pred.spread, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(q=arrays(float, st.tuples(st.integers(1, 5), st.integers(1, 12)),
+                    elements=st.floats(-1e6, 1e6)), data=st.data())
+    def test_spread_equals_the_weighted_squares_and_keeps_the_outputs(self, q, data):
+        n = q.shape[0]
+        w = data.draw(arrays(float, n, elements=st.floats(0.01, 1.0)))
+        we = WeightedEnsemble("c", tuple(range(n)), w / w.sum())
+        given_q = q.copy()
+        pred = predict_response(we, q)
+        q_hat = we.weights @ q
+        reference = np.sqrt(np.clip(we.weights @ (q - q_hat) ** 2, 0.0, None))
+        assert pred.q_hat.tobytes() == q_hat.tobytes()
+        assert pred.spread.tobytes() == reference.tobytes()
+        assert q.tobytes() == given_q.tobytes()
 
     def test_divergent_member_reported(self):
         we = WeightedEnsemble("c", (3, 9), np.array([0.5, 0.5]))
