@@ -15,26 +15,28 @@ import numpy as np
 from falsikit import boucwen_rate
 
 
-def trace_loop(n_pow, *, k_pre, r_k, Qy, amp, n_cycles=2, dt=2e-4):
-    """Quasi-static displacement cycling; returns (x, force)."""
+def trace_loops(n_pows, *, k_pre, r_k, Qy, amp, n_cycles=2, dt=2e-4):
+    """Quasi-static displacement cycling of one isolator per exponent of ``n_pows``,
+    all stepped together; returns x and the forces, one row per exponent."""
     a = k_pre / Qy
+    n_pow = np.asarray(n_pows, dtype=float)
     omega = 2.0 * np.pi
     t = np.arange(0.0, n_cycles + dt / 2, dt)
     x = amp * np.sin(omega * t)
     v = amp * omega * np.cos(omega * t)
-    z = 0.0
+    z = np.zeros(n_pow.shape)
     zs = [z]
     for k in range(len(t) - 1):
         vm = amp * omega * np.cos(omega * (t[k] + dt / 2))
-        f = lambda zz, vv: float(boucwen_rate(zz, vv, a, n_pow))
+        f = lambda zz, vv: boucwen_rate(zz, vv, a, n_pow)
         k1 = f(z, v[k])
         k2 = f(z + dt / 2 * k1, vm)
         k3 = f(z + dt / 2 * k2, vm)
         k4 = f(z + dt * k3, v[k + 1])
-        z += dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        z = z + dt / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         zs.append(z)
     q_y = Qy * (1.0 - r_k)
-    force = r_k * k_pre * x + q_y * np.asarray(zs)
+    force = r_k * k_pre * x + q_y * np.array(zs).T
     return x, force
 
 
@@ -44,8 +46,9 @@ def main():
     Qy = k_pre * x_y
     amp = 3.0 * x_y
 
-    for n_pow in (1.0, 2.0, 100.0):
-        x, f = trace_loop(n_pow, k_pre=k_pre, r_k=r_k, Qy=Qy, amp=amp)
+    n_pows = (1.0, 2.0, 100.0)
+    x, forces = trace_loops(n_pows, k_pre=k_pre, r_k=r_k, Qy=Qy, amp=amp)
+    for n_pow, f in zip(n_pows, forces):
         half = len(x) // 2                    # steady-state cycle
         area = np.trapezoid(f[half:], x[half:])
         ideal = 4.0 * Qy * (1.0 - r_k) * (amp - x_y)

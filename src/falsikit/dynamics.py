@@ -66,6 +66,7 @@ LINEAR_VARIANTS = ("aashto", "jpwri", "modified_aashto", "caltrans")
 
 SIMULATION_REVISION = 4   # raised whenever simulated outputs move: older caches are not reused
 _STATE_GUARD = 1.0e6  # any |state| beyond this is treated as divergence
+RK4_RADIUS = 2.96    # the largest |z| in RK4's stability region |1 + z + ... + z^4/24| <= 1
 _BLOCK = 8            # record steps per block of ``_block_map``: 4, 10 and 16 measured slower
 _CHUNK_BYTES = 1 << 21  # the block rows ``_block_map`` holds at once, about
 _SHOWN_INDICES = 5    # diverging model indices named in the error message
@@ -204,6 +205,46 @@ class ShearBuildingModel:
     def damping_matrix(self) -> np.ndarray:
         a0, a1 = self.rayleigh_coefficients()
         return a0 * self.mass_matrix() + a1 * self.stiffness_matrix()
+
+    # what a run asks of the structure it simulates, which the isolated building answers
+    @property
+    def channel_names(self) -> tuple[str, ...]:
+        return IsolatedSystem.channel_names
+
+    @property
+    def bindings(self) -> dict:
+        """Each binding (isolator variant) to the parameters it takes and the defaults it has."""
+        return {variant: (names, IsolatedSystem.DEFAULTS.get(variant, {}))
+                for variant, names in IsolatedSystem.PARAMETERS.items()}
+
+    def system(self, binding: str, **params) -> IsolatedSystem:
+        return IsolatedSystem(self, binding, **params)
+
+    def operator(self, n_states: int | None = None) -> np.ndarray:
+        """The ``A`` of every batch on this building: the superstructure on the base mass
+        over [X_s, x_b, V_s, v_b], zero-padded to ``n_states`` (a hysteretic batch's z)."""
+        n = self.n_stories + 1
+        # M q'' + C q' + K q = -M 1 a_g - f_iso e_b for q = [X_s, x_b], with
+        # M = diag(m_s, m_b), K = T^T K_s T, C = T^T C_s T and T = [I | -1]
+        T = np.hstack([np.eye(n - 1), -np.ones((n - 1, 1))])
+        masses = MG * np.append(self.story_masses, self.base_mass)
+        A = np.zeros((n_states or 2 * n,) * 2)
+        A[:n, n:2 * n] = np.eye(n)
+        A[n:2 * n, :n] = -(T.T @ self.stiffness_matrix() @ T) / masses[:, None]
+        A[n:2 * n, n:2 * n] = -(T.T @ self.damping_matrix() @ T) / masses[:, None]
+        return A
+
+    def check_resolvable(self, dt_int: float) -> None:
+        """Refuse a ``dt_int`` with dt_int ρ(A) > ``RK4_RADIUS``, or an ``A`` not finite: every
+        candidate diverges.  Only ρ is computed; powers of A overflow at such magnitudes."""
+        with np.errstate(all="ignore"):
+            try:   # a non-finite A, or modes too fast for an eigensolve, raise LinAlgError
+                reach = dt_int * np.abs(np.linalg.eigvals(self.operator())).max()
+            except np.linalg.LinAlgError:
+                reach = np.inf
+        if not reach <= RK4_RADIUS:
+            raise ValueError(f"too stiff for dt_int = {dt_int:g} s: dt_int times its operator's "
+                             f"spectral radius is {reach:.3g} > {RK4_RADIUS}")
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +427,7 @@ class IsolatedSystem:
         self._xb = n - 1                                 # state index of x_b
         self._vb = 2 * n - 1                             # state index of v_b
         m_b = MG * building.base_mass
-        self._A = self.shared_operator(building, self.n_states)
+        self._A = building.operator(self.n_states)
         self._B = np.zeros(self.n_states)
         self._B[n:2 * n] = -1.0
 
@@ -434,21 +475,6 @@ class IsolatedSystem:
         self._E = np.zeros((self.n_states, 1 + self.nonlinear))
         self._E[self._vb, 0], self._E[-1, 1:] = -1.0, 1.0
         self.output_rows, self.feedthrough = np.array([self._vb]), np.ones(1)
-
-    @staticmethod
-    def shared_operator(building: ShearBuildingModel, n_states: int | None = None) -> np.ndarray:
-        """The ``A`` of every batch on ``building``: the superstructure on the base mass
-        over [X_s, x_b, V_s, v_b], zero-padded to ``n_states`` (a hysteretic batch's z)."""
-        n = building.n_stories + 1
-        # M q'' + C q' + K q = -M 1 a_g - f_iso e_b for q = [X_s, x_b], with
-        # M = diag(m_s, m_b), K = T^T K_s T, C = T^T C_s T and T = [I | -1]
-        T = np.hstack([np.eye(n - 1), -np.ones((n - 1, 1))])
-        masses = MG * np.append(building.story_masses, building.base_mass)
-        A = np.zeros((n_states or 2 * n,) * 2)
-        A[:n, n:2 * n] = np.eye(n)
-        A[n:2 * n, :n] = -(T.T @ building.stiffness_matrix() @ T) / masses[:, None]
-        A[n:2 * n, n:2 * n] = -(T.T @ building.damping_matrix() @ T) / masses[:, None]
-        return A
 
     def initial_state(self) -> np.ndarray:
         return np.zeros((self.n_states, self.n_models))

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dynamics
-from .dynamics import ExcitationRecord, IsolatedSystem, ShearBuildingModel
+from .dynamics import ExcitationRecord, ShearBuildingModel
 from .falsification import (ClassVerdicts, FdrConfig, MeasurementSet, ResidualNoiseModel,
                             falsify_classes, residuals)
 from .prediction import (estimate_parameters, falsified_log_mass, post_falsification_weights,
@@ -44,7 +44,6 @@ __all__ = [
 _FLOAT_FMT = "%.17g"   # round-trips double precision
 STAGES = ("simulate", "falsify", "predict", "all")
 MAX_SUBSTEPS_PER_SAMPLE = 1000   # RK4 substeps per record interval that dt_int may ask for
-RK4_RADIUS = 2.96   # the largest |z| in RK4's stability region |1 + z + ... + z^4/24| <= 1
 _MAX_ENTRY = 1.0e150   # a larger time-series entry squares, in norms and variances, to overflow
 _CLASS_ID = re.compile(r"[A-Za-z0-9_.-]+")   # a class id names its sim_ and prediction_ files
 
@@ -134,9 +133,9 @@ def _parse_prior(class_name: str, key: str, text: str) -> PriorSpec:
     except ValueError:
         raise ConfigError(f"[class:{class_name}] {key}: non-numeric prior moments in {text!r}")
     flag = parts[3].lower() if len(parts) == 4 else None
-    if flag not in (None, "positive", "positive_only"):
+    if flag not in (None, "positive"):
         raise ConfigError(f"[class:{class_name}] {key}: unknown prior flag {parts[3]!r}; "
-                          "expected 'positive' or 'positive_only'")
+                          "expected 'positive'")
     try:
         return PriorSpec(kind=kind, mean=mean, std_dev=std, positive_only=flag is not None)
     except ValueError as err:
@@ -168,7 +167,8 @@ def parse_config(path) -> RunConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None)
+    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"), interpolation=None,
+                                   default_section="")   # no header matches: [DEFAULT] is refused
     cp.optionxform = str  # keep parameter-name case (Q_y)
     try:
         cp.read(path)
@@ -252,7 +252,7 @@ def parse_config(path) -> RunConfig:
         sigma_absolute = _floats("noise", "sigma", get("noise", "sigma"))
         if any(sigma <= 0.0 for sigma in sigma_absolute):
             raise ConfigError(f"[noise] sigma must be > 0, got {get('noise', 'sigma')!r}")
-        n_channels = len(IsolatedSystem.channel_names)
+        n_channels = len(building.channel_names)
         if len(sigma_absolute) not in (1, n_channels):
             raise ConfigError(f"[noise] sigma: expected one value or one per measured channel "
                               f"({n_channels}), got {len(sigma_absolute)}")
@@ -289,10 +289,10 @@ def parse_config(path) -> RunConfig:
             raise ConfigError(f"[{section}] class id must be one or more of the characters "
                               "A-Z a-z 0-9 _ . -, as it names the class's files")
         binding = get(section, "binding", required=True)
-        if binding not in IsolatedSystem.PARAMETERS:
+        if binding not in building.bindings:
             raise ConfigError(f"unknown physics binding {binding!r}; registered bindings: "
-                              f"{sorted(IsolatedSystem.PARAMETERS)}")
-        takes = IsolatedSystem.PARAMETERS[binding]
+                              f"{sorted(building.bindings)}")
+        takes, optional = building.bindings[binding]
         names, priors = [], []
         fixed = {}
         for key, value in cp.items(section):
@@ -312,7 +312,7 @@ def parse_config(path) -> RunConfig:
         for name in names:
             if name in fixed:
                 raise ConfigError(f"[{section}] fixed_{name}: {name} already has a prior")
-        given = {*names, *fixed, *IsolatedSystem.DEFAULTS.get(binding, ())}
+        given = {*names, *fixed, *optional}
         missing = [name for name in takes if name not in given]
         if missing:
             raise ConfigError(f"[{section}] the {binding} binding needs {missing[0]!r}, as a "
@@ -493,11 +493,10 @@ def _write_manifest(out: Path, manifest: RunManifest) -> RunManifest:
 # ---------------------------------------------------------------------------
 # pipeline
 
-def _build_system(class_spec: ModelClassSpec, theta: np.ndarray,
-                  building: ShearBuildingModel) -> IsolatedSystem:
+def _build_system(class_spec: ModelClassSpec, theta: np.ndarray, config: RunConfig):
     try:
-        return IsolatedSystem(building, class_spec.physics_binding, **class_spec.fixed_constants,
-                              **dict(zip(class_spec.parameter_names, theta.T)))
+        return config.building.system(class_spec.physics_binding, **class_spec.fixed_constants,
+                                      **dict(zip(class_spec.parameter_names, theta.T)))
     except ValueError as err:
         raise ConfigError(f"[class:{class_spec.class_id}] {err}") from None
 
@@ -524,18 +523,6 @@ def _check_dt_int(given: float | None, dt_int: float, records: dict) -> dict:
                               f"at most {MAX_SUBSTEPS_PER_SAMPLE} are allowed")
         substeps[str(path)] = n_sub
     return substeps
-
-
-def _check_resolvable(building: ShearBuildingModel, dt_int: float) -> None:
-    """Refuse a building with an operator ``A`` not finite or with dt_int ρ(A) > ``RK4_RADIUS``:
-    then an eigenvalue lies outside RK4's stability region and every candidate
-    diverges.  Only ρ is computed; powers of A overflow at such magnitudes."""
-    with np.errstate(all="ignore"):
-        A = IsolatedSystem.shared_operator(building)
-        reach = dt_int * np.abs(np.linalg.eigvals(A)).max() if np.isfinite(A).all() else math.inf
-    if not reach <= RK4_RADIUS:
-        raise ConfigError(f"[building] is too stiff for [run] dt_int = {dt_int:g} s: dt_int "
-                          f"times its operator's spectral radius is {reach:.3g} > {RK4_RADIUS}")
 
 
 def _check_pair(series: MeasurementSet, name: str, record: ExcitationRecord,
@@ -678,8 +665,11 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     manifest.dt_int = dt_int
     manifest.substeps_per_sample = _check_dt_int(config.dt_int, dt_int,
                                                  {config.calibration_path: calibration, **inputs})
-    _check_resolvable(config.building, dt_int)
-    channel_names = tuple(IsolatedSystem.channel_names)
+    try:
+        config.building.check_resolvable(dt_int)
+    except ValueError as err:   # the message names dt_int; the config's key replaces it
+        raise ConfigError(f"[building] is {err}".replace("dt_int =", "[run] dt_int =")) from None
+    channel_names = config.building.channel_names
     if stage != "simulate":
         if config.measurement_path is None:
             raise ConfigError("no [measurement] file configured")
@@ -718,7 +708,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
         thetas, verdicts = ledger
     t0 = time.perf_counter()
     if not reuse:   # a candidate no isolator takes is refused before anything is written
-        systems = {cid: _build_system(class_specs[cid], thetas[cid], config.building)
+        systems = {cid: _build_system(class_specs[cid], thetas[cid], config)
                    for cid in class_order}
     out.mkdir(parents=True, exist_ok=True)
     if reuse and ledger is None:
@@ -792,7 +782,7 @@ def run_pipeline(config: RunConfig, stage: str = "all") -> RunManifest:
     manifest.artifacts["estimates"] = str(out / "estimates.tsv")
 
     survivors = {cid: _build_system(class_specs[cid], thetas[cid][np.asarray(we.sample_indices)],
-                                    config.building)
+                                    config)
                  for cid, we in ensembles.items()}
     batches = manifest.batches["predict"] = {}
     outputs = dynamics.simulate_classes(survivors, records, dt_int, batches)

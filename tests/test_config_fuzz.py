@@ -77,7 +77,7 @@ KEYS = ("master_seed", "samples_per_class", "output_dir", "alpha", "dt_int", "st
         "sigma_fraction", "file", "calibration", "prediction", "prediction_truth", "binding",
         "k_post", "c_b", "r_k", "Q_y", "r_d", "n_pow", "fixed_Q_y", "fixed_r_d", "bogus")
 SECTIONS = ("run", "building", "noise", "measurement", "excitation", "class:boucwen",
-            "class:bilinear", "class:x", "class:", "nosie")
+            "class:bilinear", "class:x", "class:", "nosie", "DEFAULT")
 
 lines = st.one_of(
     st.builds("{} = {}".format, st.sampled_from(KEYS), st.sampled_from(TOKENS)),

@@ -237,7 +237,7 @@ class _ModelsFirstLinear:
         c_eq = c_b * 1.0e3 + 2.0 * zeta * np.sqrt(k_eq * building.total_mass)
         m_b = 1.0e3 * building.base_mass
         self.k, self.c = k_eq / m_b, c_eq / m_b
-        self.A = IsolatedSystem.shared_operator(building)
+        self.A = building.operator()
         self.B = np.zeros(2 * n)
         self.B[n:] = -1.0
         self.n_models = self.k.size
@@ -255,13 +255,24 @@ class _ModelsFirstLinear:
 
 
 def _integrate_z(x_fn, v_fn, t_end, dt, a, n_pow):
-    """RK4 on the scalar hysteretic ODE under a prescribed displacement history."""
+    """RK4 on the scalar hysteretic ODE under a prescribed displacement history.
+
+    The rate is the Bouc-Wen kernel bound once, which equals ``boucwen_rate`` to the bit
+    (``test_bound_kernel_matches_the_law_row_by_row``) without building a kernel per call.
+    """
     n = int(round(t_end / dt))
+    vz, out = np.empty((2, 1)), np.empty(1)
+    kernel, = dynamics._boucwen_kernels(np.array([a]), np.array([n_pow - 1.0]), [(vz, out)])
+
+    def f(tt, zz):
+        vz[:, 0] = v_fn(tt), zz
+        kernel()
+        return float(out[0])
+
     z = 0.0
     zs = [z]
     for k in range(n):
         t = k * dt
-        f = lambda tt, zz: float(boucwen_rate(zz, v_fn(tt), a, n_pow))
         k1 = f(t, z)
         k2 = f(t + dt / 2, z + dt / 2 * k1)
         k3 = f(t + dt / 2, z + dt / 2 * k2)
@@ -488,6 +499,23 @@ class TestShearBuilding(object):
                                 eigvals_only=True)
         np.testing.assert_allclose(building.fixed_base_frequencies(), np.sqrt(lam),
                                    rtol=1e-12, atol=0.0)
+
+    def test_resolvable_up_to_the_rk4_radius(self, building):
+        # dt_int rho(A) just below RK4's reach passes, just above is refused
+        rho = np.abs(np.linalg.eigvals(building.operator())).max()
+        building.check_resolvable(dynamics.RK4_RADIUS / rho * (1.0 - 1e-9))
+        with pytest.raises(ValueError, match=r"^too stiff for dt_int = \S+ s: dt_int times its "
+                                             r"operator's spectral radius is 2\.96 > 2\.96$"):
+            building.check_resolvable(dynamics.RK4_RADIUS / rho * (1.0 + 1e-9))
+
+    @pytest.mark.parametrize("masses,stiffnesses,base_mass", [
+        ((300.0,) * 3, (40.0,) * 3, 1e-320),     # A overflows
+        ((1e-300,) * 3, (1e300,) * 3, 500.0),    # its modes' eigensolve does not converge
+    ], ids=("overflow", "no-convergence"))
+    def test_operator_without_a_spectral_radius_is_refused(self, masses, stiffnesses, base_mass):
+        stiff = ShearBuildingModel(masses, stiffnesses, base_mass)
+        with pytest.raises(ValueError, match=r"spectral radius is inf > 2\.96$"):
+            stiff.check_resolvable(1e-3)
 
     def test_validation(self):
         from falsikit.dynamics import ShearBuildingModel

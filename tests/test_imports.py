@@ -1,7 +1,7 @@
 """Every module of the package star-imports, so no ``__all__`` names a missing object,
 the package exports exactly the names its modules list in ``__all__``, no module
-imports a private numpy module or calls ``numpy.savetxt``, and every benchmark wrap
-point exists."""
+imports a private numpy module or calls ``numpy.savetxt``, the pipeline names no system
+class, and every benchmark wrap point exists."""
 
 import ast
 import importlib
@@ -88,6 +88,39 @@ def test_no_savetxt(module):
     # bytes without its per-row Python loop
     path = importlib.util.find_spec(f"falsikit.{module}").origin
     assert _savetxt_calls(Path(path).read_text()) == []
+
+
+# the system classes and the operator of one structure, which only ``dynamics`` names:
+# the pipeline asks the parsed structure (``ShearBuildingModel``) instead
+_SYSTEM_NAMES = {"IsolatedSystem", "TmdFrameSystem", "shared_operator"}
+
+
+def _system_names(source: str) -> list:
+    """The lines of ``source`` that name one of ``_SYSTEM_NAMES``, as a name, an attribute
+    or an imported name."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            lines += [node.lineno for alias in node.names
+                      if alias.name.split(".")[-1] in _SYSTEM_NAMES]
+        elif (isinstance(node, ast.Name) and node.id in _SYSTEM_NAMES
+              or isinstance(node, ast.Attribute) and node.attr in _SYSTEM_NAMES):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_system_names_are_found():
+    source = ("from .dynamics import IsolatedSystem as S, ShearBuildingModel\n"
+              "import falsikit.dynamics as d\nd.TmdFrameSystem(frame)\n"
+              "A = ShearBuildingModel.shared_operator(b)\nx: TmdFrameSystem = S(b)\n"
+              "s = 'IsolatedSystem'\n")
+    assert _system_names(source) == [1, 3, 4, 5]
+
+
+def test_pipeline_names_no_system():
+    # one module, dynamics, decides which structure a run simulates
+    path = importlib.util.find_spec("falsikit.pipeline").origin
+    assert _system_names(Path(path).read_text()) == []
 
 
 def test_package_exports_the_modules_public_names():

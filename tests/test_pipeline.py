@@ -425,10 +425,16 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("flag", ["positive", "positive_only"])
     def test_positive_prior_flag(self, workspace, flag):
+        # 'positive' is the one spelling; the alias 'positive_only' is refused
         text = workspace.read_text().replace("Q_y = uniform 4.75 0.2887",
                                              f"Q_y = normal 4.75 0.2887 {flag}")
         workspace.write_text(text)
-        assert parse_config(workspace).ensemble.class_specs[0].priors[3].positive_only
+        if flag == "positive":
+            assert parse_config(workspace).ensemble.class_specs[0].priors[3].positive_only
+        else:
+            with pytest.raises(ConfigError, match=r"^\[class:boucwen\] Q_y: unknown prior flag "
+                                                  r"'positive_only'; expected 'positive'$"):
+                parse_config(workspace)
 
     @pytest.mark.parametrize("modes", ["1", "1.5 2", "1 2 3"])
     def test_damping_modes_two_integers(self, workspace, modes):
@@ -1169,6 +1175,9 @@ class TestCli:
         ("file = measured.tsv", "file = measured.tsv\nchannels = 1",
          r"\[measurement\] channels: unknown key"),
         ("[noise]", "[nosie]", r"unknown section \[nosie\]"),
+        # configparser would copy a [DEFAULT] section's keys into every other section
+        ("[noise]", "[DEFAULT]\nalpha = 0.1\n\n[noise]", r"unknown section \[DEFAULT\]"),
+        ("[noise]", "[DEFAULT]\nbinding = bilinear\n\n[noise]", r"unknown section \[DEFAULT\]"),
     ])
     def test_unknown_key_or_section_exit_code(self, workspace, capsys, old, new, message):
         text = workspace.read_text()
